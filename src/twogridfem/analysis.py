@@ -8,9 +8,8 @@ import numpy as np
 from .assembly import (
     DEFAULT_QUAD_DEGREE,
     FemFunction,
-    _areas_and_gradients,
-    _state_at_quad,
     assemble_stiffness,
+    quadrature_points,
     triangle_rule,
 )
 from .problems import ManufacturedSolution
@@ -104,21 +103,21 @@ def lp_norm(mesh, v, p, quad=None):
     if p not in (2, 4):
         raise ValueError(f"p must be 2 or 4, got {p}")
     quad = quad or triangle_rule(max(DEFAULT_QUAD_DEGREE, p))
-    areas, _ = _areas_and_gradients(mesh)
     if isinstance(v, FemFunction):
-        _, vals = _state_at_quad(mesh, v.values, quad)
+        vals = v.at_quadrature(quad)
     else:
-        coords, _ = _state_at_quad(mesh, None, quad)
-        vals = np.asarray(v(coords), dtype=float)
+        vals = np.asarray(v(quadrature_points(mesh, quad)), dtype=float)
     total = float(np.sum(
-        areas[:, None] * quad.weights[None, :] * np.abs(vals) ** p))
+        mesh.areas[:, None] * quad.weights[None, :] * np.abs(vals) ** p))
     return total ** (1.0 / p)
 
 
 def _manufactured_errors(mesh, diffusion, u_h, exact, quad):
-    areas, grads = _areas_and_gradients(mesh)
-    coords, uh_q = _state_at_quad(mesh, u_h.values, quad)
-    uh_grad = np.einsum("mi,mid->md", u_h.values[mesh.triangles], grads)
+    areas = mesh.areas
+    coords = quadrature_points(mesh, quad)
+    uh_q = u_h.at_quadrature(quad)
+    uh_grad = np.einsum("mi,mid->md", u_h.values[mesh.triangles],
+                        mesh.gradients)
 
     e2 = e4 = een = 0.0
     for region in np.unique(mesh.regions):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, _signed_areas
+from .mesh import Mesh, triangle_geometry
 
 __all__ = [
     "QuadratureRule",
@@ -20,6 +20,7 @@ __all__ = [
     "DegenerateTriangle",
     "NotAVertex",
     "triangle_rule",
+    "quadrature_points",
     "local_stiffness",
     "assemble_stiffness",
     "assemble_reaction_jacobian",
@@ -158,6 +159,10 @@ class FemFunction:
             raise ValueError("operands live on different meshes")
         return FemFunction(self.mesh, self.values + other.values)
 
+    def at_quadrature(self, quad):
+        """Values at the quadrature points of every triangle, shape (M, k)."""
+        return self.values[self.mesh.triangles] @ quad.points.T
+
 
 def _diffusion_per_triangle(mesh, diffusion):
     d = np.empty(mesh.n_triangles)
@@ -169,40 +174,26 @@ def _diffusion_per_triangle(mesh, diffusion):
     return d
 
 
-def _areas_and_gradients(mesh):
-    """Element areas and barycentric-basis gradients, shapes (M,), (M,3,2)."""
-    p = mesh.triangle_coords()
-    areas = _signed_areas(mesh.vertices, mesh.triangles)
+def _positive_areas(mesh):
+    """The mesh's element areas; DegenerateTriangle unless all positive."""
+    areas = mesh.areas
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))
         raise DegenerateTriangle(
             f"triangle {bad} has non-positive area {areas[bad]:g}")
-    grads = np.empty((mesh.n_triangles, 3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        grads[:, i, 0] = p[:, j, 1] - p[:, k, 1]
-        grads[:, i, 1] = p[:, k, 0] - p[:, j, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return areas, grads
+    return areas
 
 
 def local_stiffness(coords, d):
     """Element stiffness D * area * grad(lam_i) . grad(lam_j), shape (3,3)."""
-    p = np.asarray(coords, dtype=float)
-    area = 0.5 * ((p[1, 0] - p[0, 0]) * (p[2, 1] - p[0, 1])
-                  - (p[2, 0] - p[0, 0]) * (p[1, 1] - p[0, 1]))
-    if area <= 0:
-        raise DegenerateTriangle(f"non-positive area {area:g}")
-    g = np.empty((3, 2))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        g[i] = (p[j, 1] - p[k, 1], p[k, 0] - p[j, 0])
-    g /= 2.0 * area
-    return d * area * (g @ g.T)
+    areas, grads = triangle_geometry(np.asarray(coords, dtype=float)[None])
+    if areas[0] <= 0:
+        raise DegenerateTriangle(f"non-positive area {areas[0]:g}")
+    return d * areas[0] * (grads[0] @ grads[0].T)
 
 
 def _scatter(mesh, local):
-    """Accumulate (M,3,3) element matrices into a global CSR matrix."""
+    """Accumulate (M,3,3) or row-major (M,9) element matrices into CSR."""
     n = mesh.n_vertices
     rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
     cols = np.tile(mesh.triangles, (1, 3)).ravel()
@@ -219,38 +210,31 @@ def assemble_stiffness(mesh, diffusion):
     Before boundary conditions every row sums to zero.
     """
     d = _diffusion_per_triangle(mesh, diffusion)
-    areas, grads = _areas_and_gradients(mesh)
+    areas = _positive_areas(mesh)
+    grads = mesh.gradients
     local = np.einsum("mid,mjd->mij", grads, grads)
     local *= (d * areas)[:, None, None]
     return _scatter(mesh, local)
 
 
-def _state_at_quad(mesh, values, quad):
-    """Physical coordinates and P1 values at all quadrature points.
-
-    Returns (coords, vals) with shapes (M, k, 2) and (M, k).
-    """
-    p = mesh.triangle_coords()
-    lam = quad.points  # (k, 3)
-    coords = np.einsum("qi,mid->mqd", lam, p)
-    vals = values[mesh.triangles] @ lam.T if values is not None else None
-    return coords, vals
+def quadrature_points(mesh, quad):
+    """Physical coordinates of every quadrature point, shape (M, k, 2)."""
+    return np.matmul(quad.points, mesh.triangle_coords())
 
 
 def assemble_reaction_jacobian(mesh, state, d1, quad):
     """Weighted mass matrix M_ij = int d1(x, u) phi_j phi_i by quadrature."""
-    areas, _ = _areas_and_gradients(mesh)
-    coords, uq = _state_at_quad(mesh, state.values, quad)
-    w = d1(coords, uq) * quad.weights[None, :] * areas[:, None]  # (M, k)
+    areas = _positive_areas(mesh)
+    d1q = d1(quadrature_points(mesh, quad), state.at_quadrature(quad))
+    w = d1q * quad.weights[None, :] * areas[:, None]  # (M, k)
     lam = quad.points
-    local = np.einsum("mq,qi,qj->mij", w, lam, lam)
-    return _scatter(mesh, local)
+    basis_products = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
+    return _scatter(mesh, w @ basis_products)
 
 
-def _moment_vector(mesh, values_at_quad, quad, areas=None):
+def _moment_vector(mesh, values_at_quad, quad):
     """Vector v_i = sum_T area_T sum_q w_q f(x_q) phi_i(x_q)."""
-    if areas is None:
-        areas, _ = _areas_and_gradients(mesh)
+    areas = _positive_areas(mesh)
     w = values_at_quad * quad.weights[None, :] * areas[:, None]  # (M, k)
     contrib = w @ quad.points  # (M, 3)
     return np.bincount(
@@ -291,9 +275,8 @@ def assemble_load(mesh, problem, quad):
     """Total load vector: volume source, point source and interface flux."""
     load = np.zeros(mesh.n_vertices)
     if problem.source is not None:
-        areas, _ = _areas_and_gradients(mesh)
-        coords, _ = _state_at_quad(mesh, None, quad)
-        load += _moment_vector(mesh, problem.source(coords), quad, areas)
+        load += _moment_vector(
+            mesh, problem.source(quadrature_points(mesh, quad)), quad)
     if problem.point_source is not None:
         load += assemble_point_load(mesh, problem.point_source.location,
                                     problem.point_source.magnitude)
@@ -315,10 +298,9 @@ def assemble_semilinear_residual(mesh, state, problem, quad,
         stiffness = assemble_stiffness(mesh, problem.diffusion)
     if load is None:
         load = assemble_load(mesh, problem, quad)
-    areas, _ = _areas_and_gradients(mesh)
-    coords, uq = _state_at_quad(mesh, state.values, quad)
-    bvals = problem.nonlinearity.eval(coords, uq)
-    r = stiffness @ state.values + _moment_vector(mesh, bvals, quad, areas)
+    bvals = problem.nonlinearity.eval(quadrature_points(mesh, quad),
+                                      state.at_quadrature(quad))
+    r = stiffness @ state.values + _moment_vector(mesh, bvals, quad)
     r -= load
     r[mesh.boundary_vertices] = 0.0
     return r

@@ -192,12 +192,14 @@ def _build_hierarchy(cfg, extra_levels=0):
     return problem, exact, meshes
 
 
-def _cell_size(domain, mesh):
-    """Grid spacing (domain side / subdivisions); the size the coarse-grid
-    selection formula operates on."""
-    xmin, xmax, _, _ = domain
-    n = round((xmax - xmin) / (mesh.h / np.sqrt(2.0)))
-    return (xmax - xmin) / n
+def _reference_solution(cfg, problem, meshes, quad):
+    """Richardson-style reference: a warm-started solve two uniform
+    refinements past the finest study level."""
+    finer = refine_uniform(meshes[-1])
+    chain = meshes + [finer, refine_uniform(finer)]
+    reference, _ = nested_newton_solve(chain, problem, cfg.newton_options(),
+                                       quad)
+    return reference
 
 
 def _write_rows(path, columns, rows):
@@ -271,14 +273,7 @@ def cmd_converge(cfg, args):
     out.mkdir(parents=True, exist_ok=True)
 
     if exact is None:
-        # Richardson-style reference: two uniform refinements past the
-        # finest study level
-        ref_meshes = [meshes[-1]]
-        for _ in range(2):
-            ref_meshes.append(refine_uniform(ref_meshes[-1]))
-        reference, _ = nested_newton_solve(
-            meshes[:-1] + ref_meshes, problem, cfg.newton_options(), quad)
-        exact = reference
+        exact = _reference_solution(cfg, problem, meshes, quad)
 
     solutions, stats = _solve_levels(cfg, problem, meshes, quad)
     records = [error_norms(mesh, problem.diffusion, u, exact, quad)
@@ -312,13 +307,12 @@ def cmd_twogrid(cfg, args):
     out.mkdir(parents=True, exist_ok=True)
 
     if exact is None:
-        ref_meshes = [meshes[-1]]
-        for _ in range(2):
-            ref_meshes.append(refine_uniform(ref_meshes[-1]))
-        exact, _ = nested_newton_solve(
-            meshes[:-1] + ref_meshes, problem, cfg.newton_options(), quad)
+        exact = _reference_solution(cfg, problem, meshes, quad)
 
-    sizes = [_cell_size(problem.domain, mesh) for mesh in meshes]
+    # grid spacing along x: the size the coarse-size selection works on
+    xmin, xmax = problem.domain[:2]
+    sizes = [(xmax - xmin) / (cfg.coarsest_n * 2 ** k)
+             for k in range(len(meshes))]
     rows = []
     for idx, mesh in enumerate(meshes):
         if idx == 0:
@@ -416,8 +410,6 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        np.random.seed(args.seed % 2 ** 32)
     try:
         return args.fn(cfg, args)
     except (ConfigError, MeshError, ProblemError, NotAVertex) as exc:

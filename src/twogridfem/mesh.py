@@ -9,6 +9,7 @@ two-grid machinery relies on.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,12 @@ class Mesh:
     parent : coarser mesh this one refines, or None
     midpoint_edges : (N - N_parent, 2) int array mapping each new vertex
         of a refined mesh to the parent edge it bisects, or None
+    areas : (M,) signed element areas (positive for counterclockwise)
+    gradients : (M, 3, 2) gradients of the barycentric basis functions
+
+    All arrays are read-only.  ``areas`` and ``gradients`` are computed
+    once, on first use; two threads racing on that first use compute the
+    same values, so meshes are safe to share.
     """
 
     vertices: np.ndarray
@@ -116,6 +123,21 @@ class Mesh:
         """Vertex coordinates per triangle, shape (M, 3, 2)."""
         return self.vertices[self.triangles]
 
+    @cached_property
+    def _geometry(self):
+        areas, gradients = triangle_geometry(self.triangle_coords())
+        areas.setflags(write=False)
+        gradients.setflags(write=False)
+        return areas, gradients
+
+    @property
+    def areas(self):
+        return self._geometry[0]
+
+    @property
+    def gradients(self):
+        return self._geometry[1]
+
 
 @dataclass
 class AngleReport:
@@ -127,30 +149,36 @@ class AngleReport:
     tolerance: float
 
 
-def _signed_areas(vertices, triangles):
-    p = vertices[triangles]
-    return 0.5 * (
-        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-    )
+def triangle_geometry(p):
+    """Signed areas (M,) and basis gradients (M, 3, 2) of triangles p (M, 3, 2).
+
+    The gradient of barycentric coordinate i is the edge opposite vertex i
+    rotated by -90 degrees over twice the signed area; it is inf or nan
+    where the area is zero.
+    """
+    # edges[:, i] runs from vertex i+1 to vertex i+2 (indices mod 3)
+    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+    twice_area = (edges[:, 1, 0] * edges[:, 2, 1]
+                  - edges[:, 1, 1] * edges[:, 2, 0])
+    gradients = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gradients /= twice_area[:, None, None]
+    return 0.5 * twice_area, gradients
 
 
 def _max_diameter(vertices, triangles):
-    p = vertices[triangles]
-    d01 = np.hypot(p[:, 0, 0] - p[:, 1, 0], p[:, 0, 1] - p[:, 1, 1])
-    d12 = np.hypot(p[:, 1, 0] - p[:, 2, 0], p[:, 1, 1] - p[:, 2, 1])
-    d20 = np.hypot(p[:, 2, 0] - p[:, 0, 0], p[:, 2, 1] - p[:, 0, 1])
-    return float(np.max(np.maximum(np.maximum(d01, d12), d20)))
+    edges = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]
+    return float(np.hypot(edges[..., 0], edges[..., 1]).max())
 
 
-def _edge_counts(triangles):
-    """Count how many triangles use each undirected edge."""
-    counts = {}
-    for tri in triangles:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(a), int(b)) if a < b else (int(b), int(a))
-            counts[key] = counts.get(key, 0) + 1
-    return counts
+def _triangle_edges(triangles):
+    """Edges 01, 12, 02 of every triangle as sorted pairs, shape (3M, 2)."""
+    return np.sort(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
+
+
+def _sorted_rows(edges):
+    """Edge pairs in lexicographic order."""
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
 
 
 def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
@@ -201,44 +229,29 @@ def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
     xv, yv = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([xv.ravel(), yv.ravel()])
 
-    def vid(ix, iy):
-        return iy * (n + 1) + ix
+    # cell (ix, iy) has lower-left vertex iy * (n + 1) + ix
+    iy, ix = np.divmod(np.arange(n * n), n)
+    v00 = iy * (n + 1) + ix
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    inside = (ix0 <= ix) & (ix < ix1) & (iy0 <= iy) & (iy < iy1)
+    regions = np.repeat(np.where(inside, 1, 2), 2)
 
-    triangles = []
-    regions = []
-    for iy in range(n):
-        for ix in range(n):
-            v00 = vid(ix, iy)
-            v10 = vid(ix + 1, iy)
-            v01 = vid(ix, iy + 1)
-            v11 = vid(ix + 1, iy + 1)
-            inside = ix0 <= ix < ix1 and iy0 <= iy < iy1
-            tag = 1 if inside else 2
-            triangles.append((v00, v10, v11))
-            triangles.append((v00, v11, v01))
-            regions.extend((tag, tag))
-    triangles = np.array(triangles, dtype=np.int64)
-    regions = np.array(regions, dtype=np.int64)
-
-    bmask = np.zeros(vertices.shape[0], dtype=bool)
-    for iy in range(n + 1):
-        for ix in range(n + 1):
-            if ix in (0, n) or iy in (0, n):
-                bmask[vid(ix, iy)] = True
-    boundary_vertices = np.nonzero(bmask)[0]
+    on_boundary = np.zeros((n + 1, n + 1), dtype=bool)
+    on_boundary[[0, n], :] = True
+    on_boundary[:, [0, n]] = True
+    boundary_vertices = np.flatnonzero(on_boundary)
 
     # Interface edges: the box perimeter, minus any side flush with the
     # outer boundary.
-    edges = []
-    if ix0 > 0:
-        edges += [(vid(ix0, iy), vid(ix0, iy + 1)) for iy in range(iy0, iy1)]
-    if ix1 < n:
-        edges += [(vid(ix1, iy), vid(ix1, iy + 1)) for iy in range(iy0, iy1)]
-    if iy0 > 0:
-        edges += [(vid(ix, iy0), vid(ix + 1, iy0)) for ix in range(ix0, ix1)]
-    if iy1 < n:
-        edges += [(vid(ix, iy1), vid(ix + 1, iy1)) for ix in range(ix0, ix1)]
-    interface_edges = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
+    column = np.arange(iy0, iy1) * (n + 1)
+    row = np.arange(ix0, ix1)
+    sides = [np.column_stack([column + i, column + i + n + 1])
+             for i in (ix0, ix1) if 0 < i < n]
+    sides += [np.column_stack([row + j * (n + 1), row + j * (n + 1) + 1])
+              for j in (iy0, iy1) if 0 < j < n]
+    interface_edges = _sorted_rows(
+        np.concatenate(sides + [np.empty((0, 2), dtype=np.int64)]))
 
     return Mesh(
         vertices=vertices,
@@ -257,59 +270,49 @@ def refine_uniform(mesh):
     the edge bisected by every new vertex, and h halves exactly.
     """
     n_old = mesh.n_vertices
-    vertices = [mesh.vertices]
-    midpoint_of = {}
-    midpoint_edges = []
+    edges = _triangle_edges(mesh.triangles)
+    keys, first, inverse, counts = np.unique(
+        edges[:, 0] * n_old + edges[:, 1], return_index=True,
+        return_inverse=True, return_counts=True)
+    # number the midpoints in the order a triangle-by-triangle walk meets
+    # their edges
+    order = np.argsort(first)
+    midpoint = np.empty_like(order)
+    midpoint[order] = n_old + np.arange(order.size)
+    midpoint_edges = edges[first[order]]
 
-    def midpoint(a, b):
-        key = (a, b) if a < b else (b, a)
-        idx = midpoint_of.get(key)
-        if idx is None:
-            idx = n_old + len(midpoint_edges)
-            midpoint_of[key] = idx
-            midpoint_edges.append(key)
-            vertices.append(
-                0.5 * (mesh.vertices[a] + mesh.vertices[b])[None, :])
-        return idx
+    v0, v1, v2 = mesh.triangles.T
+    m01, m12, m02 = midpoint[inverse].reshape(-1, 3).T
+    triangles = np.stack([v0, m01, m02, v1, m12, m01, v2, m02, m12,
+                          m01, m12, m02], axis=1).reshape(-1, 3)
+    vertices = np.vstack([
+        mesh.vertices,
+        0.5 * (mesh.vertices[midpoint_edges[:, 0]]
+               + mesh.vertices[midpoint_edges[:, 1]]),
+    ])
+    # an edge used by one triangle lies on the boundary
+    boundary_vertices = np.union1d(mesh.boundary_vertices,
+                                   midpoint[counts == 1])
 
-    triangles = np.empty((4 * mesh.n_triangles, 3), dtype=np.int64)
-    regions = np.repeat(mesh.regions, 4)
-    for t, (v0, v1, v2) in enumerate(mesh.triangles):
-        m01 = midpoint(int(v0), int(v1))
-        m12 = midpoint(int(v1), int(v2))
-        m02 = midpoint(int(v0), int(v2))
-        triangles[4 * t:4 * t + 4] = [
-            (v0, m01, m02),
-            (v1, m12, m01),
-            (v2, m02, m12),
-            (m01, m12, m02),
-        ]
-    all_vertices = np.vstack(vertices)
-
-    boundary = set(int(v) for v in mesh.boundary_vertices)
-    counts = _edge_counts(mesh.triangles)
-    new_boundary = set(boundary)
-    for (a, b), idx in midpoint_of.items():
-        if counts[(a, b)] == 1:  # boundary edge
-            new_boundary.add(idx)
-    boundary_vertices = np.array(sorted(new_boundary), dtype=np.int64)
-
-    iface = []
-    for a, b in mesh.interface_edges:
-        m = midpoint_of[(int(a), int(b)) if a < b else (int(b), int(a))]
-        iface.append((min(int(a), m), max(int(a), m)))
-        iface.append((min(m, int(b)), max(m, int(b))))
-    interface_edges = np.array(sorted(iface), dtype=np.int64).reshape(-1, 2)
+    iface = np.sort(mesh.interface_edges, axis=1)
+    iface_keys = iface[:, 0] * n_old + iface[:, 1]
+    if not np.isin(iface_keys, keys).all():
+        raise ValidationError("interface edge is not an edge of a triangle")
+    mids = midpoint[np.searchsorted(keys, iface_keys)]
+    interface_edges = _sorted_rows(np.concatenate([
+        np.column_stack([iface[:, 0], mids]),
+        np.column_stack([iface[:, 1], mids]),
+    ]))
 
     return Mesh(
-        vertices=all_vertices,
+        vertices=vertices,
         triangles=triangles,
-        regions=regions,
+        regions=np.repeat(mesh.regions, 4),
         boundary_vertices=boundary_vertices,
         interface_edges=interface_edges,
         h=mesh.h / 2.0,
         parent=mesh,
-        midpoint_edges=np.array(midpoint_edges, dtype=np.int64),
+        midpoint_edges=midpoint_edges,
     )
 
 
@@ -353,17 +356,20 @@ def validate_mesh(mesh):
             mesh.boundary_vertices.min() < 0
             or mesh.boundary_vertices.max() >= n):
         raise ValidationError("boundary vertex index out of range")
-    areas = _signed_areas(mesh.vertices, mesh.triangles)
+    areas = mesh.areas
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))
         raise ValidationError(
             f"triangle {bad} has non-positive signed area {areas[bad]:g}")
     if not np.all(np.isin(mesh.regions, (1, 2))):
         raise ValidationError("region tags must be 1 or 2")
-    for edge, count in _edge_counts(mesh.triangles).items():
-        if count > 2:
-            raise ValidationError(
-                f"edge {edge} shared by {count} triangles (non-conforming)")
+    edges, counts = np.unique(_triangle_edges(mesh.triangles), axis=0,
+                              return_counts=True)
+    if counts.size and counts.max() > 2:
+        bad = int(np.argmax(counts))
+        raise ValidationError(
+            f"edge {tuple(edges[bad].tolist())} shared by {counts[bad]} "
+            f"triangles (non-conforming)")
     return mesh
 
 
@@ -384,6 +390,10 @@ def save_mesh(mesh):
 
 def load_mesh(text):
     """Parse the plain-text mesh format and validate the result.
+
+    The format holds no refinement links, so the loaded mesh has
+    ``parent`` and ``midpoint_edges`` set to None and cannot take part in
+    prolongation or a two-grid solve.
 
     Raises ParseError (with the 1-based line number) on malformed input
     and ValidationError on structurally invalid meshes.

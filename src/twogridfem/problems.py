@@ -45,7 +45,7 @@ class Nonlinearity:
 
     ``barrier_alpha <= barrier_beta`` are constants with b(x, xi) >= 0 for
     xi >= barrier_beta and b(x, xi) <= 0 for xi <= barrier_alpha, for a.e.
-    x.  ``growth_class`` is advisory metadata; no code path branches on it.
+    x.
     """
 
     eval: callable
@@ -53,14 +53,10 @@ class Nonlinearity:
     d2: callable
     barrier_alpha: float
     barrier_beta: float
-    growth_class: str = "subcritical"
 
     def __post_init__(self):
         if self.barrier_alpha > self.barrier_beta:
             raise ValueError("barrier_alpha must not exceed barrier_beta")
-        if self.growth_class not in ("subcritical", "critical",
-                                     "supercritical"):
-            raise ValueError(f"bad growth class {self.growth_class!r}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +228,7 @@ def _power_nonlinearity(exponent):
     def d2(x, xi):
         return p * (p - 1) * xi ** (p - 2)
 
-    growth = "supercritical" if p > 1 else "subcritical"
-    return Nonlinearity(b, d1, d2, 0.0, 0.0, growth)
+    return Nonlinearity(b, d1, d2, 0.0, 0.0)
 
 
 def _inside_box(box):
@@ -290,7 +285,6 @@ def builtin_problem(name, **params):
             d1=lambda x, xi: kap(x) * np.cosh(xi),
             d2=lambda x, xi: kap(x) * np.sinh(xi),
             barrier_alpha=0.0, barrier_beta=0.0,
-            growth_class="supercritical",
         )
         return Problem(
             diffusion={1: d_in, 2: d_out},

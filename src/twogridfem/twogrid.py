@@ -15,12 +15,9 @@ import numpy as np
 from .assembly import (
     DEFAULT_QUAD_DEGREE,
     FemFunction,
-    _areas_and_gradients,
-    _moment_vector,
-    _state_at_quad,
     apply_dirichlet,
-    assemble_load,
     assemble_reaction_jacobian,
+    assemble_semilinear_residual,
     assemble_stiffness,
     triangle_rule,
 )
@@ -101,10 +98,10 @@ def linearized_solve(t_h, problem, u_base, quad=None, pcg_tol=FINE_PCG_TOL,
                      max_iters=None):
     """One Newton-linearized solve on the fine mesh about ``u_base``.
 
-    Solves a(u, v) + (b'(u_base) u, v) =
-    <loads, v> + (b'(u_base) u_base - b(u_base), v) for u in the fine
-    space, with Dirichlet data imposed.  This is exactly one fine-grid
-    Newton step from the prolonged coarse solution.
+    Solves J u = J u_base - r(u_base) for u in the fine space, with
+    Dirichlet data imposed, where r is the semilinear residual and
+    J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base.  This is
+    exactly one fine-grid Newton step from the prolonged coarse solution.
 
     Returns (solution, SolveReport of the linear solve).
     """
@@ -121,17 +118,15 @@ def linearized_solve(t_h, problem, u_base, quad=None, pcg_tol=FINE_PCG_TOL,
             stacklevel=2)
 
     stiffness = assemble_stiffness(t_h, problem.diffusion)
-    reaction = assemble_reaction_jacobian(t_h, u_base, nl.d1, quad)
-    load = assemble_load(t_h, problem, quad)
-
-    areas, _ = _areas_and_gradients(t_h)
-    coords, uq = _state_at_quad(t_h, u_base.values, quad)
-    b_moment = _moment_vector(t_h, nl.eval(coords, uq), quad, areas)
-    rhs = load + reaction @ u_base.values - b_moment
+    jacobian = stiffness + assemble_reaction_jacobian(t_h, u_base, nl.d1,
+                                                      quad)
+    residual = assemble_semilinear_residual(t_h, u_base, problem, quad,
+                                            stiffness=stiffness)
+    rhs = jacobian @ u_base.values - residual
 
     g_values = u_base.values[t_h.boundary_vertices]
-    system, rhs_c = apply_dirichlet(stiffness + reaction, rhs,
-                                    t_h.boundary_vertices, g_values)
+    system, rhs_c = apply_dirichlet(jacobian, rhs, t_h.boundary_vertices,
+                                    g_values)
     x, report = pcg_solve(system, rhs_c, tol=pcg_tol, max_iters=max_iters,
                           x0=u_base.values)
     return FemFunction(t_h, x), report

@@ -6,6 +6,7 @@ import pytest
 from twogridfem import (
     DegenerateTriangle,
     FemFunction,
+    Mesh,
     NotAVertex,
     apply_dirichlet,
     assemble_interface_flux,
@@ -22,7 +23,7 @@ from twogridfem import (
     refine_uniform,
     triangle_rule,
 )
-from twogridfem.assembly import _moment_vector, _areas_and_gradients
+from twogridfem.assembly import _moment_vector, quadrature_points
 
 from conftest import dense_stiffness_oracle, grad_l2_squared_oracle
 
@@ -85,6 +86,19 @@ def test_local_stiffness_rejects_degenerate():
         local_stiffness(UNIT_RIGHT[[0, 2, 1]], 1.0)  # clockwise
     with pytest.raises(DegenerateTriangle):
         local_stiffness(np.array([[0, 0], [1, 0], [2, 0]]), 1.0)
+
+
+def test_assemble_stiffness_rejects_clockwise_triangle(unit_square_pair):
+    mesh = Mesh(
+        vertices=unit_square_pair.vertices,
+        triangles=np.array([[0, 1, 3], [0, 2, 3]]),  # second is clockwise
+        regions=unit_square_pair.regions,
+        boundary_vertices=unit_square_pair.boundary_vertices,
+        interface_edges=unit_square_pair.interface_edges,
+        h=unit_square_pair.h,
+    )
+    with pytest.raises(DegenerateTriangle, match="triangle 1"):
+        assemble_stiffness(mesh, D_UNIT)
 
 
 def test_assemble_stiffness_matches_dense_oracle():
@@ -323,9 +337,7 @@ def test_constrained_operator_is_spd():
 def test_moment_vector_integrates_linear_exactly():
     mesh = generate_interface_mesh(4, (-1, 1, -1, 1))
     quad = triangle_rule(2)
-    areas, _ = _areas_and_gradients(mesh)
-    from twogridfem.assembly import _state_at_quad
-    coords, _ = _state_at_quad(mesh, None, quad)
-    mom = _moment_vector(mesh, coords[..., 0] + 2.0, quad, areas)
+    coords = quadrature_points(mesh, quad)
+    mom = _moment_vector(mesh, coords[..., 0] + 2.0, quad)
     # sum of moments = integral of (x + 2) over the domain = 8
     assert mom.sum() == pytest.approx(8.0, abs=1e-13)

@@ -59,6 +59,23 @@ out_dir = {out}
 """
 
 
+WIDE_CFG = """
+[problem]
+name = linear_reaction
+
+[geometry]
+domain = 0 2 0 1
+box = 0.5 1.5 0.25 0.75
+
+[levels]
+coarsest_n = 8
+count = 2
+
+[output]
+out_dir = {out}
+"""
+
+
 def write_cfg(tmp_path, text, name="study.cfg"):
     path = tmp_path / name
     path.write_text(text.format(out=tmp_path / "out"))
@@ -151,6 +168,14 @@ def test_twogrid_selects_coarse_level(tmp_path):
     rows = read_csv(tmp_path / "out" / "twogrid.csv")
     for row in rows[1:]:
         assert float(row[1]) >= float(row[0])  # H at least as coarse as h
+
+
+def test_twogrid_spacing_on_non_square_cells(tmp_path):
+    # 0.25 x 0.125 cells on the coarsest level: h and H are x-spacings
+    cfg = write_cfg(tmp_path, WIDE_CFG)
+    assert main(["twogrid", "--config", cfg, "--seed", "0"]) == 0
+    rows = read_csv(tmp_path / "out" / "twogrid.csv")
+    assert [(float(r[0]), float(r[1])) for r in rows[1:]] == [(0.125, 0.25)]
 
 
 def test_solve_writes_nodal_values(tmp_path):

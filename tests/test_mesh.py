@@ -14,7 +14,6 @@ from twogridfem import (
     save_mesh,
     validate_mesh,
 )
-from twogridfem.mesh import _signed_areas
 
 D_UNIT = {1: 1.0, 2: 1.0}
 D_JUMP = {1: 1000.0, 2: 1.0}
@@ -92,8 +91,78 @@ def test_refined_vertices_are_parents_or_midpoints():
 def test_area_sum_invariant_across_levels():
     mesh = generate_interface_mesh(4, (-1, 1, -1, 1))
     for _ in range(3):
-        areas = _signed_areas(mesh.vertices, mesh.triangles)
-        assert abs(areas.sum() - 4.0) <= 1e-12 * 4.0
+        assert abs(mesh.areas.sum() - 4.0) <= 1e-12 * 4.0
+        mesh = refine_uniform(mesh)
+
+
+def test_refine_unit_square_pair_exact_arrays(unit_square_pair):
+    fine = refine_uniform(unit_square_pair)
+    assert fine.vertices.tolist() == [
+        [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0],
+        [1.0, 0.5], [0.5, 0.5], [0.5, 1.0], [0.0, 0.5]]
+    assert fine.triangles.tolist() == [
+        [0, 4, 6], [1, 5, 4], [3, 6, 5], [4, 5, 6],
+        [0, 6, 8], [3, 7, 6], [2, 8, 7], [6, 7, 8]]
+    assert fine.boundary_vertices.tolist() == [0, 1, 2, 3, 4, 5, 7, 8]
+    assert fine.midpoint_edges.tolist() == [
+        [0, 1], [1, 3], [0, 3], [2, 3], [0, 2]]
+    assert fine.interface_edges.shape == (0, 2)
+
+
+def refine_oracle(mesh):
+    """Triangle-by-triangle red refinement with a dict of edge midpoints."""
+    vertices = [tuple(v) for v in mesh.vertices]
+    midpoint_of, uses = {}, {}
+    triangles = []
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        uses[key] = uses.get(key, 0) + 1
+        if key not in midpoint_of:
+            midpoint_of[key] = len(vertices)
+            vertices.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
+        return midpoint_of[key]
+
+    for v0, v1, v2 in mesh.triangles.tolist():
+        m01, m12, m02 = midpoint(v0, v1), midpoint(v1, v2), midpoint(v0, v2)
+        triangles += [(v0, m01, m02), (v1, m12, m01), (v2, m02, m12),
+                      (m01, m12, m02)]
+    boundary = set(mesh.boundary_vertices.tolist()) | {
+        m for key, m in midpoint_of.items() if uses[key] == 1}
+    interface = []
+    for a, b in mesh.interface_edges.tolist():
+        m = midpoint_of[(min(a, b), max(a, b))]
+        interface += [(a, m), (b, m)]
+    return (vertices, triangles, sorted(boundary), sorted(interface),
+            list(midpoint_of))
+
+
+def test_refine_matches_triangle_walk_oracle():
+    mesh = generate_interface_mesh(4, (0, 2, 0, 1), (0.5, 1.5, 0.25, 0.75))
+    for _ in range(2):
+        fine = refine_uniform(mesh)
+        vertices, triangles, boundary, interface, mids = refine_oracle(mesh)
+        assert np.array_equal(fine.vertices, np.array(vertices))
+        assert fine.triangles.tolist() == [list(t) for t in triangles]
+        assert fine.boundary_vertices.tolist() == boundary
+        assert fine.interface_edges.tolist() == [list(e) for e in interface]
+        assert fine.midpoint_edges.tolist() == [list(e) for e in mids]
+        mesh = fine
+
+
+@pytest.mark.parametrize("domain, box", [
+    ((0, 2, 0, 1), (0.5, 1.5, 0.25, 0.75)),
+    ((-1, 1, -1, 1), (-1, 0, -1, 1)),  # box flush with three sides
+])
+def test_boundary_vertices_are_the_vertices_on_the_domain_boundary(
+        domain, box):
+    xmin, xmax, ymin, ymax = domain
+    mesh = generate_interface_mesh(4, domain, box)
+    for _ in range(4):
+        x, y = mesh.vertices.T
+        on_boundary = (x == xmin) | (x == xmax) | (y == ymin) | (y == ymax)
+        assert np.array_equal(mesh.boundary_vertices,
+                              np.flatnonzero(on_boundary))
         mesh = refine_uniform(mesh)
 
 
@@ -191,6 +260,20 @@ def test_load_rejects_out_of_range_index():
         load_mesh(text)
 
 
+def test_validate_rejects_edge_shared_by_three_triangles():
+    mesh = Mesh(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
+                           [0.5, -1.0], [0.5, 2.0]]),
+        triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
+        regions=np.array([1, 1, 1]),
+        boundary_vertices=np.array([0, 1, 2, 3, 4]),
+        interface_edges=np.empty((0, 2), dtype=np.int64),
+        h=2.0,
+    )
+    with pytest.raises(ValidationError, match="shared by 3"):
+        validate_mesh(mesh)
+
+
 def test_load_rejects_negative_area():
     text = (
         "vertices 3\n0 0 1\n1 0 1\n0 1 1\n"
@@ -217,3 +300,13 @@ def test_mesh_arrays_are_read_only():
     mesh = generate_interface_mesh(4)
     with pytest.raises(ValueError):
         mesh.vertices[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        mesh.areas[0] = 99.0
+    with pytest.raises(ValueError):
+        mesh.gradients[0, 0, 0] = 99.0
+
+
+def test_geometry_is_computed_once():
+    mesh = generate_interface_mesh(4)
+    assert mesh.areas is mesh.areas
+    assert mesh.gradients is mesh.gradients

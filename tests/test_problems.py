@@ -104,9 +104,6 @@ def test_nonlinearity_validation():
     with pytest.raises(ValueError):
         Nonlinearity(lambda x, xi: xi, lambda x, xi: 1.0, lambda x, xi: 0.0,
                      barrier_alpha=1.0, barrier_beta=0.0)
-    with pytest.raises(ValueError):
-        Nonlinearity(lambda x, xi: xi, lambda x, xi: 1.0, lambda x, xi: 0.0,
-                     0.0, 0.0, growth_class="enormous")
 
 
 def test_problem_rejects_nonpositive_diffusion():

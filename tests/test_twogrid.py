@@ -10,11 +10,13 @@ from twogridfem import (
     energy_norm,
     generate_interface_mesh,
     linearized_solve,
+    load_mesh,
     lp_norm,
     nested_newton_solve,
     newton_solve,
     prolongate,
     refine_uniform,
+    save_mesh,
     select_coarse_size,
     two_grid_solve,
 )
@@ -77,6 +79,14 @@ def test_prolongate_rejects_unrelated_meshes():
     b = generate_interface_mesh(4)
     with pytest.raises(NotNested):
         prolongate(FemFunction.zeros(a), b)
+
+
+def test_prolongate_onto_loaded_mesh_is_not_nested():
+    coarse, fine = hierarchy(4, 1)
+    loaded = load_mesh(save_mesh(fine))
+    assert loaded.parent is None and loaded.midpoint_edges is None
+    with pytest.raises(NotNested):
+        prolongate(FemFunction.zeros(coarse), loaded)
 
 
 def test_linearized_solve_affine_equals_fine_galerkin():
