@@ -56,6 +56,7 @@ from .twogrid import (
     TwoGridResult,
     linearized_solve,
     nested_newton_solve,
+    newton_levels,
     prolongate,
     select_coarse_size,
     two_grid_solve,

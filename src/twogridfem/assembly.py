@@ -145,10 +145,6 @@ class FemFunction:
     def zeros(cls, mesh):
         return cls(mesh, np.zeros(mesh.n_vertices))
 
-    @classmethod
-    def interpolate(cls, mesh, fn):
-        return cls(mesh, np.asarray(fn(mesh.vertices), dtype=float))
-
     def __sub__(self, other):
         if other.mesh is not self.mesh:
             raise ValueError("operands live on different meshes")
@@ -306,7 +302,7 @@ def assemble_semilinear_residual(mesh, state, problem, quad,
     return r
 
 
-def apply_dirichlet(matrix, rhs, boundary, g=None, mesh=None):
+def apply_dirichlet(matrix, rhs, boundary, g=None):
     """Symmetric elimination of Dirichlet rows and columns.
 
     Boundary rows/columns collapse to the identity, the right-hand side
@@ -314,20 +310,13 @@ def apply_dirichlet(matrix, rhs, boundary, g=None, mesh=None):
     positive definite.  Solutions of the constrained system take the value
     of ``g`` at boundary vertices exactly.
 
-    ``g`` may be None (homogeneous), a scalar, an array of one value per
-    boundary vertex, or a callback on coordinates (then ``mesh`` is
-    required to locate the boundary vertices).
+    ``g`` may be None (homogeneous), a scalar, or an array of one value
+    per boundary vertex.
     """
     n = matrix.shape[0]
     boundary = np.asarray(boundary, dtype=np.int64)
     if g is None:
         gb = np.zeros(len(boundary))
-    elif callable(g):
-        if mesh is None:
-            raise TypeError("a Dirichlet callback needs the mesh")
-        gb = np.broadcast_to(
-            np.asarray(g(mesh.vertices[boundary]), dtype=float),
-            (len(boundary),)).copy()
     else:
         gb = np.broadcast_to(
             np.asarray(g, dtype=float), (len(boundary),)).copy()

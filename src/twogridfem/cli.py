@@ -23,8 +23,8 @@ from .mesh import MeshError, check_angle_condition, generate_interface_mesh, \
 from .problems import ProblemError, builtin_problem, \
     manufactured_interface_problem
 from .solvers import NewtonOptions, SolverError, newton_solve
-from .twogrid import nested_newton_solve, prolongate, select_coarse_size, \
-    two_grid_solve
+from .twogrid import nested_newton_solve, newton_levels, \
+    select_coarse_size, two_grid_solve
 
 __all__ = ["StudyConfig", "ConfigError", "load_config", "main"]
 
@@ -68,8 +68,14 @@ class StudyConfig:
     def validate(self):
         if self.level_count < 1:
             raise ConfigError("need at least one level")
+        if self.coarsest_n < 2:
+            raise ConfigError("coarsest_n must be at least 2")
         if self.newton_abs_tol <= 0 or self.newton_rel_tol <= 0:
             raise ConfigError("solver tolerances must be positive")
+        if self.newton_max_iters < 1:
+            raise ConfigError("newton_max_iters must be at least 1")
+        if self.quad_degree < 1:
+            raise ConfigError("quad_degree must be at least 1")
         if self.problem_name not in PROBLEM_NAMES:
             raise ConfigError(
                 f"unknown problem {self.problem_name!r}; "
@@ -174,12 +180,12 @@ def _build_problem(cfg):
     return problem, None
 
 
-def _build_hierarchy(cfg, extra_levels=0):
+def _build_hierarchy(cfg):
     problem, exact = _build_problem(cfg)
     mesh = generate_interface_mesh(cfg.coarsest_n, problem.domain,
                                    problem.interface_box)
     meshes = [mesh]
-    for _ in range(cfg.level_count - 1 + extra_levels):
+    for _ in range(cfg.level_count - 1):
         meshes.append(refine_uniform(meshes[-1]))
     if problem.point_source is not None:
         # fail early if the load cannot land on a vertex
@@ -192,14 +198,14 @@ def _build_hierarchy(cfg, extra_levels=0):
     return problem, exact, meshes
 
 
-def _reference_solution(cfg, problem, meshes, quad):
-    """Richardson-style reference: a warm-started solve two uniform
-    refinements past the finest study level."""
+def _with_reference_levels(meshes):
+    """The study levels plus two uniform refinements past the finest one.
+
+    A warm-started solve on the last of them is the Richardson-style
+    reference for problems without a closed-form solution.
+    """
     finer = refine_uniform(meshes[-1])
-    chain = meshes + [finer, refine_uniform(finer)]
-    reference, _ = nested_newton_solve(chain, problem, cfg.newton_options(),
-                                       quad)
-    return reference
+    return meshes + [finer, refine_uniform(finer)]
 
 
 def _write_rows(path, columns, rows):
@@ -249,35 +255,20 @@ def cmd_check_mesh(cfg, args):
     return 0 if all(r["passes"] for r in results) else 1
 
 
-def _solve_levels(cfg, problem, meshes, quad):
-    """Warm-started full Newton solve on every level of the hierarchy."""
-    opts = cfg.newton_options()
-    solutions = []
-    stats = []
-    previous = None
-    for mesh in meshes:
-        initial = prolongate(previous, mesh) if previous is not None else None
-        start = time.perf_counter()
-        solution, report = newton_solve(mesh, problem, initial, opts, quad)
-        wall = (time.perf_counter() - start) * 1e3
-        solutions.append(solution)
-        stats.append((report.iterations, wall))
-        previous = solution
-    return solutions, stats
-
-
 def cmd_converge(cfg, args):
     problem, exact, meshes = _build_hierarchy(cfg)
     quad = triangle_rule(cfg.quad_degree)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    # one warm-started chain gives the study levels and, when there is no
+    # exact solution, the reference on its last level
+    chain = meshes if exact is not None else _with_reference_levels(meshes)
+    levels = list(newton_levels(chain, problem, cfg.newton_options(), quad))
     if exact is None:
-        exact = _reference_solution(cfg, problem, meshes, quad)
-
-    solutions, stats = _solve_levels(cfg, problem, meshes, quad)
+        exact = levels[-1][0]
     records = [error_norms(mesh, problem.diffusion, u, exact, quad)
-               for mesh, u in zip(meshes, solutions)]
+               for mesh, (u, _) in zip(meshes, levels)]
     report = convergence_report(records)
 
     rows = []
@@ -287,10 +278,11 @@ def cmd_converge(cfg, args):
             eoc = [_fmt(report.eoc_energy[idx - 1]),
                    _fmt(report.eoc_l2[idx - 1]),
                    _fmt(report.eoc_l4[idx - 1])]
-        wall = 0.0 if args.seed is not None else stats[idx][1]
+        solve = levels[idx][1]
+        wall = 0.0 if args.seed is not None else solve.wall_s * 1e3
         rows.append([idx, _fmt(rec.h), rec.n_dof, _fmt(rec.err_energy),
                      _fmt(rec.err_l2), _fmt(rec.err_l4), *eoc,
-                     stats[idx][0], f"{wall:.3f}"])
+                     solve.iterations, f"{wall:.3f}"])
     _write_rows(out / "converge.csv", CONVERGE_COLUMNS, rows)
     _write_dat(out / "converge.dat", CONVERGE_COLUMNS, rows)
     print(f"wrote {out / 'converge.csv'}")
@@ -307,7 +299,8 @@ def cmd_twogrid(cfg, args):
     out.mkdir(parents=True, exist_ok=True)
 
     if exact is None:
-        exact = _reference_solution(cfg, problem, meshes, quad)
+        exact, _ = nested_newton_solve(_with_reference_levels(meshes),
+                                       problem, cfg.newton_options(), quad)
 
     # grid spacing along x: the size the coarse-size selection works on
     xmin, xmax = problem.domain[:2]
@@ -322,10 +315,9 @@ def cmd_twogrid(cfg, args):
                                    snap=cfg.snap, levels=coarse_sizes)
         coarse = meshes[coarse_sizes.index(h_sel)]
 
-        start = time.perf_counter()
-        direct, _ = newton_solve(mesh, problem, None, cfg.newton_options(),
-                                 quad)
-        wall_direct = (time.perf_counter() - start) * 1e3
+        direct, direct_report = newton_solve(
+            mesh, problem, None, cfg.newton_options(), quad)
+        wall_direct = direct_report.wall_s * 1e3
 
         start = time.perf_counter()
         result = two_grid_solve(coarse, mesh, problem, quad=quad)

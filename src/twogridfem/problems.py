@@ -94,12 +94,6 @@ class Problem:
             raise ValueError("diffusion must be positive in every region")
         self.diffusion = d
 
-    @property
-    def ellipticity_bounds(self):
-        """(m, M): min and max diffusion eigenvalue bounds."""
-        vals = list(self.diffusion.values())
-        return min(vals), max(vals)
-
 
 @dataclass(eq=False)
 class ManufacturedSolution:
@@ -113,7 +107,6 @@ class ManufacturedSolution:
     exact: callable
     exact_grad: callable
     source: callable
-    regularity_s: float = 2.0
 
 
 def _sample_points(problem, count, seed):
@@ -399,5 +392,5 @@ def manufactured_interface_problem(d1, d2):
         name="manufactured",
     )
     solution = ManufacturedSolution(
-        exact=exact, exact_grad=exact_grad, source=source, regularity_s=2.0)
+        exact=exact, exact_grad=exact_grad, source=source)
     return problem, solution

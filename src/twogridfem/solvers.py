@@ -1,6 +1,7 @@
 """Preconditioned conjugate gradients and damped Newton iteration."""
 
 import logging
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,10 +78,13 @@ class NewtonOptions:
 
 @dataclass
 class SolveReport:
+    """What a solve did; ``wall_s`` is set by ``newton_solve`` only."""
+
     iterations: int
     residual_history: list = field(default_factory=list)
     converged: bool = False
     linear_iters_total: int = 0
+    wall_s: float = 0.0
 
 
 def _jacobi_inverse(a):
@@ -90,9 +94,8 @@ def _jacobi_inverse(a):
     return 1.0 / diag
 
 
-def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner="jacobi",
-              x0=None):
-    """Conjugate gradients for SPD systems.
+def pcg_solve(a, rhs, tol=1e-10, max_iters=None, x0=None):
+    """Jacobi-preconditioned conjugate gradients for SPD systems.
 
     Stops when the recurrence residual satisfies ||rhs - A x||_2 <=
     tol * ||rhs||_2 and an explicit residual recomputation confirms it.
@@ -102,12 +105,7 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner="jacobi",
     n = rhs.shape[0]
     if max_iters is None:
         max_iters = min(max(500, 2 * n), 100_000)
-    if preconditioner == "jacobi":
-        minv = _jacobi_inverse(a)
-    elif preconditioner == "none":
-        minv = None
-    else:
-        raise ValueError(f"unknown preconditioner {preconditioner!r}")
+    minv = _jacobi_inverse(a)
 
     bnorm = float(np.linalg.norm(rhs))
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
@@ -119,7 +117,7 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner="jacobi",
     if rnorm <= tol * bnorm:
         return x, SolveReport(0, history, True, 0)
 
-    z = minv * r if minv is not None else r
+    z = minv * r
     p = z.copy()
     rz = float(r @ z)
     best_x, best_norm = x.copy(), rnorm
@@ -143,11 +141,11 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner="jacobi",
                 return x, SolveReport(k, history, True, k)
             # recurrence drifted: restart from the true residual
             r = true_r
-            z = minv * r if minv is not None else r
+            z = minv * r
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = minv * r if minv is not None else r
+        z = minv * r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -183,8 +181,10 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     does).
 
     Returns (solution, SolveReport); raises NoConvergence or
-    LineSearchStall with the best iterate attached.
+    LineSearchStall with the best iterate attached.  Every report records
+    the wall time of the whole call in ``wall_s``.
     """
+    start = time.perf_counter()
     opts = opts or NewtonOptions()
     quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     if initial is None:
@@ -215,7 +215,8 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
                 f"newton: residual {rsup:.3e} above {target:.3e} after "
                 f"{iterations} iterations",
                 best=FemFunction(mesh, u),
-                report=SolveReport(iterations, history, False, lin_total),
+                report=SolveReport(iterations, history, False, lin_total,
+                                   time.perf_counter() - start),
             )
         jac = stiffness + assemble_reaction_jacobian(
             mesh, FemFunction(mesh, u), d1, quad)
@@ -244,7 +245,8 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
             raise LineSearchStall(
                 f"newton: line search stalled at residual {rsup:.3e}",
                 best=FemFunction(mesh, u),
-                report=SolveReport(iterations, history, False, lin_total),
+                report=SolveReport(iterations, history, False, lin_total,
+                                   time.perf_counter() - start),
             )
         iterations += 1
         history.append(rsup)
@@ -252,4 +254,4 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
                     iterations, rsup, lin_report.iterations)
 
     return FemFunction(mesh, u), SolveReport(
-        iterations, history, True, lin_total)
+        iterations, history, True, lin_total, time.perf_counter() - start)

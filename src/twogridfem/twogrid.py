@@ -21,8 +21,7 @@ from .assembly import (
     assemble_stiffness,
     triangle_rule,
 )
-from .solvers import NewtonOptions, SolveReport, make_initial_guess, \
-    newton_solve, pcg_solve
+from .solvers import NewtonOptions, SolveReport, newton_solve, pcg_solve
 
 __all__ = [
     "TwoGridResult",
@@ -32,6 +31,7 @@ __all__ = [
     "prolongate",
     "linearized_solve",
     "two_grid_solve",
+    "newton_levels",
     "nested_newton_solve",
     "select_coarse_size",
 ]
@@ -94,8 +94,7 @@ def prolongate(u_coarse, t_h):
     return FemFunction(t_h, values)
 
 
-def linearized_solve(t_h, problem, u_base, quad=None, pcg_tol=FINE_PCG_TOL,
-                     max_iters=None):
+def linearized_solve(t_h, problem, u_base, quad=None):
     """One Newton-linearized solve on the fine mesh about ``u_base``.
 
     Solves J u = J u_base - r(u_base) for u in the fine space, with
@@ -127,13 +126,11 @@ def linearized_solve(t_h, problem, u_base, quad=None, pcg_tol=FINE_PCG_TOL,
     g_values = u_base.values[t_h.boundary_vertices]
     system, rhs_c = apply_dirichlet(jacobian, rhs, t_h.boundary_vertices,
                                     g_values)
-    x, report = pcg_solve(system, rhs_c, tol=pcg_tol, max_iters=max_iters,
-                          x0=u_base.values)
+    x, report = pcg_solve(system, rhs_c, tol=FINE_PCG_TOL, x0=u_base.values)
     return FemFunction(t_h, x), report
 
 
-def two_grid_solve(t_coarse, t_fine, problem, coarse_opts=None, quad=None,
-                   pcg_tol=FINE_PCG_TOL):
+def two_grid_solve(t_coarse, t_fine, problem, quad=None):
     """Run the two-grid algorithm on a nested mesh pair.
 
     Step 1 solves the nonlinear problem on the coarse mesh (Newton to the
@@ -141,12 +138,10 @@ def two_grid_solve(t_coarse, t_fine, problem, coarse_opts=None, quad=None,
     linearized solve on the fine mesh.  Total fine-grid work is a single
     linear solve.
     """
-    coarse_opts = coarse_opts or COARSE_NEWTON_OPTS
     u_coarse, coarse_report = newton_solve(
-        t_coarse, problem, None, coarse_opts, quad)
+        t_coarse, problem, None, COARSE_NEWTON_OPTS, quad)
     u_base = prolongate(u_coarse, t_fine)
-    u_fine, fine_report = linearized_solve(
-        t_fine, problem, u_base, quad, pcg_tol)
+    u_fine, fine_report = linearized_solve(t_fine, problem, u_base, quad)
     return TwoGridResult(
         coarse_solution=u_coarse,
         fine_solution=u_fine,
@@ -157,20 +152,31 @@ def two_grid_solve(t_coarse, t_fine, problem, coarse_opts=None, quad=None,
     )
 
 
-def nested_newton_solve(meshes, problem, opts=None, quad=None):
-    """Full nonlinear solve on the finest mesh, warm-started level by level.
+def newton_levels(meshes, problem, opts=None, quad=None):
+    """Warm-started Newton solves, level by level, on a refinement chain.
 
-    ``meshes`` is a coarse-to-fine refinement chain.  Each level's Newton
-    solve starts from the prolongated solution of the previous level,
-    which keeps iteration counts flat across levels.  Returns the finest
-    solution and the per-level reports.
+    ``meshes`` is a coarse-to-fine refinement chain.  The first level's
+    Newton solve starts from the default initial guess, every later one
+    from the prolongated solution of the level before, which keeps
+    iteration counts flat across levels.  Yields (solution, SolveReport)
+    per level, as each level is solved.
+    """
+    solution = None
+    for mesh in meshes:
+        initial = None if solution is None else prolongate(solution, mesh)
+        solution, report = newton_solve(mesh, problem, initial, opts, quad)
+        yield solution, report
+
+
+def nested_newton_solve(meshes, problem, opts=None, quad=None):
+    """Full nonlinear solve on the finest mesh of a refinement chain.
+
+    Runs :func:`newton_levels` and returns the finest solution and the
+    per-level reports.
     """
     solution = None
     reports = []
-    for mesh in meshes:
-        initial = (prolongate(solution, mesh) if solution is not None
-                   else make_initial_guess(mesh, problem))
-        solution, report = newton_solve(mesh, problem, initial, opts, quad)
+    for solution, report in newton_levels(meshes, problem, opts, quad):
         reports.append(report)
     return solution, reports
 

@@ -21,6 +21,7 @@ from twogridfem import (
     linf_check,
     manufactured_interface_problem,
     nested_newton_solve,
+    newton_levels,
     newton_solve,
     pcg_solve,
     prolongate,
@@ -57,13 +58,9 @@ def manufactured_study():
     """Criteria 1-3: D = (1000, 1), s = 2, levels h = 1/8 .. 1/128."""
     problem, exact = manufactured_interface_problem(1000.0, 1.0)
     meshes = hierarchy(16, 4, problem)  # cell sizes 1/8 .. 1/128
-    records = []
-    previous = None
-    for mesh in meshes:
-        initial = prolongate(previous, mesh) if previous is not None else None
-        u, _ = newton_solve(mesh, problem, initial, TIGHT)
-        records.append(error_norms(mesh, problem.diffusion, u, exact))
-        previous = u
+    records = [error_norms(mesh, problem.diffusion, u, exact)
+               for mesh, (u, _) in zip(
+                   meshes, newton_levels(meshes, problem, TIGHT))]
     return convergence_report(records)
 
 
@@ -73,13 +70,7 @@ def power11_study():
     reference above the h = 1/64 study level."""
     problem = builtin_problem("power11")
     meshes = hierarchy(8, 6, problem)  # n = 8, 16, ..., 512
-    solutions = []
-    previous = None
-    for mesh in meshes:
-        initial = prolongate(previous, mesh) if previous is not None else None
-        u, _ = newton_solve(mesh, problem, initial, TIGHT)
-        solutions.append(u)
-        previous = u
+    solutions = [u for u, _ in newton_levels(meshes, problem, TIGHT)]
     return {"problem": problem, "meshes": meshes, "solutions": solutions}
 
 
@@ -144,13 +135,8 @@ def test_criterion_6_discrete_linf_bounds():
     barriers = compute_barriers(problem)
     assert barriers == pytest.approx((0.0, 2.0), abs=1e-9)
     meshes = hierarchy(8, 3, problem)
-    results = []
-    previous = None
-    for mesh in meshes:
-        initial = prolongate(previous, mesh) if previous is not None else None
-        u, _ = newton_solve(mesh, problem, initial, TIGHT)
-        results.append(linf_check(u, barriers, tol=1e-9))
-        previous = u
+    results = [linf_check(u, barriers, tol=1e-9)
+               for u, _ in newton_levels(meshes, problem, TIGHT)]
     passed = all(r.passes for r in results)
     spans = ", ".join(f"[{r.min_value:.3f},{r.max_value:.3f}]"
                       for r in results)

@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import twogridfem.cli as cli
+import twogridfem.twogrid as twogrid
 from twogridfem.cli import main
 
 MANUFACTURED_CFG = """
@@ -118,6 +120,22 @@ def test_missing_config_file():
     assert main(["converge", "--config", "/nonexistent/study.cfg"]) == 2
 
 
+@pytest.mark.parametrize("key, old, new", [
+    pytest.param("newton_max_iters", "quad_degree = 5",
+                 "quad_degree = 5\nnewton_max_iters = 0",
+                 id="newton_max_iters"),
+    pytest.param("quad_degree", "quad_degree = 5", "quad_degree = -3",
+                 id="quad_degree"),
+    pytest.param("coarsest_n", "coarsest_n = 4", "coarsest_n = 1",
+                 id="coarsest_n"),
+])
+def test_out_of_range_setting_is_config_error(tmp_path, capsys, key, old,
+                                              new):
+    cfg = write_cfg(tmp_path, MANUFACTURED_CFG.replace(old, new))
+    assert main(["converge", "--config", cfg]) == 2
+    assert f"config error: {key}" in capsys.readouterr().err
+
+
 def test_converge_writes_csv_with_schema(tmp_path):
     cfg = write_cfg(tmp_path, MANUFACTURED_CFG)
     assert main(["converge", "--config", cfg]) == 0
@@ -129,6 +147,7 @@ def test_converge_writes_csv_with_schema(tmp_path):
     assert rows[1][6] == ""  # first level has no rate
     assert float(rows[3][6]) == pytest.approx(1.0, abs=0.2)
     assert float(rows[3][7]) == pytest.approx(2.0, abs=0.3)
+    assert all(float(row[10]) > 0 for row in rows[1:])  # unseeded timings
     assert (tmp_path / "out" / "converge.dat").exists()
 
 
@@ -138,6 +157,24 @@ def test_converge_single_level_empty_eoc(tmp_path):
     rows = read_csv(tmp_path / "out" / "converge.csv")
     assert len(rows) == 2
     assert rows[1][6] == rows[1][7] == rows[1][8] == ""
+
+
+def test_converge_reference_shares_the_study_chain(tmp_path, monkeypatch):
+    # power11 has no exact solution: the two reference levels extend the
+    # study chain, so each level is solved once
+    solved = []
+    solve = twogrid.newton_solve
+
+    def counting_solve(mesh, *args, **kwargs):
+        solved.append(mesh.n_vertices)
+        return solve(mesh, *args, **kwargs)
+
+    monkeypatch.setattr(twogrid, "newton_solve", counting_solve)
+    monkeypatch.setattr(cli, "newton_solve", counting_solve)
+    cfg = write_cfg(tmp_path, POWER11_CFG)
+    assert main(["converge", "--config", cfg, "--levels", "2"]) == 0
+    assert solved == [9 ** 2, 17 ** 2, 33 ** 2, 65 ** 2]
+    assert len(read_csv(tmp_path / "out" / "converge.csv")) == 3
 
 
 def test_converge_deterministic_with_seed(tmp_path):

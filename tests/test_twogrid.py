@@ -13,6 +13,7 @@ from twogridfem import (
     load_mesh,
     lp_norm,
     nested_newton_solve,
+    newton_levels,
     newton_solve,
     prolongate,
     refine_uniform,
@@ -183,6 +184,9 @@ def test_nested_newton_matches_direct():
     nested, reports = nested_newton_solve(meshes, problem, TIGHT)
     direct, _ = newton_solve(meshes[-1], problem, None, TIGHT)
     assert len(reports) == 3
+    levels = list(newton_levels(meshes, problem, TIGHT))
+    assert [u.mesh for u, _ in levels] == meshes
+    assert np.array_equal(levels[-1][0].values, nested.values)
     assert np.abs(nested.values - direct.values).max() <= 1e-9
 
 
