@@ -315,6 +315,8 @@ def cmd_twogrid(cfg, args):
                                    snap=cfg.snap, levels=coarse_sizes)
         coarse = meshes[coarse_sizes.index(h_sel)]
 
+        # cold, like the two-grid solve: wall_ms_direct compares like with
+        # like, so this does not reuse the warm-started reference chain
         direct, direct_report = newton_solve(
             mesh, problem, None, cfg.newton_options(), quad)
         wall_direct = direct_report.wall_s * 1e3

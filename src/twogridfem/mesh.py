@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
@@ -71,10 +72,13 @@ class Mesh:
         of a refined mesh to the parent edge it bisects, or None
     areas : (M,) signed element areas (positive for counterclockwise)
     gradients : (M, 3, 2) gradients of the barycentric basis functions
+    prolongation : (N, N_parent) sparse P1 embedding of the parent's
+        space, or None without a parent
 
-    All arrays are read-only.  ``areas`` and ``gradients`` are computed
-    once, on first use; two threads racing on that first use compute the
-    same values, so meshes are safe to share.
+    All arrays are read-only.  ``areas``, ``gradients`` and
+    ``prolongation`` are computed once, on first use; two threads racing
+    on that first use compute the same values, so meshes are safe to
+    share.
     """
 
     vertices: np.ndarray
@@ -137,6 +141,24 @@ class Mesh:
     @property
     def gradients(self):
         return self._geometry[1]
+
+    @cached_property
+    def prolongation(self):
+        """Parent vertices keep their value; a midpoint averages its edge."""
+        if self.parent is None:
+            return None
+        n_old = self.parent.n_vertices
+        n_mid = len(self.midpoint_edges)
+        indptr = np.concatenate([np.arange(n_old),
+                                 n_old + 2 * np.arange(n_mid + 1)])
+        indices = np.concatenate([np.arange(n_old),
+                                  self.midpoint_edges.ravel()])
+        data = np.concatenate([np.ones(n_old), np.full(2 * n_mid, 0.5)])
+        p = sp.csr_matrix((data, indices, indptr),
+                          shape=(self.n_vertices, n_old))
+        for arr in (p.data, p.indices, p.indptr):
+            arr.setflags(write=False)
+        return p
 
 
 @dataclass

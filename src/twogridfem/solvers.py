@@ -3,8 +3,11 @@
 import logging
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .assembly import (
     DEFAULT_QUAD_DEGREE,
@@ -23,6 +26,8 @@ __all__ = [
     "SolverError",
     "NoConvergence",
     "LineSearchStall",
+    "VCycle",
+    "mesh_preconditioner",
     "pcg_solve",
     "newton_solve",
     "make_initial_guess",
@@ -42,7 +47,7 @@ class SolverError(Exception):
 
 
 class NoConvergence(SolverError):
-    """Iteration budget exhausted; carries the best iterate seen."""
+    """Budget exhausted or progress stalled; carries the best iterate seen."""
 
     def __init__(self, message, best=None, report=None, last=None):
         super().__init__(message)
@@ -94,32 +99,126 @@ def _jacobi_inverse(a):
     return 1.0 / diag
 
 
-def pcg_solve(a, rhs, tol=1e-10, max_iters=None, x0=None):
-    """Jacobi-preconditioned conjugate gradients for SPD systems.
+class _Level(NamedTuple):
+    matrix: sp.csr_matrix        # the level's operator A
+    weights: np.ndarray          # l1-Jacobi smoother, 1 / sum_j |a_ij|
+    prolongation: sp.csr_matrix  # P0 from the next coarser level
+
+
+class VCycle:
+    """Symmetric multigrid V(1,1)-cycle on a mesh's refinement chain.
+
+    ``matrix`` is an SPD system on ``mesh`` with its Dirichlet rows and
+    columns eliminated (identity on ``mesh.boundary_vertices``, as
+    :func:`~twogridfem.assembly.apply_dirichlet` leaves them).  Each
+    coarser level's operator is the Galerkin product P0^T A P0, where P0 is
+    the mesh's prolongation with the fine-boundary rows and coarse-boundary
+    columns dropped, and the identity pins the coarse boundary.  Every
+    level smooths once before and once after its coarse correction with
+    l1-Jacobi, which converges for any SPD matrix without a damping
+    parameter, and the root of the chain is solved exactly.  Calling the
+    cycle on a residual applies an SPD approximation of the inverse.
+    """
+
+    def __init__(self, mesh, matrix):
+        self.levels = []
+        a = matrix.tocsr()
+        while mesh.parent is not None:
+            p = _interior_prolongation(mesh)
+            abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
+                                  shape=a.shape)
+            weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
+            self.levels.append(_Level(a, weights, p))
+            mesh = mesh.parent
+            a = (p.T @ a @ p + _pin(mesh)).tocsr()
+        self.root_solve = splu(a.tocsc()).solve
+
+    def __call__(self, r):
+        # a loop, not recursion: a closure calling itself would form a
+        # reference cycle and keep every level alive until the garbage
+        # collector runs
+        down = []
+        for level in self.levels:
+            x = level.weights * r
+            down.append((r, x))
+            r = level.prolongation.T @ (r - level.matrix @ x)
+        x = self.root_solve(r)
+        for level, (r, x_pre) in zip(reversed(self.levels), reversed(down)):
+            x = x_pre + level.prolongation @ x
+            x += level.weights * (r - level.matrix @ x)
+        return x
+
+
+def _interior_prolongation(mesh):
+    """``mesh.prolongation`` without boundary rows and parent-boundary columns."""
+    p = mesh.prolongation
+    keep_rows = np.ones(mesh.n_vertices)
+    keep_rows[mesh.boundary_vertices] = 0.0
+    keep_cols = np.ones(p.shape[1])
+    keep_cols[mesh.parent.boundary_vertices] = 0.0
+    rows = np.repeat(keep_rows, np.diff(p.indptr))
+    p0 = sp.csr_matrix((p.data * rows * keep_cols[p.indices],
+                        p.indices.copy(), p.indptr.copy()), shape=p.shape)
+    p0.eliminate_zeros()
+    return p0
+
+
+def _pin(mesh):
+    """Identity on the boundary vertices, zero elsewhere."""
+    b = mesh.boundary_vertices
+    return sp.csr_matrix((np.ones(len(b)), (b, b)),
+                         shape=(mesh.n_vertices, mesh.n_vertices))
+
+
+def mesh_preconditioner(mesh, matrix):
+    """The V-cycle on ``mesh``'s refinement chain; None on a mesh without one.
+
+    ``pcg_solve`` falls back to Jacobi for None.
+    """
+    return None if mesh.parent is None else VCycle(mesh, matrix)
+
+
+def pcg_solve(a, rhs, tol=1e-10, max_iters=None, x0=None,
+              preconditioner=None):
+    """Preconditioned conjugate gradients for SPD systems.
+
+    ``preconditioner`` maps a residual to an SPD approximation of
+    A^-1 applied to it, such as a :class:`VCycle`; without one, Jacobi
+    (the inverse diagonal) is used.
 
     Stops when the recurrence residual satisfies ||rhs - A x||_2 <=
     tol * ||rhs||_2 and an explicit residual recomputation confirms it.
-    Raises NoConvergence (carrying the best iterate) when the iteration
-    budget runs out.
+    When the recurrence meets the target but the true residual does not,
+    the iteration restarts from the true residual; once a restart no
+    longer lowers the true residual, the attainable accuracy is reached
+    and NoConvergence reports the stagnation.  NoConvergence is also
+    raised when the iteration budget runs out.  It carries the iterate
+    with the lowest true residual seen as ``best``.
     """
     n = rhs.shape[0]
     if max_iters is None:
         max_iters = min(max(500, 2 * n), 100_000)
     minv = _jacobi_inverse(a)
+    if preconditioner is None:
+        def preconditioner(r):
+            return minv * r
 
     bnorm = float(np.linalg.norm(rhs))
     x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
     if bnorm == 0.0:
         return np.zeros(n), SolveReport(0, [0.0], True, 0)
+    target = tol * bnorm
     r = rhs - a @ x
     rnorm = float(np.linalg.norm(r))
     history = [rnorm]
-    if rnorm <= tol * bnorm:
+    if rnorm <= target:
         return x, SolveReport(0, history, True, 0)
 
-    z = minv * r
+    z = preconditioner(r)
     p = z.copy()
     rz = float(r @ z)
+    # lowest true residual so far; evaluated at the start, every restart
+    # and the end of the budget
     best_x, best_norm = x.copy(), rnorm
     for k in range(1, max_iters + 1):
         ap = a @ p
@@ -131,27 +230,37 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, x0=None):
         r -= alpha * ap
         rnorm = float(np.linalg.norm(r))
         history.append(rnorm)
-        if rnorm < best_norm:
-            best_norm = rnorm
-            best_x = x.copy()
-        if rnorm <= tol * bnorm:
+        if rnorm <= target:
             true_r = rhs - a @ x
             true_norm = float(np.linalg.norm(true_r))
-            if true_norm <= tol * bnorm:
+            if true_norm <= target:
                 return x, SolveReport(k, history, True, k)
+            if true_norm >= best_norm:
+                raise NoConvergence(
+                    f"pcg: stagnated after {k} iterations, restarts no "
+                    f"longer lower the true residual (best true residual "
+                    f"{best_norm:.3e}, target {target:.3e})",
+                    best=best_x,
+                    report=SolveReport(k, history, False, k),
+                    last=x,
+                )
+            best_x, best_norm = x.copy(), true_norm
             # recurrence drifted: restart from the true residual
             r = true_r
-            z = minv * r
+            z = preconditioner(r)
             p = z.copy()
             rz = float(r @ z)
             continue
-        z = minv * r
+        z = preconditioner(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
+    true_norm = float(np.linalg.norm(rhs - a @ x))
+    if true_norm < best_norm:
+        best_x, best_norm = x, true_norm
     raise NoConvergence(
         f"pcg: no convergence in {max_iters} iterations "
-        f"(best residual {best_norm:.3e}, target {tol * bnorm:.3e})",
+        f"(best true residual {best_norm:.3e}, target {target:.3e})",
         best=best_x,
         report=SolveReport(max_iters, history, False, max_iters),
         last=x,
@@ -174,9 +283,10 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
 
     The stiffness and load are assembled once; every iteration assembles
     the reaction Jacobian at the current state, solves the constrained
-    correction system with Jacobi-PCG at the inexact-Newton forcing
-    tolerance, and accepts the first step-halving candidate that does not
-    increase the residual sup-norm.  Dirichlet rows are held exactly:
+    correction system with PCG (preconditioned by
+    :func:`mesh_preconditioner`) at the inexact-Newton forcing tolerance,
+    and accepts the first step-halving candidate that does not increase
+    the residual sup-norm.  Dirichlet rows are held exactly:
     ``initial`` must carry the boundary data (the default initial guess
     does).
 
@@ -223,12 +333,16 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
         jac_c, rhs_c = apply_dirichlet(jac, -r, mesh.boundary_vertices)
         eta = max(FORCING_FLOOR, min(FORCING_FACTOR, FORCING_FACTOR * rsup))
         try:
-            delta, lin_report = pcg_solve(jac_c, rhs_c, tol=eta)
+            delta, lin_report = pcg_solve(
+                jac_c, rhs_c, tol=eta,
+                preconditioner=mesh_preconditioner(mesh, jac_c))
         except NoConvergence as exc:  # fall back to the best iterate
-            logger.warning("newton: inner pcg hit its budget, using best "
+            logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)
             delta, lin_report = exc.best, exc.report
         lin_total += lin_report.iterations
+        # free the matrices before the line search and the next assembly
+        del jac, jac_c
 
         step = 1.0
         accepted = False

@@ -21,7 +21,13 @@ from .assembly import (
     assemble_stiffness,
     triangle_rule,
 )
-from .solvers import NewtonOptions, SolveReport, newton_solve, pcg_solve
+from .solvers import (
+    NewtonOptions,
+    SolveReport,
+    mesh_preconditioner,
+    newton_solve,
+    pcg_solve,
+)
 
 __all__ = [
     "TwoGridResult",
@@ -81,16 +87,15 @@ def refinement_chain(fine_mesh, coarse_mesh):
 def prolongate(u_coarse, t_h):
     """Embed a coarse P1 function into the fine space on a nested mesh.
 
-    Coarse vertices copy their values and each edge-midpoint vertex
-    averages its edge endpoints, level by level, so the prolonged function
-    equals the coarse one pointwise everywhere.
+    Each level's ``Mesh.prolongation`` is applied in turn: coarse vertices
+    copy their values and each edge-midpoint vertex averages its edge
+    endpoints, so the prolonged function equals the coarse one pointwise
+    everywhere.
     """
     chain = refinement_chain(t_h, u_coarse.mesh)
     values = u_coarse.values
     for mesh in chain[1:]:
-        edges = mesh.midpoint_edges
-        mids = 0.5 * (values[edges[:, 0]] + values[edges[:, 1]])
-        values = np.concatenate([values, mids])
+        values = mesh.prolongation @ values
     return FemFunction(t_h, values)
 
 
@@ -102,7 +107,9 @@ def linearized_solve(t_h, problem, u_base, quad=None):
     J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base.  This is
     exactly one fine-grid Newton step from the prolonged coarse solution.
 
-    Returns (solution, SolveReport of the linear solve).
+    The linear system is solved by PCG, preconditioned by the V-cycle on
+    ``t_h``'s refinement chain.  Returns (solution, SolveReport of the
+    linear solve); NoConvergence propagates, with the reason PCG stopped.
     """
     quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     if u_base.mesh is not t_h:
@@ -126,7 +133,8 @@ def linearized_solve(t_h, problem, u_base, quad=None):
     g_values = u_base.values[t_h.boundary_vertices]
     system, rhs_c = apply_dirichlet(jacobian, rhs, t_h.boundary_vertices,
                                     g_values)
-    x, report = pcg_solve(system, rhs_c, tol=FINE_PCG_TOL, x0=u_base.values)
+    x, report = pcg_solve(system, rhs_c, tol=FINE_PCG_TOL, x0=u_base.values,
+                          preconditioner=mesh_preconditioner(t_h, system))
     return FemFunction(t_h, x), report
 
 

@@ -310,3 +310,15 @@ def test_geometry_is_computed_once():
     mesh = generate_interface_mesh(4)
     assert mesh.areas is mesh.areas
     assert mesh.gradients is mesh.gradients
+
+
+def test_prolongation_is_built_on_first_use_and_cached():
+    root = generate_interface_mesh(4)
+    fine = refine_uniform(root)
+    assert "prolongation" not in vars(fine)
+    p = fine.prolongation
+    assert p is fine.prolongation
+    assert p.shape == (fine.n_vertices, root.n_vertices)
+    assert root.prolongation is None
+    with pytest.raises(ValueError):
+        p.data[0] = 99.0

@@ -1,18 +1,26 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import twogridfem.solvers as solvers
+import twogridfem.twogrid as twogrid
 from twogridfem import (
     FemFunction,
     LineSearchStall,
     NewtonOptions,
     NoConvergence,
+    VCycle,
     apply_dirichlet,
     assemble_stiffness,
     builtin_problem,
     compute_barriers,
     generate_interface_mesh,
+    linearized_solve,
     linf_check,
+    mesh_preconditioner,
     newton_solve,
     pcg_solve,
     refine_uniform,
@@ -21,6 +29,7 @@ from twogridfem import (
 from conftest import cube_problem
 
 D_UNIT = {1: 1.0, 2: 1.0}
+D_JUMP = {1: 1000.0, 2: 1.0}
 
 
 def laplace_system(n, diffusion=None, seed=0):
@@ -31,6 +40,21 @@ def laplace_system(n, diffusion=None, seed=0):
     rhs[mesh.boundary_vertices] = 0.0
     ac, rc = apply_dirichlet(a, rhs, mesh.boundary_vertices)
     return ac, rc, mesh
+
+
+def nested_meshes(refinements):
+    """Meshes n = 8 * 2^k, k = 0 .. refinements, on the default geometry."""
+    meshes = [generate_interface_mesh(8)]
+    for _ in range(refinements):
+        meshes.append(refine_uniform(meshes[-1]))
+    return meshes
+
+
+def jump_system(mesh):
+    """Stiffness with D = 1000/1, Dirichlet-eliminated, rhs = 1."""
+    a = assemble_stiffness(mesh, D_JUMP)
+    return apply_dirichlet(a, np.ones(mesh.n_vertices),
+                           mesh.boundary_vertices)
 
 
 def test_pcg_identity_single_iteration():
@@ -100,6 +124,74 @@ def test_pcg_a_norm_error_monotone():
         errors.append(a_norm(x_star - xk))
     for e1, e2 in zip(errors, errors[1:]):
         assert e2 <= e1 * (1.0 + 1e-10)
+
+
+@pytest.mark.parametrize("multigrid, tol", [(True, 1e-10), (False, 1e-12)])
+def test_pcg_stops_at_attainable_accuracy(multigrid, tol):
+    # on n = 128 the recurrence residual meets the target but the true
+    # residual cannot; restarting forever would spend the whole budget
+    mesh = nested_meshes(4)[-1]
+    ac, rc = jump_system(mesh)
+    preconditioner = VCycle(mesh, ac) if multigrid else None
+    with pytest.raises(NoConvergence, match="stagnated") as err:
+        pcg_solve(ac, rc, tol=tol, max_iters=4000,
+                  preconditioner=preconditioner)
+    exc = err.value
+    assert exc.report.iterations < (100 if multigrid else 2000)
+    best = np.linalg.norm(rc - ac @ exc.best)
+    assert best <= np.linalg.norm(rc - ac @ exc.last)
+    assert best > tol * np.linalg.norm(rc)
+    assert f"best true residual {best:.3e}" in str(exc)
+
+
+def test_vcycle_is_symmetric_and_positive():
+    mesh = nested_meshes(2)[-1]
+    ac, _ = jump_system(mesh)
+    b = VCycle(mesh, ac)
+    assert len(b.levels) == 2
+    rng = np.random.default_rng(3)
+    for _ in range(5):
+        r1, r2 = rng.standard_normal((2, mesh.n_vertices))
+        b2 = b(r2)
+        assert abs(r1 @ b2 - r2 @ b(r1)) <= (
+            1e-12 * np.linalg.norm(r1) * np.linalg.norm(b2))
+        assert r1 @ b(r1) > 0.0
+
+
+def test_vcycle_pcg_iterations_do_not_grow_with_refinement():
+    meshes = nested_meshes(4)
+    assert mesh_preconditioner(meshes[0], jump_system(meshes[0])[0]) is None
+    counts = []
+    for mesh in meshes[1:]:
+        ac, rc = jump_system(mesh)
+        _, report = pcg_solve(ac, rc, tol=1e-8,
+                              preconditioner=mesh_preconditioner(mesh, ac))
+        counts.append(report.iterations)
+    # Jacobi needs 69 on n = 32 and doubles per level
+    assert max(counts) <= 25, counts
+
+
+def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
+    refs = []
+
+    def spy(a, rhs, **kwargs):
+        # every earlier cycle died when its pcg_solve returned
+        assert all(ref() is None for ref in refs)
+        refs.append(weakref.ref(kwargs["preconditioner"].levels[-1].matrix))
+        return pcg_solve(a, rhs, **kwargs)
+
+    monkeypatch.setattr(solvers, "pcg_solve", spy)
+    monkeypatch.setattr(twogrid, "pcg_solve", spy)
+    problem = builtin_problem("power11")
+    fine = nested_meshes(2)[-1]
+    gc.disable()
+    try:
+        newton_solve(fine, problem)
+        linearized_solve(fine, problem, FemFunction.zeros(fine))
+        assert len(refs) > 1
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 10.0])

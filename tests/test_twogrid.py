@@ -75,6 +75,19 @@ def test_prolongate_two_levels_is_composition():
     np.testing.assert_array_equal(direct.values, composed.values)
 
 
+def test_prolongate_matches_midpoint_average_exactly():
+    meshes = hierarchy(4, 2)
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(meshes[0].n_vertices)
+    expected = values
+    for mesh in meshes[1:]:
+        e0, e1 = mesh.midpoint_edges.T
+        expected = np.concatenate(
+            [expected, 0.5 * (expected[e0] + expected[e1])])
+    got = prolongate(FemFunction(meshes[0], values), meshes[-1]).values
+    assert np.all(got == expected)
+
+
 def test_prolongate_rejects_unrelated_meshes():
     a = generate_interface_mesh(4)
     b = generate_interface_mesh(4)
@@ -188,6 +201,14 @@ def test_nested_newton_matches_direct():
     assert [u.mesh for u, _ in levels] == meshes
     assert np.array_equal(levels[-1][0].values, nested.values)
     assert np.abs(nested.values - direct.values).max() <= 1e-9
+
+
+def test_power11_chain_keeps_multigrid_iteration_counts():
+    problem = builtin_problem("power11")
+    meshes = hierarchy(8, 4, problem)  # n = 8 ... 128
+    reports = [report for _, report in newton_levels(meshes, problem)]
+    # the V-cycle needs 29 PCG iterations on n = 128; Jacobi needs 635
+    assert reports[-1].linear_iters_total <= 60
 
 
 def test_select_coarse_size_reference_cases():
