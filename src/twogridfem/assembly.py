@@ -189,14 +189,13 @@ def local_stiffness(coords, d):
 
 
 def _scatter(mesh, local):
-    """Accumulate (M,3,3) or row-major (M,9) element matrices into CSR."""
-    n = mesh.n_vertices
-    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
-    cols = np.tile(mesh.triangles, (1, 3)).ravel()
-    a = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
-    a.sum_duplicates()
-    a.sort_indices()
-    return a
+    """Sum (M,3,3) or row-major (M,9) element matrices into the mesh's CSR
+    pattern; entries that sum to zero stay stored."""
+    pattern = mesh.csr_pattern
+    data = np.bincount(pattern.slots.ravel(), weights=local.ravel(),
+                       minlength=pattern.indices.size)
+    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
+                         shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def assemble_stiffness(mesh, diffusion):
@@ -215,17 +214,22 @@ def assemble_stiffness(mesh, diffusion):
 
 def quadrature_points(mesh, quad):
     """Physical coordinates of every quadrature point, shape (M, k, 2)."""
-    return np.matmul(quad.points, mesh.triangle_coords())
+    points = np.empty((mesh.n_triangles, len(quad.weights), 2))
+    for axis in range(2):
+        np.matmul(mesh.vertices[mesh.triangles, axis], quad.points.T,
+                  out=points[..., axis])
+    return points
 
 
 def assemble_reaction_jacobian(mesh, state, d1, quad):
     """Weighted mass matrix M_ij = int d1(x, u) phi_j phi_i by quadrature."""
     areas = _positive_areas(mesh)
-    d1q = d1(quadrature_points(mesh, quad), state.at_quadrature(quad))
-    w = d1q * quad.weights[None, :] * areas[:, None]  # (M, k)
     lam = quad.points
     basis_products = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
-    return _scatter(mesh, w @ basis_products)
+    w = d1(quadrature_points(mesh, quad), state.at_quadrature(quad))
+    local = (w * quad.weights[None, :] * areas[:, None]) @ basis_products
+    del w  # no (M, k) array stays alive through the scatter
+    return _scatter(mesh, local)
 
 
 def _moment_vector(mesh, values_at_quad, quad):
@@ -308,7 +312,11 @@ def apply_dirichlet(matrix, rhs, boundary, g=None):
     Boundary rows/columns collapse to the identity, the right-hand side
     absorbs the moved columns, and the constrained system stays symmetric
     positive definite.  Solutions of the constrained system take the value
-    of ``g`` at boundary vertices exactly.
+    of ``g`` at boundary vertices exactly.  The result keeps the sparsity
+    pattern of ``matrix`` (eliminated entries are stored zeros), adding
+    only boundary diagonal entries that ``matrix`` does not store.  It
+    shares the index arrays of ``matrix`` when they are read-only, as
+    those of assembled matrices are.
 
     ``g`` may be None (homogeneous), a scalar, or an array of one value
     per boundary vertex.
@@ -322,13 +330,30 @@ def apply_dirichlet(matrix, rhs, boundary, g=None):
             np.asarray(g, dtype=float), (len(boundary),)).copy()
     x_bc = np.zeros(n)
     x_bc[boundary] = gb
-    keep = np.ones(n)
-    keep[boundary] = 0.0
     new_rhs = rhs - matrix @ x_bc
     new_rhs[boundary] = gb
-    mask = sp.diags(keep, format="csr")
-    pin = sp.diags(1.0 - keep, format="csr")
-    constrained = (mask @ matrix @ mask + pin).tocsr()
-    constrained.sum_duplicates()
-    constrained.sort_indices()
+
+    a = sp.csr_matrix(matrix)
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
+    on_boundary = np.zeros(n, dtype=bool)
+    on_boundary[boundary] = True
+    row_sizes = np.diff(a.indptr)
+    # the entries of the boundary rows, and which of them are diagonal
+    in_rows = np.flatnonzero(np.repeat(on_boundary, row_sizes))
+    rows = np.repeat(np.flatnonzero(on_boundary), row_sizes[on_boundary])
+    diagonal = in_rows[a.indices[in_rows] == rows]
+    data = np.where(on_boundary[a.indices], 0.0, a.data)
+    data[in_rows] = 0.0
+    data[diagonal] = 1.0
+    indices, indptr = a.indices, a.indptr
+    if indices.flags.writeable:  # share only structure nobody can change
+        indices, indptr = indices.copy(), indptr.copy()
+    constrained = sp.csr_matrix((data, indices, indptr), shape=a.shape)
+    missing = on_boundary.copy()
+    missing[a.indices[diagonal]] = False
+    if missing.any():
+        constrained = constrained + sp.diags(missing.astype(float),
+                                             format="csr")
     return constrained, new_rhs

@@ -10,12 +10,14 @@ two-grid machinery relies on.
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
     "Mesh",
+    "CsrPattern",
     "AngleReport",
     "MeshError",
     "InvalidSubdivision",
@@ -74,11 +76,14 @@ class Mesh:
     gradients : (M, 3, 2) gradients of the barycentric basis functions
     prolongation : (N, N_parent) sparse P1 embedding of the parent's
         space, or None without a parent
+    interior_prolongation : ``prolongation`` without the boundary rows
+        and the parent's boundary columns, or None without a parent
+    csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
 
-    All arrays are read-only.  ``areas``, ``gradients`` and
-    ``prolongation`` are computed once, on first use; two threads racing
-    on that first use compute the same values, so meshes are safe to
-    share.
+    All arrays are read-only.  ``areas``, ``gradients``, the
+    prolongations and ``csr_pattern`` are computed once, on first use; two
+    threads racing on that first use compute the same values, so meshes
+    are safe to share.
     """
 
     vertices: np.ndarray
@@ -100,14 +105,8 @@ class Mesh:
         self.interface_edges = np.ascontiguousarray(
             self.interface_edges, dtype=np.int64
         ).reshape(-1, 2)
-        for arr in (
-            self.vertices,
-            self.triangles,
-            self.regions,
-            self.boundary_vertices,
-            self.interface_edges,
-        ):
-            arr.setflags(write=False)
+        _freeze(self.vertices, self.triangles, self.regions,
+                self.boundary_vertices, self.interface_edges)
 
     @property
     def n_vertices(self):
@@ -130,8 +129,7 @@ class Mesh:
     @cached_property
     def _geometry(self):
         areas, gradients = triangle_geometry(self.triangle_coords())
-        areas.setflags(write=False)
-        gradients.setflags(write=False)
+        _freeze(areas, gradients)
         return areas, gradients
 
     @property
@@ -156,9 +154,86 @@ class Mesh:
         data = np.concatenate([np.ones(n_old), np.full(2 * n_mid, 0.5)])
         p = sp.csr_matrix((data, indices, indptr),
                           shape=(self.n_vertices, n_old))
-        for arr in (p.data, p.indices, p.indptr):
-            arr.setflags(write=False)
+        _freeze(p.data, p.indices, p.indptr)
         return p
+
+    @cached_property
+    def interior_prolongation(self):
+        """``prolongation`` between the spaces that vanish on the boundary."""
+        if self.parent is None:
+            return None
+        p = self.prolongation
+        keep_rows = np.ones(self.n_vertices)
+        keep_rows[self.boundary_vertices] = 0.0
+        keep_cols = np.ones(p.shape[1])
+        keep_cols[self.parent.boundary_vertices] = 0.0
+        rows = np.repeat(keep_rows, np.diff(p.indptr))
+        p0 = sp.csr_matrix((p.data * rows * keep_cols[p.indices],
+                            p.indices.copy(), p.indptr.copy()), shape=p.shape)
+        p0.eliminate_zeros()
+        _freeze(p0.data, p0.indices, p0.indptr)
+        return p0
+
+    @cached_property
+    def csr_pattern(self):
+        """Built from the unique edges: 3M sort keys, not one per entry."""
+        pattern = _csr_pattern(self.triangles, self.n_vertices)
+        _freeze(*pattern)
+        return pattern
+
+
+class CsrPattern(NamedTuple):
+    """CSR structure, with sorted column indices, of every P1 matrix on a
+    mesh: each vertex couples to itself and to its edge neighbours.
+    ``slots[t, 3 * i + j]`` is the position in ``indices`` of the entry
+    (triangles[t, i], triangles[t, j])."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+
+def _freeze(*arrays):
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
+def _csr_pattern(triangles, n):
+    # keys lo * n + hi (lo < hi) of the edges 01, 12, 02 of every triangle
+    a, b = triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]]
+    keys, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
+                              return_inverse=True)
+    lo, hi = np.divmod(keys, n)  # the unique edges, ordered by (lo, hi)
+    edge_of = edge_of.reshape(-1, 3)
+    del a, b, keys
+    # an entry's position counts the entries before it: the diagonals, the
+    # upper entries (lo, hi) and the lower entries (hi, lo) of earlier rows
+    # and the earlier entries of its own row
+    rows = np.arange(n)
+    upper_before = np.searchsorted(lo, rows)
+    lower_through = np.cumsum(np.bincount(hi, minlength=n))
+    diagonal = rows + upper_before + lower_through
+    indptr = np.concatenate([[0],
+                             diagonal + 1 + np.bincount(lo, minlength=n)])
+    rank = np.arange(lo.size)
+    upper = rank + lo + 1 + lower_through[lo]
+    by_hi = np.argsort(hi, kind="stable")  # the edges by (hi, lo)
+    lower = np.empty_like(upper)
+    lower[by_hi] = rank + hi[by_hi] + upper_before[hi[by_hi]]
+    del rank, by_hi
+
+    index_dtype = np.int32 if indptr[-1] < 2 ** 31 else np.int64
+    indices = np.empty(indptr[-1], dtype=index_dtype)
+    indices[diagonal], indices[upper], indices[lower] = rows, hi, lo
+    slots = np.empty((len(triangles), 3, 3), dtype=index_dtype)
+    for k, (i, j) in enumerate([(0, 1), (1, 2), (0, 2)]):
+        forward = triangles[:, i] < triangles[:, j]
+        up, down = upper[edge_of[:, k]], lower[edge_of[:, k]]
+        slots[:, i, j] = np.where(forward, up, down)
+        slots[:, j, i] = np.where(forward, down, up)
+        slots[:, k, k] = diagonal[triangles[:, k]]  # k = 0, 1, 2 as a vertex
+    return CsrPattern(indptr.astype(index_dtype), indices,
+                      slots.reshape(-1, 9))
 
 
 @dataclass

@@ -113,18 +113,19 @@ class VCycle:
     :func:`~twogridfem.assembly.apply_dirichlet` leaves them).  Each
     coarser level's operator is the Galerkin product P0^T A P0, where P0 is
     the mesh's prolongation with the fine-boundary rows and coarse-boundary
-    columns dropped, and the identity pins the coarse boundary.  Every
-    level smooths once before and once after its coarse correction with
-    l1-Jacobi, which converges for any SPD matrix without a damping
-    parameter, and the root of the chain is solved exactly.  Calling the
-    cycle on a residual applies an SPD approximation of the inverse.
+    columns dropped (``Mesh.interior_prolongation``), and the identity pins
+    the coarse boundary.  Every level smooths once before and once after
+    its coarse correction with l1-Jacobi, which converges for any SPD
+    matrix without a damping parameter, and the root of the chain is
+    solved exactly.  Calling the cycle on a residual applies an SPD
+    approximation of the inverse.
     """
 
     def __init__(self, mesh, matrix):
         self.levels = []
         a = matrix.tocsr()
         while mesh.parent is not None:
-            p = _interior_prolongation(mesh)
+            p = mesh.interior_prolongation
             abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
                                   shape=a.shape)
             weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
@@ -147,20 +148,6 @@ class VCycle:
             x = x_pre + level.prolongation @ x
             x += level.weights * (r - level.matrix @ x)
         return x
-
-
-def _interior_prolongation(mesh):
-    """``mesh.prolongation`` without boundary rows and parent-boundary columns."""
-    p = mesh.prolongation
-    keep_rows = np.ones(mesh.n_vertices)
-    keep_rows[mesh.boundary_vertices] = 0.0
-    keep_cols = np.ones(p.shape[1])
-    keep_cols[mesh.parent.boundary_vertices] = 0.0
-    rows = np.repeat(keep_rows, np.diff(p.indptr))
-    p0 = sp.csr_matrix((p.data * rows * keep_cols[p.indices],
-                        p.indices.copy(), p.indptr.copy()), shape=p.shape)
-    p0.eliminate_zeros()
-    return p0
 
 
 def _pin(mesh):
@@ -302,8 +289,10 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     if initial.mesh is not mesh:
         raise ValueError("initial guess lives on a different mesh")
 
-    stiffness = assemble_stiffness(mesh, problem.diffusion)
+    # the load first: its source values at every quadrature point are the
+    # largest temporaries of a solve, and no matrix is alive yet
     load = assemble_load(mesh, problem, quad)
+    stiffness = assemble_stiffness(mesh, problem.diffusion)
     d1 = problem.nonlinearity.d1
 
     def residual(values):
@@ -328,8 +317,8 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
                 report=SolveReport(iterations, history, False, lin_total,
                                    time.perf_counter() - start),
             )
-        jac = stiffness + assemble_reaction_jacobian(
-            mesh, FemFunction(mesh, u), d1, quad)
+        jac = assemble_reaction_jacobian(mesh, FemFunction(mesh, u), d1, quad)
+        jac.data += stiffness.data  # both on the mesh's CSR pattern
         jac_c, rhs_c = apply_dirichlet(jac, -r, mesh.boundary_vertices)
         eta = max(FORCING_FLOOR, min(FORCING_FACTOR, FORCING_FACTOR * rsup))
         try:

@@ -124,8 +124,8 @@ def linearized_solve(t_h, problem, u_base, quad=None):
             stacklevel=2)
 
     stiffness = assemble_stiffness(t_h, problem.diffusion)
-    jacobian = stiffness + assemble_reaction_jacobian(t_h, u_base, nl.d1,
-                                                      quad)
+    jacobian = assemble_reaction_jacobian(t_h, u_base, nl.d1, quad)
+    jacobian.data += stiffness.data  # both on the mesh's CSR pattern
     residual = assemble_semilinear_residual(t_h, u_base, problem, quad,
                                             stiffness=stiffness)
     rhs = jacobian @ u_base.values - residual

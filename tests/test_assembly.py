@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twogridfem import (
     DegenerateTriangle,
@@ -17,10 +19,12 @@ from twogridfem import (
     assemble_stiffness,
     builtin_problem,
     generate_interface_mesh,
+    load_mesh,
     local_stiffness,
     newton_solve,
     pcg_solve,
     refine_uniform,
+    save_mesh,
     triangle_rule,
 )
 from twogridfem.assembly import _moment_vector, quadrature_points
@@ -341,3 +345,130 @@ def test_moment_vector_integrates_linear_exactly():
     mom = _moment_vector(mesh, coords[..., 0] + 2.0, quad)
     # sum of moments = integral of (x + 2) over the domain = 8
     assert mom.sum() == pytest.approx(8.0, abs=1e-13)
+
+
+def coo_oracle(mesh, local):
+    """Element matrices (M,3,3) summed by scipy's COO to CSR conversion."""
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_vertices
+    return sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+def assert_same_csr(a, oracle):
+    oracle.sum_duplicates()
+    np.testing.assert_array_equal(a.indptr, oracle.indptr)
+    np.testing.assert_array_equal(a.indices, oracle.indices)
+    np.testing.assert_allclose(a.data, oracle.data, rtol=0,
+                               atol=1e-14 * abs(oracle.data).max())
+    assert a.has_sorted_indices
+    resorted = a.copy()
+    resorted.has_sorted_indices = False
+    resorted.sort_indices()
+    np.testing.assert_array_equal(resorted.indices, a.indices)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 5])
+@pytest.mark.parametrize("loaded", [False, True])
+def test_assembly_matches_coo_oracle(loaded, degree):
+    mesh = refine_uniform(generate_interface_mesh(4))
+    if loaded:
+        mesh = load_mesh(save_mesh(mesh))  # no parent
+    d = np.where(mesh.regions == 1, D_JUMP[1], D_JUMP[2])
+    g = mesh.gradients
+    assert_same_csr(
+        assemble_stiffness(mesh, D_JUMP),
+        coo_oracle(mesh, (d * mesh.areas)[:, None, None]
+                   * np.einsum("mid,mjd->mij", g, g)))
+
+    quad = triangle_rule(degree)
+    state = FemFunction(mesh, np.random.default_rng(1).uniform(
+        -1, 1, mesh.n_vertices))
+    xq = state.at_quadrature(quad)
+    w = 3.0 * xq ** 2 * quad.weights * mesh.areas[:, None]
+    lam = quad.points
+    assert_same_csr(
+        assemble_reaction_jacobian(mesh, state, lambda x, xi: 3.0 * xi ** 2,
+                                   quad),
+        coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam)))
+
+
+def test_reaction_jacobian_peak_memory():
+    # measured with power11 at n = 128: 224 bytes per triangle, the values
+    # at the quadrature points; a COO scatter, with int64 row and column
+    # indices of all 9 M element entries, peaks at 552
+    mesh = generate_interface_mesh(128)
+    quad = triangle_rule(5)
+    d1 = builtin_problem("power11").nonlinearity.d1
+    state = FemFunction(mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
+    assemble_reaction_jacobian(mesh, state, d1, quad)  # builds the pattern
+    tracemalloc.start()
+    try:
+        assemble_reaction_jacobian(mesh, state, d1, quad)
+        per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
+    finally:
+        tracemalloc.stop()
+    assert per_triangle < 300
+
+
+def test_quadrature_points_match_the_broadcast_product():
+    mesh = refine_uniform(refine_uniform(generate_interface_mesh(4)))
+    for degree in (1, 2, 5, 7):
+        quad = triangle_rule(degree)
+        np.testing.assert_array_max_ulp(
+            quadrature_points(mesh, quad),
+            np.matmul(quad.points, mesh.triangle_coords()), maxulp=1)
+
+
+def test_apply_dirichlet_matches_dense_oracle():
+    mesh = refine_uniform(refine_uniform(generate_interface_mesh(4)))
+    state = FemFunction(mesh, np.random.default_rng(2).uniform(
+        0, 1, mesh.n_vertices))
+    jac = assemble_reaction_jacobian(mesh, state, lambda x, xi: 3 * xi ** 2,
+                                     triangle_rule(5))
+    jac.data += assemble_stiffness(mesh, D_JUMP).data
+    b = mesh.boundary_vertices
+    g = 1.0 + mesh.vertices[b, 0] ** 2
+    rhs = np.random.default_rng(3).standard_normal(mesh.n_vertices)
+    ac, rc = apply_dirichlet(jac, rhs, b, g)
+
+    keep = np.ones(mesh.n_vertices)
+    keep[b] = 0.0
+    x_bc = np.zeros(mesh.n_vertices)
+    x_bc[b] = g
+    dense = jac.toarray()
+    np.testing.assert_array_equal(
+        ac.toarray(), keep[:, None] * dense * keep + np.diag(1.0 - keep))
+    expected = rhs - dense @ x_bc
+    expected[b] = g
+    np.testing.assert_allclose(rc, expected, rtol=1e-14, atol=1e-12)
+    assert ac.has_canonical_format
+
+
+def test_apply_dirichlet_inserts_a_missing_boundary_diagonal():
+    mesh = generate_interface_mesh(4)
+    dense = assemble_stiffness(mesh, D_UNIT).toarray()
+    b = mesh.boundary_vertices
+    dense[b, b] = 0.0
+    a = sp.csr_matrix(dense)  # stores no entry at a boundary diagonal
+    assert np.all(a.diagonal()[b] == 0.0)
+    ac, _ = apply_dirichlet(a, np.zeros(mesh.n_vertices), b)
+    expected = dense.copy()
+    expected[b] = 0.0
+    expected[:, b] = 0.0
+    expected[b, b] = 1.0
+    np.testing.assert_array_equal(ac.toarray(), expected)
+
+
+def test_apply_dirichlet_leaves_a_writable_input_alone():
+    mesh = generate_interface_mesh(4)
+    a = assemble_stiffness(mesh, D_UNIT).copy()  # owns writable arrays
+    before = a.toarray()
+    ac, _ = apply_dirichlet(a, np.zeros(mesh.n_vertices),
+                            mesh.boundary_vertices)
+    ac.eliminate_zeros()
+    np.testing.assert_array_equal(a.toarray(), before)
+    assembled = assemble_stiffness(mesh, D_UNIT)
+    ac, _ = apply_dirichlet(assembled, np.zeros(mesh.n_vertices),
+                            mesh.boundary_vertices)
+    assert np.shares_memory(ac.indices, mesh.csr_pattern.indices)

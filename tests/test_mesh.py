@@ -322,3 +322,33 @@ def test_prolongation_is_built_on_first_use_and_cached():
     assert root.prolongation is None
     with pytest.raises(ValueError):
         p.data[0] = 99.0
+
+    assert "interior_prolongation" not in vars(fine)
+    p0 = fine.interior_prolongation
+    assert p0 is fine.interior_prolongation
+    assert root.interior_prolongation is None
+    expected = fine.prolongation.toarray()
+    expected[fine.boundary_vertices] = 0.0
+    expected[:, root.boundary_vertices] = 0.0
+    np.testing.assert_array_equal(p0.toarray(), expected)
+    assert p0.nnz == np.count_nonzero(expected)
+    with pytest.raises(ValueError):
+        p0.data[0] = 99.0
+
+
+def test_csr_pattern_is_built_on_first_use_and_cached():
+    mesh = refine_uniform(generate_interface_mesh(4))
+    assert "csr_pattern" not in vars(mesh)
+    pattern = mesh.csr_pattern
+    assert pattern is mesh.csr_pattern
+    for arr in pattern:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # slot 3 i + j of a triangle is the entry (vertex i, vertex j), and
+    # every stored entry belongs to some triangle
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(pattern.indptr))
+    np.testing.assert_array_equal(rows[pattern.slots],
+                                  np.repeat(mesh.triangles, 3, axis=1))
+    np.testing.assert_array_equal(pattern.indices[pattern.slots],
+                                  np.tile(mesh.triangles, (1, 3)))
+    assert np.bincount(pattern.slots.ravel()).min() > 0

@@ -177,7 +177,11 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
     def spy(a, rhs, **kwargs):
         # every earlier cycle died when its pcg_solve returned
         assert all(ref() is None for ref in refs)
-        refs.append(weakref.ref(kwargs["preconditioner"].levels[-1].matrix))
+        levels = kwargs["preconditioner"].levels
+        # the cycle uses the prolongations cached on the meshes
+        assert levels[0].prolongation is fine.interior_prolongation
+        assert levels[1].prolongation is fine.parent.interior_prolongation
+        refs.append(weakref.ref(levels[-1].matrix))
         return pcg_solve(a, rhs, **kwargs)
 
     monkeypatch.setattr(solvers, "pcg_solve", spy)
