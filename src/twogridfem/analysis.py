@@ -13,7 +13,7 @@ from .assembly import (
     triangle_rule,
 )
 from .problems import ManufacturedSolution
-from .twogrid import NotNested, prolongate
+from .twogrid import prolongate
 
 __all__ = [
     "ErrorRecord",

@@ -306,32 +306,22 @@ def assemble_semilinear_residual(mesh, state, problem, quad,
     return r
 
 
-def apply_dirichlet(matrix, rhs, boundary, g=None):
-    """Symmetric elimination of Dirichlet rows and columns.
+def apply_dirichlet(matrix, rhs, boundary):
+    """Symmetric elimination of homogeneous Dirichlet rows and columns.
 
-    Boundary rows/columns collapse to the identity, the right-hand side
-    absorbs the moved columns, and the constrained system stays symmetric
-    positive definite.  Solutions of the constrained system take the value
-    of ``g`` at boundary vertices exactly.  The result keeps the sparsity
-    pattern of ``matrix`` (eliminated entries are stored zeros), adding
-    only boundary diagonal entries that ``matrix`` does not store.  It
-    shares the index arrays of ``matrix`` when they are read-only, as
-    those of assembled matrices are.
-
-    ``g`` may be None (homogeneous), a scalar, or an array of one value
-    per boundary vertex.
+    Boundary rows/columns collapse to the identity and the right-hand side
+    is zeroed there, so solutions of the constrained system vanish at
+    boundary vertices exactly and the constrained system stays symmetric
+    positive definite.  The result keeps the sparsity pattern of
+    ``matrix`` (eliminated entries are stored zeros), adding only boundary
+    diagonal entries that ``matrix`` does not store.  It shares the index
+    arrays of ``matrix`` when they are read-only, as those of assembled
+    matrices are.
     """
     n = matrix.shape[0]
     boundary = np.asarray(boundary, dtype=np.int64)
-    if g is None:
-        gb = np.zeros(len(boundary))
-    else:
-        gb = np.broadcast_to(
-            np.asarray(g, dtype=float), (len(boundary),)).copy()
-    x_bc = np.zeros(n)
-    x_bc[boundary] = gb
-    new_rhs = rhs - matrix @ x_bc
-    new_rhs[boundary] = gb
+    new_rhs = np.array(rhs, dtype=float)
+    new_rhs[boundary] = 0.0
 
     a = sp.csr_matrix(matrix)
     if not a.has_canonical_format:

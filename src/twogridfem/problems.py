@@ -5,7 +5,7 @@ of shape (..., 2) and state arrays of shape (...) and return arrays of
 shape (...).  All problem data is immutable and the callbacks must be pure.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq

@@ -27,8 +27,8 @@ __all__ = [
     "NoConvergence",
     "LineSearchStall",
     "VCycle",
-    "mesh_preconditioner",
     "pcg_solve",
+    "newton_step",
     "newton_solve",
     "make_initial_guess",
 ]
@@ -157,17 +157,8 @@ def _pin(mesh):
                          shape=(mesh.n_vertices, mesh.n_vertices))
 
 
-def mesh_preconditioner(mesh, matrix):
-    """The V-cycle on ``mesh``'s refinement chain; None on a mesh without one.
-
-    ``pcg_solve`` falls back to Jacobi for None.
-    """
-    return None if mesh.parent is None else VCycle(mesh, matrix)
-
-
-def pcg_solve(a, rhs, tol=1e-10, max_iters=None, x0=None,
-              preconditioner=None):
-    """Preconditioned conjugate gradients for SPD systems.
+def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner=None):
+    """Preconditioned conjugate gradients for SPD systems, started at zero.
 
     ``preconditioner`` maps a residual to an SPD approximation of
     A^-1 applied to it, such as a :class:`VCycle`; without one, Jacobi
@@ -190,15 +181,12 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, x0=None,
         def preconditioner(r):
             return minv * r
 
-    bnorm = float(np.linalg.norm(rhs))
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, [0.0], True, 0)
-    target = tol * bnorm
-    r = rhs - a @ x
+    x = np.zeros(n)
+    r = np.array(rhs, dtype=float)
     rnorm = float(np.linalg.norm(r))
+    target = tol * rnorm
     history = [rnorm]
-    if rnorm <= target:
+    if rnorm <= target:  # a zero right-hand side, or tol >= 1
         return x, SolveReport(0, history, True, 0)
 
     z = preconditioner(r)
@@ -265,17 +253,34 @@ def make_initial_guess(mesh, problem):
     return FemFunction(mesh, values)
 
 
+def newton_step(mesh, problem, state, residual, stiffness, quad, tol):
+    """One Newton correction: PCG on J delta = -residual.
+
+    J = K + R(state) is ``stiffness`` plus the reaction Jacobian at
+    ``state``, both on the mesh's CSR pattern, with the Dirichlet rows and
+    columns eliminated, so delta vanishes on the boundary.  PCG runs to
+    relative tolerance ``tol``, preconditioned by the V-cycle on the mesh's
+    refinement chain, or by Jacobi on a mesh without a ``parent``.  Returns
+    (delta, SolveReport of the linear solve); NoConvergence propagates.
+    """
+    jac = assemble_reaction_jacobian(mesh, state, problem.nonlinearity.d1,
+                                     quad)
+    jac.data += stiffness.data
+    system, rhs = apply_dirichlet(jac, -residual, mesh.boundary_vertices)
+    preconditioner = None if mesh.parent is None else VCycle(mesh, system)
+    return pcg_solve(system, rhs, tol=tol, preconditioner=preconditioner)
+
+
 def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     """Damped Newton iteration for the discrete semilinear system.
 
-    The stiffness and load are assembled once; every iteration assembles
-    the reaction Jacobian at the current state, solves the constrained
-    correction system with PCG (preconditioned by
-    :func:`mesh_preconditioner`) at the inexact-Newton forcing tolerance,
-    and accepts the first step-halving candidate that does not increase
-    the residual sup-norm.  Dirichlet rows are held exactly:
-    ``initial`` must carry the boundary data (the default initial guess
-    does).
+    The stiffness and load are assembled once; every iteration takes a
+    :func:`newton_step` at the current state with the inexact-Newton
+    forcing tolerance, falls back to PCG's best iterate when the step's
+    solve stops early, and accepts the first step-halving candidate that
+    does not increase the residual sup-norm.  Dirichlet rows are held
+    exactly: ``initial`` must carry the boundary data (the default initial
+    guess does).
 
     Returns (solution, SolveReport); raises NoConvergence or
     LineSearchStall with the best iterate attached.  Every report records
@@ -293,7 +298,6 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     # largest temporaries of a solve, and no matrix is alive yet
     load = assemble_load(mesh, problem, quad)
     stiffness = assemble_stiffness(mesh, problem.diffusion)
-    d1 = problem.nonlinearity.d1
 
     def residual(values):
         return assemble_semilinear_residual(
@@ -317,21 +321,15 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
                 report=SolveReport(iterations, history, False, lin_total,
                                    time.perf_counter() - start),
             )
-        jac = assemble_reaction_jacobian(mesh, FemFunction(mesh, u), d1, quad)
-        jac.data += stiffness.data  # both on the mesh's CSR pattern
-        jac_c, rhs_c = apply_dirichlet(jac, -r, mesh.boundary_vertices)
         eta = max(FORCING_FLOOR, min(FORCING_FACTOR, FORCING_FACTOR * rsup))
         try:
-            delta, lin_report = pcg_solve(
-                jac_c, rhs_c, tol=eta,
-                preconditioner=mesh_preconditioner(mesh, jac_c))
+            delta, lin_report = newton_step(
+                mesh, problem, FemFunction(mesh, u), r, stiffness, quad, eta)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)
             delta, lin_report = exc.best, exc.report
         lin_total += lin_report.iterations
-        # free the matrices before the line search and the next assembly
-        del jac, jac_c
 
         step = 1.0
         accepted = False

@@ -1,9 +1,10 @@
-"""Two-grid algorithm: exact coarse nonlinear solve, one fine Newton update.
+"""Two-grid algorithm: exact coarse nonlinear solve, one fine Newton step.
 
 The coarse problem is solved with damped Newton to tight tolerance, the
 solution is prolongated to the fine mesh (exact P1 nodal interpolation on
-nested meshes), and a single linearized solve on the fine mesh produces
-the two-grid approximation.
+nested meshes), and a single Newton correction on the fine mesh, the same
+:func:`~twogridfem.solvers.newton_step` that every Newton iteration takes,
+produces the two-grid approximation.
 """
 
 import math
@@ -15,19 +16,11 @@ import numpy as np
 from .assembly import (
     DEFAULT_QUAD_DEGREE,
     FemFunction,
-    apply_dirichlet,
-    assemble_reaction_jacobian,
     assemble_semilinear_residual,
     assemble_stiffness,
     triangle_rule,
 )
-from .solvers import (
-    NewtonOptions,
-    SolveReport,
-    mesh_preconditioner,
-    newton_solve,
-    pcg_solve,
-)
+from .solvers import NewtonOptions, SolveReport, newton_solve, newton_step
 
 __all__ = [
     "TwoGridResult",
@@ -46,6 +39,9 @@ __all__ = [
 # nonlinear problem is solved exactly; this pins down what that means.
 COARSE_NEWTON_OPTS = NewtonOptions(abs_tol=1e-12, rel_tol=1e-12,
                                    max_iters=80)
+# The fine step's PCG tolerance, relative to ||r(u_base)||: the correction
+# system's roundoff floor scales with the correction, not with u.  It is a
+# fixed number, not tied to the discretization error.
 FINE_PCG_TOL = 1e-12
 
 
@@ -100,16 +96,18 @@ def prolongate(u_coarse, t_h):
 
 
 def linearized_solve(t_h, problem, u_base, quad=None):
-    """One Newton-linearized solve on the fine mesh about ``u_base``.
+    """One Newton step on the fine mesh from ``u_base``.
 
-    Solves J u = J u_base - r(u_base) for u in the fine space, with
-    Dirichlet data imposed, where r is the semilinear residual and
-    J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base.  This is
-    exactly one fine-grid Newton step from the prolonged coarse solution.
+    Returns u_base + delta, where delta solves J delta = -r(u_base) with
+    homogeneous Dirichlet rows, r is the semilinear residual and
+    J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base
+    (:func:`~twogridfem.solvers.newton_step`).  ``u_base`` carries the
+    Dirichlet data, so the result does too.
 
-    The linear system is solved by PCG, preconditioned by the V-cycle on
-    ``t_h``'s refinement chain.  Returns (solution, SolveReport of the
-    linear solve); NoConvergence propagates, with the reason PCG stopped.
+    PCG runs to FINE_PCG_TOL relative to ||r(u_base)||, preconditioned by
+    the V-cycle on ``t_h``'s refinement chain.  Returns (solution,
+    SolveReport of the linear solve); NoConvergence propagates, with the
+    reason PCG stopped.
     """
     quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     if u_base.mesh is not t_h:
@@ -124,27 +122,19 @@ def linearized_solve(t_h, problem, u_base, quad=None):
             stacklevel=2)
 
     stiffness = assemble_stiffness(t_h, problem.diffusion)
-    jacobian = assemble_reaction_jacobian(t_h, u_base, nl.d1, quad)
-    jacobian.data += stiffness.data  # both on the mesh's CSR pattern
     residual = assemble_semilinear_residual(t_h, u_base, problem, quad,
                                             stiffness=stiffness)
-    rhs = jacobian @ u_base.values - residual
-
-    g_values = u_base.values[t_h.boundary_vertices]
-    system, rhs_c = apply_dirichlet(jacobian, rhs, t_h.boundary_vertices,
-                                    g_values)
-    x, report = pcg_solve(system, rhs_c, tol=FINE_PCG_TOL, x0=u_base.values,
-                          preconditioner=mesh_preconditioner(t_h, system))
-    return FemFunction(t_h, x), report
+    delta, report = newton_step(t_h, problem, u_base, residual, stiffness,
+                                quad, FINE_PCG_TOL)
+    return FemFunction(t_h, u_base.values + delta), report
 
 
 def two_grid_solve(t_coarse, t_fine, problem, quad=None):
     """Run the two-grid algorithm on a nested mesh pair.
 
     Step 1 solves the nonlinear problem on the coarse mesh (Newton to the
-    documented "exact" tolerance); step 2 prolongates and performs one
-    linearized solve on the fine mesh.  Total fine-grid work is a single
-    linear solve.
+    documented "exact" tolerance); step 2 prolongates and takes one Newton
+    step on the fine mesh.  Total fine-grid work is a single linear solve.
     """
     u_coarse, coarse_report = newton_solve(
         t_coarse, problem, None, COARSE_NEWTON_OPTS, quad)

@@ -6,7 +6,6 @@ import pytest
 import scipy.sparse as sp
 
 import twogridfem.solvers as solvers
-import twogridfem.twogrid as twogrid
 from twogridfem import (
     FemFunction,
     LineSearchStall,
@@ -20,7 +19,6 @@ from twogridfem import (
     generate_interface_mesh,
     linearized_solve,
     linf_check,
-    mesh_preconditioner,
     newton_solve,
     pcg_solve,
     refine_uniform,
@@ -158,14 +156,23 @@ def test_vcycle_is_symmetric_and_positive():
         assert r1 @ b(r1) > 0.0
 
 
-def test_vcycle_pcg_iterations_do_not_grow_with_refinement():
+def test_vcycle_pcg_iterations_do_not_grow_with_refinement(monkeypatch):
     meshes = nested_meshes(4)
-    assert mesh_preconditioner(meshes[0], jump_system(meshes[0])[0]) is None
+    seen = []
+
+    def spy(a, rhs, **kwargs):
+        seen.append(kwargs["preconditioner"])
+        return pcg_solve(a, rhs, **kwargs)
+
+    # a root mesh has no hierarchy: its Newton steps run Jacobi-PCG
+    monkeypatch.setattr(solvers, "pcg_solve", spy)
+    newton_solve(meshes[0], builtin_problem("power11"))
+    assert seen and all(b is None for b in seen)
     counts = []
     for mesh in meshes[1:]:
         ac, rc = jump_system(mesh)
         _, report = pcg_solve(ac, rc, tol=1e-8,
-                              preconditioner=mesh_preconditioner(mesh, ac))
+                              preconditioner=VCycle(mesh, ac))
         counts.append(report.iterations)
     # Jacobi needs 69 on n = 32 and doubles per level
     assert max(counts) <= 25, counts
@@ -185,7 +192,6 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
         return pcg_solve(a, rhs, **kwargs)
 
     monkeypatch.setattr(solvers, "pcg_solve", spy)
-    monkeypatch.setattr(twogrid, "pcg_solve", spy)
     problem = builtin_problem("power11")
     fine = nested_meshes(2)[-1]
     gc.disable()

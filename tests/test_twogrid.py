@@ -5,7 +5,9 @@ from twogridfem import (
     FemFunction,
     InvalidRegularity,
     NewtonOptions,
+    Nonlinearity,
     NotNested,
+    Problem,
     builtin_problem,
     energy_norm,
     generate_interface_mesh,
@@ -130,7 +132,6 @@ def test_linearized_solve_requires_fine_mesh_function():
 
 
 def test_linearized_solve_warns_on_negative_slope():
-    from twogridfem import Nonlinearity, Problem
     problem = Problem(
         diffusion={1: 1.0, 2: 1.0},
         nonlinearity=Nonlinearity(
@@ -189,6 +190,46 @@ def test_two_grid_requires_nested_pair():
     b = generate_interface_mesh(8)
     with pytest.raises(NotNested):
         two_grid_solve(a, b, problem)
+
+
+def test_two_grid_fine_step_converges_on_a_large_jump():
+    # the fine PCG tolerance is relative to the residual: posed for the
+    # solution instead, 1e-12 of ||J u_base - r|| lies below the roundoff
+    # floor of iterates the size of u, and PCG stagnates
+    problem = builtin_problem("linear_reaction", d_inside=1000.0)
+    meshes = hierarchy(8, 4)  # n = 8 ... 128
+    result = two_grid_solve(meshes[2], meshes[4], problem)
+    assert result.fine_report.converged
+    # the problem is affine: one Newton step solves the fine system
+    u_h, _ = newton_solve(meshes[4], problem)
+    assert np.abs(result.fine_solution.values - u_h.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("power", [3, 1])
+def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
+    # g is affine, so the prolongation reproduces it on the fine boundary,
+    # and the dyadic vertices keep every value exact
+    problem = Problem(
+        diffusion={1: 1.0, 2: 1.0},
+        nonlinearity=Nonlinearity(
+            eval=lambda x, xi: xi ** power,
+            d1=lambda x, xi: power * xi ** (power - 1),
+            d2=None, barrier_alpha=0.0, barrier_beta=0.0),
+        source=lambda x: np.full(x.shape[:-1], 8.0),
+        dirichlet=lambda x: 1.0 + 0.5 * x[..., 0] - 0.25 * x[..., 1],
+    )
+    meshes = hierarchy(8, 2)
+    fine = meshes[-1]
+    b = fine.boundary_vertices
+    g = problem.dirichlet(fine.vertices[b])
+    assert np.ptp(g) > 1.0
+    u_h, report = newton_solve(fine, problem)
+    assert report.converged
+    assert np.array_equal(u_h.values[b], g)
+    result = two_grid_solve(meshes[0], fine, problem)
+    assert np.array_equal(result.fine_solution.values[b], g)
+    if power == 1:  # affine: one Newton step solves the fine system
+        assert np.abs(result.fine_solution.values - u_h.values).max() <= 1e-9
 
 
 def test_nested_newton_matches_direct():
