@@ -4,6 +4,10 @@ Global matrices are scipy CSR with sorted indices; stiffness and reaction
 Jacobians are symmetric by construction.  Quadrature rules live on the
 reference triangle in barycentric coordinates with weights summing to one,
 so element integrals are ``area * sum(w_q * f(x_q))``.
+
+Quadrature-point work runs over blocks of ``_BLOCK_TRIANGLES`` triangles,
+so that its temporaries stay in cache; problem callbacks therefore receive
+one block of points at a time and must be pointwise.
 """
 
 from dataclasses import dataclass
@@ -32,6 +36,9 @@ __all__ = [
 ]
 
 DEFAULT_QUAD_DEGREE = 5
+# Triangles per block of quadrature-point work: the (B, k) and (B, k, 2)
+# arrays of the 7-point rule then fit a 2 MiB L2 cache.
+_BLOCK_TRIANGLES = 4096
 
 
 class AssemblyError(Exception):
@@ -204,41 +211,71 @@ def assemble_stiffness(mesh, diffusion):
     ``diffusion`` maps region tags to positive scalars, e.g. {1: 1000, 2: 1}.
     Before boundary conditions every row sums to zero.
     """
-    d = _diffusion_per_triangle(mesh, diffusion)
-    areas = _positive_areas(mesh)
+    scale = _diffusion_per_triangle(mesh, diffusion) * _positive_areas(mesh)
     grads = mesh.gradients
-    local = np.einsum("mid,mjd->mij", grads, grads)
-    local *= (d * areas)[:, None, None]
+    local = np.empty((mesh.n_triangles, 3, 3))
+    for block in _block_slices(mesh):
+        # einsum's ``out`` takes a slower path than the assignment
+        local[block] = np.einsum("mid,mjd->mij", grads[block], grads[block])
+        local[block] *= scale[block, None, None]
     return _scatter(mesh, local)
+
+
+def _points(mesh, triangles, quad):
+    points = np.empty((len(triangles), len(quad.weights), 2))
+    for axis in range(2):
+        # a column view first: ``vertices[triangles, axis]`` gathers slower
+        np.matmul(mesh.vertices[:, axis][triangles], quad.points.T,
+                  out=points[..., axis])
+    return points
 
 
 def quadrature_points(mesh, quad):
     """Physical coordinates of every quadrature point, shape (M, k, 2)."""
-    points = np.empty((mesh.n_triangles, len(quad.weights), 2))
-    for axis in range(2):
-        np.matmul(mesh.vertices[mesh.triangles, axis], quad.points.T,
-                  out=points[..., axis])
-    return points
+    return _points(mesh, mesh.triangles, quad)
+
+
+def _block_slices(mesh):
+    for start in range(0, mesh.n_triangles, _BLOCK_TRIANGLES):
+        yield slice(start, start + _BLOCK_TRIANGLES)
+
+
+def _blocks(mesh, quad, state=None):
+    """Per block of triangles: its slice, the coordinates of its quadrature
+    points (B, k, 2) and, with a ``state``, the state's values there (B, k),
+    else None."""
+    for block in _block_slices(mesh):
+        triangles = mesh.triangles[block]
+        values = (None if state is None
+                  else state.values[triangles] @ quad.points.T)
+        yield block, _points(mesh, triangles, quad), values
 
 
 def assemble_reaction_jacobian(mesh, state, d1, quad):
     """Weighted mass matrix M_ij = int d1(x, u) phi_j phi_i by quadrature."""
     areas = _positive_areas(mesh)
     lam = quad.points
-    basis_products = (lam[:, :, None] * lam[:, None, :]).reshape(-1, 9)
-    w = d1(quadrature_points(mesh, quad), state.at_quadrature(quad))
-    local = (w * quad.weights[None, :] * areas[:, None]) @ basis_products
-    del w  # no (M, k) array stays alive through the scatter
+    weighted_products = (quad.weights[:, None, None] * lam[:, :, None]
+                         * lam[:, None, :]).reshape(-1, 9)
+    local = np.empty((mesh.n_triangles, 9))
+    for block, points, values in _blocks(mesh, quad, state):
+        np.matmul(d1(points, values), weighted_products, out=local[block])
+        local[block] *= areas[block, None]
     return _scatter(mesh, local)
 
 
-def _moment_vector(mesh, values_at_quad, quad):
-    """Vector v_i = sum_T area_T sum_q w_q f(x_q) phi_i(x_q)."""
+def _moment_vector(mesh, quad, f, state=None):
+    """Vector v_i = sum_T area_T sum_q w_q f(x_q, u(x_q)) phi_i(x_q) for
+    the callback ``f`` and the ``state`` u; without a state, ``f`` gets
+    None in place of u(x_q)."""
     areas = _positive_areas(mesh)
-    w = values_at_quad * quad.weights[None, :] * areas[:, None]  # (M, k)
-    contrib = w @ quad.points  # (M, 3)
+    weighted_basis = quad.weights[:, None] * quad.points  # (k, 3)
+    local = np.empty((mesh.n_triangles, 3))
+    for block, points, values in _blocks(mesh, quad, state):
+        np.matmul(f(points, values), weighted_basis, out=local[block])
+        local[block] *= areas[block, None]
     return np.bincount(
-        mesh.triangles.ravel(), weights=contrib.ravel(),
+        mesh.triangles.ravel(), weights=local.ravel(),
         minlength=mesh.n_vertices)
 
 
@@ -275,8 +312,8 @@ def assemble_load(mesh, problem, quad):
     """Total load vector: volume source, point source and interface flux."""
     load = np.zeros(mesh.n_vertices)
     if problem.source is not None:
-        load += _moment_vector(
-            mesh, problem.source(quadrature_points(mesh, quad)), quad)
+        load += _moment_vector(mesh, quad,
+                               lambda x, _: problem.source(x))
     if problem.point_source is not None:
         load += assemble_point_load(mesh, problem.point_source.location,
                                     problem.point_source.magnitude)
@@ -298,9 +335,8 @@ def assemble_semilinear_residual(mesh, state, problem, quad,
         stiffness = assemble_stiffness(mesh, problem.diffusion)
     if load is None:
         load = assemble_load(mesh, problem, quad)
-    bvals = problem.nonlinearity.eval(quadrature_points(mesh, quad),
-                                      state.at_quadrature(quad))
-    r = stiffness @ state.values + _moment_vector(mesh, bvals, quad)
+    r = stiffness @ state.values + _moment_vector(
+        mesh, quad, problem.nonlinearity.eval, state)
     r -= load
     r[mesh.boundary_vertices] = 0.0
     return r

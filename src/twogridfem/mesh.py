@@ -78,12 +78,14 @@ class Mesh:
         space, or None without a parent
     interior_prolongation : ``prolongation`` without the boundary rows
         and the parent's boundary columns, or None without a parent
+    interior_restriction : the transpose of ``interior_prolongation`` as
+        CSR, or None without a parent
     csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
 
     All arrays are read-only.  ``areas``, ``gradients``, the
-    prolongations and ``csr_pattern`` are computed once, on first use; two
-    threads racing on that first use compute the same values, so meshes
-    are safe to share.
+    prolongations, the restriction and ``csr_pattern`` are computed once,
+    on first use; two threads racing on that first use compute the same
+    values, so meshes are safe to share.
     """
 
     vertices: np.ndarray
@@ -173,6 +175,15 @@ class Mesh:
         p0.eliminate_zeros()
         _freeze(p0.data, p0.indices, p0.indptr)
         return p0
+
+    @cached_property
+    def interior_restriction(self):
+        """``interior_prolongation`` transposed, stored row-wise."""
+        if self.parent is None:
+            return None
+        r0 = self.interior_prolongation.T.tocsr()
+        _freeze(r0.data, r0.indices, r0.indptr)
+        return r0
 
     @cached_property
     def csr_pattern(self):

@@ -2,7 +2,8 @@
 
 Nonlinearity callbacks are numpy-vectorized: they accept coordinate arrays
 of shape (..., 2) and state arrays of shape (...) and return arrays of
-shape (...).  All problem data is immutable and the callbacks must be pure.
+shape (...).  All problem data is immutable and the callbacks must be pure
+and pointwise: assembly calls them on one block of points at a time.
 """
 
 from dataclasses import dataclass

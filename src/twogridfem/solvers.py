@@ -103,6 +103,7 @@ class _Level(NamedTuple):
     matrix: sp.csr_matrix        # the level's operator A
     weights: np.ndarray          # l1-Jacobi smoother, 1 / sum_j |a_ij|
     prolongation: sp.csr_matrix  # P0 from the next coarser level
+    restriction: sp.csr_matrix   # P0^T
 
 
 class VCycle:
@@ -125,13 +126,13 @@ class VCycle:
         self.levels = []
         a = matrix.tocsr()
         while mesh.parent is not None:
-            p = mesh.interior_prolongation
+            p, r = mesh.interior_prolongation, mesh.interior_restriction
             abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
                                   shape=a.shape)
             weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
-            self.levels.append(_Level(a, weights, p))
+            self.levels.append(_Level(a, weights, p, r))
             mesh = mesh.parent
-            a = (p.T @ a @ p + _pin(mesh)).tocsr()
+            a = (r @ a @ p + _pin(mesh)).tocsr()
         self.root_solve = splu(a.tocsc()).solve
 
     def __call__(self, r):
@@ -142,7 +143,7 @@ class VCycle:
         for level in self.levels:
             x = level.weights * r
             down.append((r, x))
-            r = level.prolongation.T @ (r - level.matrix @ x)
+            r = level.restriction @ (r - level.matrix @ x)
         x = self.root_solve(r)
         for level, (r, x_pre) in zip(reversed(self.levels), reversed(down)):
             x = x_pre + level.prolongation @ x
@@ -242,9 +243,11 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner=None):
     )
 
 
-def make_initial_guess(mesh, problem):
-    """Zero coefficients with the Dirichlet data imposed on the boundary."""
-    values = np.zeros(mesh.n_vertices)
+def make_initial_guess(mesh, problem, values=None):
+    """``values`` (default zero) with the Dirichlet data imposed on the
+    boundary."""
+    values = (np.zeros(mesh.n_vertices) if values is None
+              else np.array(values, dtype=float))
     if problem.dirichlet is not None:
         values[mesh.boundary_vertices] = np.broadcast_to(
             np.asarray(problem.dirichlet(
@@ -294,8 +297,6 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     if initial.mesh is not mesh:
         raise ValueError("initial guess lives on a different mesh")
 
-    # the load first: its source values at every quadrature point are the
-    # largest temporaries of a solve, and no matrix is alive yet
     load = assemble_load(mesh, problem, quad)
     stiffness = assemble_stiffness(mesh, problem.diffusion)
 

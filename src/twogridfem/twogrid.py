@@ -2,7 +2,8 @@
 
 The coarse problem is solved with damped Newton to tight tolerance, the
 solution is prolongated to the fine mesh (exact P1 nodal interpolation on
-nested meshes), and a single Newton correction on the fine mesh, the same
+nested meshes) and takes the fine Dirichlet data on the boundary, and a
+single Newton correction on the fine mesh, the same
 :func:`~twogridfem.solvers.newton_step` that every Newton iteration takes,
 produces the two-grid approximation.
 """
@@ -20,7 +21,13 @@ from .assembly import (
     assemble_stiffness,
     triangle_rule,
 )
-from .solvers import NewtonOptions, SolveReport, newton_solve, newton_step
+from .solvers import (
+    NewtonOptions,
+    SolveReport,
+    make_initial_guess,
+    newton_solve,
+    newton_step,
+)
 
 __all__ = [
     "TwoGridResult",
@@ -95,6 +102,14 @@ def prolongate(u_coarse, t_h):
     return FemFunction(t_h, values)
 
 
+def _prolonged_base(u_coarse, t_h, problem):
+    """``u_coarse`` prolongated to ``t_h``, with the fine Dirichlet data
+    imposed on the boundary: on non-affine data the prolongation of the
+    coarse boundary values misses the fine interpolant."""
+    return make_initial_guess(t_h, problem,
+                              prolongate(u_coarse, t_h).values)
+
+
 def linearized_solve(t_h, problem, u_base, quad=None):
     """One Newton step on the fine mesh from ``u_base``.
 
@@ -138,7 +153,7 @@ def two_grid_solve(t_coarse, t_fine, problem, quad=None):
     """
     u_coarse, coarse_report = newton_solve(
         t_coarse, problem, None, COARSE_NEWTON_OPTS, quad)
-    u_base = prolongate(u_coarse, t_fine)
+    u_base = _prolonged_base(u_coarse, t_fine, problem)
     u_fine, fine_report = linearized_solve(t_fine, problem, u_base, quad)
     return TwoGridResult(
         coarse_solution=u_coarse,
@@ -155,13 +170,15 @@ def newton_levels(meshes, problem, opts=None, quad=None):
 
     ``meshes`` is a coarse-to-fine refinement chain.  The first level's
     Newton solve starts from the default initial guess, every later one
-    from the prolongated solution of the level before, which keeps
+    from the prolongated solution of the level before (with the level's
+    Dirichlet data imposed on its boundary), which keeps
     iteration counts flat across levels.  Yields (solution, SolveReport)
     per level, as each level is solved.
     """
     solution = None
     for mesh in meshes:
-        initial = None if solution is None else prolongate(solution, mesh)
+        initial = (None if solution is None
+                   else _prolonged_base(solution, mesh, problem))
         solution, report = newton_solve(mesh, problem, initial, opts, quad)
         yield solution, report
 

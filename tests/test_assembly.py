@@ -21,11 +21,13 @@ from twogridfem import (
     generate_interface_mesh,
     load_mesh,
     local_stiffness,
+    manufactured_interface_problem,
     newton_solve,
     refine_uniform,
     save_mesh,
     triangle_rule,
 )
+from twogridfem import assembly
 from twogridfem.assembly import _moment_vector, quadrature_points
 
 from conftest import dense_stiffness_oracle, grad_l2_squared_oracle
@@ -330,8 +332,7 @@ def test_constrained_operator_is_spd():
 def test_moment_vector_integrates_linear_exactly():
     mesh = generate_interface_mesh(4, (-1, 1, -1, 1))
     quad = triangle_rule(2)
-    coords = quadrature_points(mesh, quad)
-    mom = _moment_vector(mesh, coords[..., 0] + 2.0, quad)
+    mom = _moment_vector(mesh, quad, lambda x, _: x[..., 0] + 2.0)
     # sum of moments = integral of (x + 2) over the domain = 8
     assert mom.sum() == pytest.approx(8.0, abs=1e-13)
 
@@ -383,9 +384,11 @@ def test_assembly_matches_coo_oracle(loaded, degree):
 
 
 def test_reaction_jacobian_peak_memory():
-    # measured with power11 at n = 128: 224 bytes per triangle, the values
-    # at the quadrature points; a COO scatter, with int64 row and column
-    # indices of all 9 M element entries, peaks at 552
+    # measured with power11 at n = 128: 193 bytes per triangle, the (M, 9)
+    # element matrices and np.bincount's int64 copy of the slots; the
+    # whole-mesh values at the quadrature points peaked at 224, and a COO
+    # scatter, with int64 row and column indices of all 9 M element
+    # entries, at 552
     mesh = generate_interface_mesh(128)
     quad = triangle_rule(5)
     d1 = builtin_problem("power11").nonlinearity.d1
@@ -398,6 +401,87 @@ def test_reaction_jacobian_peak_memory():
     finally:
         tracemalloc.stop()
     assert per_triangle < 300
+
+
+def test_semilinear_residual_peak_memory():
+    # measured with power11 at n = 256: 63 bytes per triangle with the
+    # quadrature evaluated block by block; the whole-mesh (M, 7) values and
+    # (M, 7, 2) coordinates at the quadrature points peak at 224
+    mesh = generate_interface_mesh(256)
+    problem = builtin_problem("power11")
+    quad = triangle_rule(5)
+    stiffness = assemble_stiffness(mesh, problem.diffusion)
+    load = assemble_load(mesh, problem, quad)
+    state = FemFunction(mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
+
+    def residual():
+        assemble_semilinear_residual(mesh, state, problem, quad,
+                                     stiffness=stiffness, load=load)
+
+    residual()  # the mesh's areas and gradients
+    tracemalloc.start()
+    try:
+        residual()
+        per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
+    finally:
+        tracemalloc.stop()
+    assert per_triangle < 120
+
+
+def unblocked_moments(mesh, quad, values_at_quad):
+    local = (values_at_quad * quad.weights * mesh.areas[:, None]) @ quad.points
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_vertices)
+
+
+def assert_close_to(actual, oracle):
+    np.testing.assert_allclose(actual, oracle, rtol=0,
+                               atol=1e-13 * abs(oracle).max())
+
+
+def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
+    mesh = generate_interface_mesh(8)
+    block = 7
+    assert mesh.n_triangles % block != 0  # a short last block
+    monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", block)
+    quad = triangle_rule(5)
+    points = quadrature_points(mesh, quad)
+    lam = quad.points
+
+    # x-dependent reaction: kappa^2(x) vanishes inside the interface box
+    sinh_pbe = builtin_problem("sinh_pbe")
+    nl = sinh_pbe.nonlinearity
+    state = FemFunction(mesh, np.random.default_rng(4).uniform(
+        -1, 1, mesh.n_vertices))
+    uq = state.at_quadrature(quad)
+    stiffness = assemble_stiffness(mesh, sinh_pbe.diffusion)
+    load = assemble_load(mesh, sinh_pbe, quad)
+    oracle = (stiffness @ state.values
+              + unblocked_moments(mesh, quad, nl.eval(points, uq)) - load)
+    oracle[mesh.boundary_vertices] = 0.0
+    assert_close_to(
+        assemble_semilinear_residual(mesh, state, sinh_pbe, quad,
+                                     stiffness=stiffness, load=load),
+        oracle)
+
+    w = nl.d1(points, uq) * quad.weights * mesh.areas[:, None]
+    jacobian = coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam))
+    jacobian.sum_duplicates()
+    assert_close_to(
+        assemble_reaction_jacobian(mesh, state, nl.d1, quad).toarray(),
+        jacobian.toarray())
+
+    d = np.where(mesh.regions == 1, 2.0, 80.0)
+    g = mesh.gradients
+    assert_close_to(
+        stiffness.toarray(),
+        coo_oracle(mesh, (d * mesh.areas)[:, None, None]
+                   * np.einsum("mid,mjd->mij", g, g)).toarray())
+
+    manufactured, _ = manufactured_interface_problem(1000.0, 1.0)
+    assert_close_to(
+        assemble_load(mesh, manufactured, quad),
+        unblocked_moments(mesh, quad, manufactured.source(points)))
 
 
 def test_quadrature_points_match_the_broadcast_product():

@@ -335,6 +335,15 @@ def test_prolongation_is_built_on_first_use_and_cached():
     with pytest.raises(ValueError):
         p0.data[0] = 99.0
 
+    assert "interior_restriction" not in vars(fine)
+    r0 = fine.interior_restriction
+    assert r0 is fine.interior_restriction
+    assert root.interior_restriction is None
+    assert r0.format == "csr"
+    np.testing.assert_array_equal(r0.toarray(), expected.T)
+    with pytest.raises(ValueError):
+        r0.data[0] = 99.0
+
 
 def test_csr_pattern_is_built_on_first_use_and_cached():
     mesh = refine_uniform(generate_interface_mesh(4))

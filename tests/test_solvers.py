@@ -188,6 +188,7 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
         # the cycle uses the prolongations cached on the meshes
         assert levels[0].prolongation is fine.interior_prolongation
         assert levels[1].prolongation is fine.parent.interior_prolongation
+        assert levels[0].restriction is fine.interior_restriction
         refs.append(weakref.ref(levels[-1].matrix))
         return pcg_solve(a, rhs, **kwargs)
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -230,6 +232,20 @@ def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
     assert np.array_equal(result.fine_solution.values[b], g)
     if power == 1:  # affine: one Newton step solves the fine system
         assert np.abs(result.fine_solution.values - u_h.values).max() <= 1e-9
+
+
+def test_prolonged_bases_take_the_fine_dirichlet_data():
+    # g is not affine: the prolonged coarse boundary values miss the fine
+    # interpolant of g by 6.6e-2 unless the fine data are imposed
+    problem = dataclasses.replace(
+        builtin_problem("linear_reaction"),
+        dirichlet=lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2)
+    meshes = hierarchy(8, 3)  # n = 8 ... 64
+    u_h, _ = newton_solve(meshes[-1], problem, None, TIGHT)
+    nested, _ = nested_newton_solve(meshes, problem, TIGHT)
+    result = two_grid_solve(meshes[0], meshes[-1], problem)
+    for u in (nested, result.fine_solution):
+        assert np.abs(u.values - u_h.values).max() <= 1e-8
 
 
 def test_nested_newton_matches_direct():
