@@ -164,14 +164,12 @@ class Mesh:
         """``prolongation`` between the spaces that vanish on the boundary."""
         if self.parent is None:
             return None
-        p = self.prolongation
         keep_rows = np.ones(self.n_vertices)
         keep_rows[self.boundary_vertices] = 0.0
-        keep_cols = np.ones(p.shape[1])
+        keep_cols = np.ones(self.parent.n_vertices)
         keep_cols[self.parent.boundary_vertices] = 0.0
-        rows = np.repeat(keep_rows, np.diff(p.indptr))
-        p0 = sp.csr_matrix((p.data * rows * keep_cols[p.indices],
-                            p.indices.copy(), p.indptr.copy()), shape=p.shape)
+        p0 = (sp.diags(keep_rows) @ self.prolongation
+              @ sp.diags(keep_cols)).tocsr()
         p0.eliminate_zeros()
         _freeze(p0.data, p0.indices, p0.indptr)
         return p0
@@ -187,7 +185,8 @@ class Mesh:
 
     @cached_property
     def csr_pattern(self):
-        """Built from the unique edges: 3M sort keys, not one per entry."""
+        """Built from the unique edges; scipy's conversion to CSR places
+        every entry."""
         pattern = _csr_pattern(self.triangles, self.n_vertices)
         _freeze(*pattern)
         return pattern
@@ -209,33 +208,34 @@ def _freeze(*arrays):
         arr.setflags(write=False)
 
 
-def _csr_pattern(triangles, n):
-    # keys lo * n + hi (lo < hi) of the edges 01, 12, 02 of every triangle
+def _unique_edges(triangles, n):
+    """The unique edges (lo, hi), lo < hi, of a triangulation of n
+    vertices, ordered by (lo, hi), and the index of the edges 01, 12 and
+    02 of every triangle, shape (M, 3)."""
     a, b = triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]]
     keys, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                               return_inverse=True)
-    lo, hi = np.divmod(keys, n)  # the unique edges, ordered by (lo, hi)
-    edge_of = edge_of.reshape(-1, 3)
-    del a, b, keys
-    # an entry's position counts the entries before it: the diagonals, the
-    # upper entries (lo, hi) and the lower entries (hi, lo) of earlier rows
-    # and the earlier entries of its own row
-    rows = np.arange(n)
-    upper_before = np.searchsorted(lo, rows)
-    lower_through = np.cumsum(np.bincount(hi, minlength=n))
-    diagonal = rows + upper_before + lower_through
-    indptr = np.concatenate([[0],
-                             diagonal + 1 + np.bincount(lo, minlength=n)])
-    rank = np.arange(lo.size)
-    upper = rank + lo + 1 + lower_through[lo]
-    by_hi = np.argsort(hi, kind="stable")  # the edges by (hi, lo)
-    lower = np.empty_like(upper)
-    lower[by_hi] = rank + hi[by_hi] + upper_before[hi[by_hi]]
-    del rank, by_hi
+    lo, hi = np.divmod(keys, n)
+    return lo, hi, edge_of.reshape(-1, 3)
 
-    index_dtype = np.int32 if indptr[-1] < 2 ** 31 else np.int64
-    indices = np.empty(indptr[-1], dtype=index_dtype)
-    indices[diagonal], indices[upper], indices[lower] = rows, hi, lo
+
+def _csr_pattern(triangles, n):
+    lo, hi, edge_of = _unique_edges(triangles, n)
+    n_edges = lo.size
+    size = n + 2 * n_edges
+    index_dtype = np.int32 if size < 2 ** 31 else np.int64
+    # number the diagonal, upper (lo, hi) and lower (hi, lo) entries
+    # 1 ... size (no number is an explicit zero); the conversion to CSR
+    # sorts the numbers into the entries' positions
+    rows = np.concatenate([np.arange(n), lo, hi])
+    cols = np.concatenate([np.arange(n), hi, lo])
+    a = sp.csr_matrix((np.arange(1, size + 1, dtype=index_dtype),
+                       (rows, cols)), shape=(n, n))
+    del rows, cols, lo, hi
+    position = np.empty(size, dtype=index_dtype)
+    position[a.data - 1] = np.arange(size, dtype=index_dtype)
+    diagonal, upper, lower = np.split(position, [n, n + n_edges])
+
     slots = np.empty((len(triangles), 3, 3), dtype=index_dtype)
     for k, (i, j) in enumerate([(0, 1), (1, 2), (0, 2)]):
         forward = triangles[:, i] < triangles[:, j]
@@ -243,8 +243,8 @@ def _csr_pattern(triangles, n):
         slots[:, i, j] = np.where(forward, up, down)
         slots[:, j, i] = np.where(forward, down, up)
         slots[:, k, k] = diagonal[triangles[:, k]]  # k = 0, 1, 2 as a vertex
-    return CsrPattern(indptr.astype(index_dtype), indices,
-                      slots.reshape(-1, 9))
+    return CsrPattern(a.indptr.astype(index_dtype),
+                      a.indices.astype(index_dtype), slots.reshape(-1, 9))
 
 
 @dataclass
@@ -277,11 +277,6 @@ def triangle_geometry(p):
 def _max_diameter(vertices, triangles):
     edges = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]
     return float(np.hypot(edges[..., 0], edges[..., 1]).max())
-
-
-def _triangle_edges(triangles):
-    """Edges 01, 12, 02 of every triangle as sorted pairs, shape (3M, 2)."""
-    return np.sort(triangles[:, [0, 1, 1, 2, 0, 2]].reshape(-1, 2), axis=1)
 
 
 def _sorted_rows(edges):
@@ -378,19 +373,18 @@ def refine_uniform(mesh):
     the edge bisected by every new vertex, and h halves exactly.
     """
     n_old = mesh.n_vertices
-    edges = _triangle_edges(mesh.triangles)
-    keys, first, inverse, counts = np.unique(
-        edges[:, 0] * n_old + edges[:, 1], return_index=True,
-        return_inverse=True, return_counts=True)
+    lo, hi, edge_of = _unique_edges(mesh.triangles, n_old)
     # number the midpoints in the order a triangle-by-triangle walk meets
     # their edges
+    first = np.full(lo.size, edge_of.size)
+    np.minimum.at(first, edge_of.ravel(), np.arange(edge_of.size))
     order = np.argsort(first)
     midpoint = np.empty_like(order)
     midpoint[order] = n_old + np.arange(order.size)
-    midpoint_edges = edges[first[order]]
+    midpoint_edges = np.column_stack([lo[order], hi[order]])
 
     v0, v1, v2 = mesh.triangles.T
-    m01, m12, m02 = midpoint[inverse].reshape(-1, 3).T
+    m01, m12, m02 = midpoint[edge_of].T
     triangles = np.stack([v0, m01, m02, v1, m12, m01, v2, m02, m12,
                           m01, m12, m02], axis=1).reshape(-1, 3)
     vertices = np.vstack([
@@ -400,10 +394,11 @@ def refine_uniform(mesh):
     ])
     # an edge used by one triangle lies on the boundary
     boundary_vertices = np.union1d(mesh.boundary_vertices,
-                                   midpoint[counts == 1])
+                                   midpoint[np.bincount(edge_of.ravel()) == 1])
 
     iface = np.sort(mesh.interface_edges, axis=1)
     iface_keys = iface[:, 0] * n_old + iface[:, 1]
+    keys = lo * n_old + hi
     if not np.isin(iface_keys, keys).all():
         raise ValidationError("interface edge is not an edge of a triangle")
     mids = midpoint[np.searchsorted(keys, iface_keys)]
@@ -471,12 +466,12 @@ def validate_mesh(mesh):
             f"triangle {bad} has non-positive signed area {areas[bad]:g}")
     if not np.all(np.isin(mesh.regions, (1, 2))):
         raise ValidationError("region tags must be 1 or 2")
-    edges, counts = np.unique(_triangle_edges(mesh.triangles), axis=0,
-                              return_counts=True)
+    lo, hi, edge_of = _unique_edges(mesh.triangles, n)
+    counts = np.bincount(edge_of.ravel())
     if counts.size and counts.max() > 2:
         bad = int(np.argmax(counts))
         raise ValidationError(
-            f"edge {tuple(edges[bad].tolist())} shared by {counts[bad]} "
+            f"edge ({lo[bad]}, {hi[bad]}) shared by {counts[bad]} "
             f"triangles (non-conforming)")
     return mesh
 

@@ -78,3 +78,24 @@ def dense_stiffness_oracle(mesh, diffusion):
             for c in range(3):
                 a[tri[r], tri[c]] += local[r, c]
     return a
+
+
+def relabelled(mesh, seed=0):
+    """``mesh`` with a random vertex numbering, its triangles shuffled and
+    each triangle's vertices rotated cyclically (still counterclockwise)."""
+    rng = np.random.default_rng(seed)
+    label = rng.permutation(mesh.n_vertices)  # new number of each vertex
+    vertices = np.empty_like(mesh.vertices)
+    vertices[label] = mesh.vertices
+    order = rng.permutation(mesh.n_triangles)
+    rotate = (np.arange(3) + rng.integers(0, 3, (mesh.n_triangles, 1))) % 3
+    triangles = np.take_along_axis(label[mesh.triangles[order]], rotate,
+                                   axis=1)
+    return Mesh(
+        vertices=vertices,
+        triangles=triangles,
+        regions=mesh.regions[order],
+        boundary_vertices=np.sort(label[mesh.boundary_vertices]),
+        interface_edges=label[mesh.interface_edges],
+        h=mesh.h,
+    )

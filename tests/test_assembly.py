@@ -30,7 +30,8 @@ from twogridfem import (
 from twogridfem import assembly
 from twogridfem.assembly import _moment_vector, quadrature_points
 
-from conftest import dense_stiffness_oracle, grad_l2_squared_oracle
+from conftest import dense_stiffness_oracle, grad_l2_squared_oracle, \
+    relabelled
 
 D_UNIT = {1: 1.0, 2: 1.0}
 D_JUMP = {1: 1000.0, 2: 1.0}
@@ -359,9 +360,11 @@ def assert_same_csr(a, oracle):
 
 
 @pytest.mark.parametrize("degree", [1, 2, 5])
-@pytest.mark.parametrize("loaded", [False, True])
+@pytest.mark.parametrize("loaded", [False, True, "relabelled"])
 def test_assembly_matches_coo_oracle(loaded, degree):
     mesh = refine_uniform(generate_interface_mesh(4))
+    if loaded == "relabelled":
+        mesh = relabelled(mesh)  # not numbered row by row
     if loaded:
         mesh = load_mesh(save_mesh(mesh))  # no parent
     d = np.where(mesh.regions == 1, D_JUMP[1], D_JUMP[2])
