@@ -343,43 +343,15 @@ def assemble_semilinear_residual(mesh, state, problem, quad,
 
 
 def apply_dirichlet(matrix, rhs, boundary):
-    """Symmetric elimination of homogeneous Dirichlet rows and columns.
+    """Homogeneous Dirichlet elimination: the restriction of a system to
+    the P1 functions that vanish on the boundary.
 
-    Boundary rows/columns collapse to the identity and the right-hand side
-    is zeroed there, so solutions of the constrained system vanish at
-    boundary vertices exactly and the constrained system stays symmetric
-    positive definite.  The result keeps the sparsity pattern of
-    ``matrix`` (eliminated entries are stored zeros), adding only boundary
-    diagonal entries that ``matrix`` does not store.  It shares the index
-    arrays of ``matrix`` when they are read-only, as those of assembled
-    matrices are.
+    Returns ``matrix[free][:, free]`` as CSR and ``rhs[free]``, where
+    ``free`` is the vertices not in ``boundary`` in increasing order
+    (``Mesh.interior_vertices``); stored zeros stay stored.
     """
-    n = matrix.shape[0]
-    boundary = np.asarray(boundary, dtype=np.int64)
-    new_rhs = np.array(rhs, dtype=float)
-    new_rhs[boundary] = 0.0
-
-    a = sp.csr_matrix(matrix)
-    if not a.has_canonical_format:
-        a = a.copy()
-        a.sum_duplicates()
-    on_boundary = np.zeros(n, dtype=bool)
-    on_boundary[boundary] = True
-    row_sizes = np.diff(a.indptr)
-    # the entries of the boundary rows, and which of them are diagonal
-    in_rows = np.flatnonzero(np.repeat(on_boundary, row_sizes))
-    rows = np.repeat(np.flatnonzero(on_boundary), row_sizes[on_boundary])
-    diagonal = in_rows[a.indices[in_rows] == rows]
-    data = np.where(on_boundary[a.indices], 0.0, a.data)
-    data[in_rows] = 0.0
-    data[diagonal] = 1.0
-    indices, indptr = a.indices, a.indptr
-    if indices.flags.writeable:  # share only structure nobody can change
-        indices, indptr = indices.copy(), indptr.copy()
-    constrained = sp.csr_matrix((data, indices, indptr), shape=a.shape)
-    missing = on_boundary.copy()
-    missing[a.indices[diagonal]] = False
-    if missing.any():
-        constrained = constrained + sp.diags(missing.astype(float),
-                                             format="csr")
-    return constrained, new_rhs
+    keep = np.ones(matrix.shape[0], dtype=bool)
+    keep[boundary] = False
+    free = np.flatnonzero(keep)
+    return (sp.csr_matrix(matrix)[free][:, free],
+            np.asarray(rhs, dtype=float)[free])

@@ -70,10 +70,11 @@ class StudyConfig:
             raise ConfigError("need at least one level")
         if self.coarsest_n < 2:
             raise ConfigError("coarsest_n must be at least 2")
-        if self.newton_abs_tol <= 0 or self.newton_rel_tol <= 0:
-            raise ConfigError("solver tolerances must be positive")
-        if self.newton_max_iters < 1:
-            raise ConfigError("newton_max_iters must be at least 1")
+        try:
+            self.newton_options()
+        except ValueError as exc:
+            # NewtonOptions names the field; its key here has a prefix
+            raise ConfigError(f"newton_{exc}") from None
         if self.quad_degree < 1:
             raise ConfigError("quad_degree must be at least 1")
         if self.problem_name not in PROBLEM_NAMES:

@@ -76,16 +76,18 @@ class Mesh:
     gradients : (M, 3, 2) gradients of the barycentric basis functions
     prolongation : (N, N_parent) sparse P1 embedding of the parent's
         space, or None without a parent
-    interior_prolongation : ``prolongation`` without the boundary rows
-        and the parent's boundary columns, or None without a parent
+    interior_vertices : sorted int array, the vertices not on the
+        boundary: the unknowns of every system solved on the mesh
+    interior_prolongation : ``prolongation[interior_vertices][:,
+        parent.interior_vertices]``, or None without a parent
     interior_restriction : the transpose of ``interior_prolongation`` as
         CSR, or None without a parent
     csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
 
-    All arrays are read-only.  ``areas``, ``gradients``, the
-    prolongations, the restriction and ``csr_pattern`` are computed once,
-    on first use; two threads racing on that first use compute the same
-    values, so meshes are safe to share.
+    All arrays are read-only.  ``interior_vertices``, ``areas``,
+    ``gradients``, the prolongations, the restriction and ``csr_pattern``
+    are computed once, on first use; two threads racing on that first use
+    compute the same values, so meshes are safe to share.
     """
 
     vertices: np.ndarray
@@ -118,11 +120,14 @@ class Mesh:
     def n_triangles(self):
         return self.triangles.shape[0]
 
-    @property
+    @cached_property
     def interior_vertices(self):
+        """The vertices not on the boundary, in increasing order."""
         mask = np.ones(self.n_vertices, dtype=bool)
         mask[self.boundary_vertices] = False
-        return np.nonzero(mask)[0]
+        interior = np.flatnonzero(mask)
+        _freeze(interior)
+        return interior
 
     def triangle_coords(self):
         """Vertex coordinates per triangle, shape (M, 3, 2)."""
@@ -164,13 +169,8 @@ class Mesh:
         """``prolongation`` between the spaces that vanish on the boundary."""
         if self.parent is None:
             return None
-        keep_rows = np.ones(self.n_vertices)
-        keep_rows[self.boundary_vertices] = 0.0
-        keep_cols = np.ones(self.parent.n_vertices)
-        keep_cols[self.parent.boundary_vertices] = 0.0
-        p0 = (sp.diags(keep_rows) @ self.prolongation
-              @ sp.diags(keep_cols)).tocsr()
-        p0.eliminate_zeros()
+        p0 = self.prolongation[self.interior_vertices][
+            :, self.parent.interior_vertices]
         _freeze(p0.data, p0.indices, p0.indptr)
         return p0
 
@@ -478,17 +478,29 @@ def validate_mesh(mesh):
 
 def save_mesh(mesh):
     """Serialize to the plain-text mesh format (full float precision)."""
-    bset = set(int(v) for v in mesh.boundary_vertices)
+    flags = np.zeros(mesh.n_vertices, dtype=np.int64)
+    flags[mesh.boundary_vertices] = 1
     lines = [f"vertices {mesh.n_vertices}"]
-    for i, (x, y) in enumerate(mesh.vertices):
-        lines.append(f"{float(x)!r} {float(y)!r} {1 if i in bset else 0}")
+    # by column: a list per row would cost a garbage-tracked object each
+    lines += [f"{x!r} {y!r} {flag}" for x, y, flag
+              in zip(*mesh.vertices.T.tolist(), flags.tolist())]
     lines.append(f"triangles {mesh.n_triangles}")
-    for (a, b, c), r in zip(mesh.triangles, mesh.regions):
-        lines.append(f"{a} {b} {c} {r}")
+    lines += [f"{a} {b} {c} {r}" for a, b, c, r
+              in zip(*mesh.triangles.T.tolist(), mesh.regions.tolist())]
     lines.append(f"interface_edges {len(mesh.interface_edges)}")
-    for a, b in mesh.interface_edges:
-        lines.append(f"{a} {b}")
+    lines += [f"{a} {b}" for a, b in zip(*mesh.interface_edges.T.tolist())]
     return "\n".join(lines) + "\n"
+
+
+def _parse_rows(bodies, dtype):
+    """Lines of whitespace-separated numbers as a structured array with
+    one field per column, or None unless every line parses."""
+    if not bodies:
+        return np.zeros(0, dtype)
+    try:
+        return np.loadtxt(bodies, dtype=dtype, comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 def load_mesh(text):
@@ -501,24 +513,21 @@ def load_mesh(text):
     Raises ParseError (with the 1-based line number) on malformed input
     and ValidationError on structurally invalid meshes.
     """
-    rows = []  # (line_number, tokens)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            rows.append((lineno, body.split()))
+    lines = [raw.partition("#")[0].strip() for raw in text.splitlines()]
+    numbers = [i for i, body in enumerate(lines, start=1) if body]
+    bodies = [body for body in lines if body]
     pos = 0
 
-    def take():
-        nonlocal pos
-        if pos >= len(rows):
-            raise ParseError("unexpected end of input",
-                             rows[-1][0] if rows else 1)
-        row = rows[pos]
-        pos += 1
-        return row
+    def end_of_input():
+        return ParseError("unexpected end of input",
+                          numbers[-1] if numbers else 1)
 
     def section(keyword):
-        lineno, tokens = take()
+        nonlocal pos
+        if pos >= len(bodies):
+            raise end_of_input()
+        lineno, tokens = numbers[pos], bodies[pos].split()
+        pos += 1
         if len(tokens) != 2 or tokens[0] != keyword:
             raise ParseError(f"expected '{keyword} <count>'", lineno)
         try:
@@ -529,48 +538,46 @@ def load_mesh(text):
             raise ParseError("negative count", lineno)
         return count
 
+    def table(count, columns, shape_message, value_message,
+              allowed=None, range_message=None):
+        """The next ``count`` lines, one array per column of the dtypes
+        ``columns``; the last column may take only the ``allowed`` values,
+        if given."""
+        nonlocal pos
+        block = bodies[pos:pos + count]
+        dtype = np.dtype([(f"c{i}", kind) for i, kind in enumerate(columns)])
+        values = _parse_rows(block, dtype) if len(block) == count else None
+        if values is None or (allowed is not None and not np.isin(
+                values[dtype.names[-1]], allowed).all()):
+            # the first bad line, as a line-by-line parse meets it
+            for lineno, body in zip(numbers[pos:], block):
+                if len(body.split()) != len(columns):
+                    raise ParseError(shape_message, lineno)
+                row = _parse_rows([body], dtype)
+                if row is None:
+                    raise ParseError(value_message, lineno)
+                if allowed is not None and row[0][-1] not in allowed:
+                    raise ParseError(range_message, lineno)
+            raise end_of_input()
+        pos += count
+        return [values[name] for name in dtype.names]
+
     nv = section("vertices")
-    vertices = np.empty((nv, 2))
-    flags = np.empty(nv, dtype=np.int64)
-    for i in range(nv):
-        lineno, tokens = take()
-        if len(tokens) != 3:
-            raise ParseError("expected 'x y boundary_flag'", lineno)
-        try:
-            vertices[i] = (float(tokens[0]), float(tokens[1]))
-            flags[i] = int(tokens[2])
-        except ValueError:
-            raise ParseError("bad vertex line", lineno) from None
-        if flags[i] not in (0, 1):
-            raise ParseError("boundary flag must be 0 or 1", lineno)
-
+    x, y, flags = table(nv, (float, float, np.int64),
+                        "expected 'x y boundary_flag'", "bad vertex line",
+                        (0, 1), "boundary flag must be 0 or 1")
+    vertices = np.column_stack([x, y])
     nt = section("triangles")
-    triangles = np.empty((nt, 3), dtype=np.int64)
-    regions = np.empty(nt, dtype=np.int64)
-    for i in range(nt):
-        lineno, tokens = take()
-        if len(tokens) != 4:
-            raise ParseError("expected 'v0 v1 v2 region'", lineno)
-        try:
-            triangles[i] = [int(t) for t in tokens[:3]]
-            regions[i] = int(tokens[3])
-        except ValueError:
-            raise ParseError("bad triangle line", lineno) from None
-        if regions[i] not in (1, 2):
-            raise ParseError("region must be 1 or 2", lineno)
-
-    ne = section("interface_edges")
-    edges = np.empty((ne, 2), dtype=np.int64)
-    for i in range(ne):
-        lineno, tokens = take()
-        if len(tokens) != 2:
-            raise ParseError("expected 'va vb'", lineno)
-        try:
-            edges[i] = [int(t) for t in tokens]
-        except ValueError:
-            raise ParseError("bad edge line", lineno) from None
-    if pos != len(rows):
-        raise ParseError("trailing content", rows[pos][0])
+    *corners, regions = table(nt, (np.int64,) * 4,
+                              "expected 'v0 v1 v2 region'",
+                              "bad triangle line",
+                              (1, 2), "region must be 1 or 2")
+    triangles = np.column_stack(corners)
+    edges = np.column_stack(table(section("interface_edges"),
+                                  (np.int64,) * 2, "expected 'va vb'",
+                                  "bad edge line"))
+    if pos != len(bodies):
+        raise ParseError("trailing content", numbers[pos])
 
     # bounds must hold before any vertex-indexed computation (h)
     if nt and (triangles.min() < 0 or triangles.max() >= nv):

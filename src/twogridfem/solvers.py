@@ -75,15 +75,18 @@ class NewtonOptions:
     min_step: float = 2.0 ** -10
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.abs_tol <= 0:
+            raise ValueError("abs_tol must be positive")
+        if self.rel_tol <= 0:
+            raise ValueError("rel_tol must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
 
 @dataclass
 class SolveReport:
-    """What a solve did; ``wall_s`` is set by ``newton_solve`` only."""
+    """What a solve did; ``wall_s``, the wall time of the whole call, is
+    set by ``newton_solve`` and ``twogrid.linearized_solve`` only."""
 
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -109,16 +112,15 @@ class _Level(NamedTuple):
 class VCycle:
     """Symmetric multigrid V(1,1)-cycle on a mesh's refinement chain.
 
-    ``matrix`` is an SPD system on ``mesh`` with its Dirichlet rows and
-    columns eliminated (identity on ``mesh.boundary_vertices``, as
-    :func:`~twogridfem.assembly.apply_dirichlet` leaves them).  Each
-    coarser level's operator is the Galerkin product P0^T A P0, where P0 is
-    the mesh's prolongation with the fine-boundary rows and coarse-boundary
-    columns dropped (``Mesh.interior_prolongation``), and the identity pins
-    the coarse boundary.  Every level smooths once before and once after
-    its coarse correction with l1-Jacobi, which converges for any SPD
-    matrix without a damping parameter, and the root of the chain is
-    solved exactly.  Calling the cycle on a residual applies an SPD
+    ``matrix`` is an SPD system on the free vertices of ``mesh``
+    (``mesh.interior_vertices``), as
+    :func:`~twogridfem.assembly.apply_dirichlet` returns it.  Each coarser
+    level's operator is the Galerkin product P0^T A P0 on that level's
+    free vertices, where P0 is ``Mesh.interior_prolongation``, the
+    prolongation between the spaces that vanish on the boundary.  Every
+    level smooths once before and once after its coarse correction with
+    l1-Jacobi, which converges for any SPD matrix without a damping
+    parameter, and the root of the chain is solved exactly.  Calling the cycle on a residual applies an SPD
     approximation of the inverse.
     """
 
@@ -132,7 +134,7 @@ class VCycle:
             weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
             self.levels.append(_Level(a, weights, p, r))
             mesh = mesh.parent
-            a = (r @ a @ p + _pin(mesh)).tocsr()
+            a = r @ a @ p
         self.root_solve = splu(a.tocsc()).solve
 
     def __call__(self, r):
@@ -149,13 +151,6 @@ class VCycle:
             x = x_pre + level.prolongation @ x
             x += level.weights * (r - level.matrix @ x)
         return x
-
-
-def _pin(mesh):
-    """Identity on the boundary vertices, zero elsewhere."""
-    b = mesh.boundary_vertices
-    return sp.csr_matrix((np.ones(len(b)), (b, b)),
-                         shape=(mesh.n_vertices, mesh.n_vertices))
 
 
 def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner=None):
@@ -260,18 +255,32 @@ def newton_step(mesh, problem, state, residual, stiffness, quad, tol):
     """One Newton correction: PCG on J delta = -residual.
 
     J = K + R(state) is ``stiffness`` plus the reaction Jacobian at
-    ``state``, both on the mesh's CSR pattern, with the Dirichlet rows and
-    columns eliminated, so delta vanishes on the boundary.  PCG runs to
-    relative tolerance ``tol``, preconditioned by the V-cycle on the mesh's
-    refinement chain, or by Jacobi on a mesh without a ``parent``.  Returns
-    (delta, SolveReport of the linear solve); NoConvergence propagates.
+    ``state``, restricted to the free vertices by :func:`apply_dirichlet`.
+    PCG runs to relative tolerance ``tol``, preconditioned by the V-cycle
+    on the mesh's refinement chain, or by Jacobi on a mesh without a
+    ``parent``.  Returns (delta, SolveReport of the linear solve), delta
+    zero on the boundary; NoConvergence propagates, its ``best`` and
+    ``last`` iterates scattered the same way.
     """
     jac = assemble_reaction_jacobian(mesh, state, problem.nonlinearity.d1,
                                      quad)
     jac.data += stiffness.data
     system, rhs = apply_dirichlet(jac, -residual, mesh.boundary_vertices)
+    del jac  # PCG needs only the restriction
     preconditioner = None if mesh.parent is None else VCycle(mesh, system)
-    return pcg_solve(system, rhs, tol=tol, preconditioner=preconditioner)
+
+    def scatter(values):
+        delta = np.zeros(mesh.n_vertices)
+        delta[mesh.interior_vertices] = values
+        return delta
+
+    try:
+        x, report = pcg_solve(system, rhs, tol=tol,
+                              preconditioner=preconditioner)
+    except NoConvergence as exc:
+        exc.best, exc.last = scatter(exc.best), scatter(exc.last)
+        raise
+    return scatter(x), report
 
 
 def newton_solve(mesh, problem, initial=None, opts=None, quad=None):

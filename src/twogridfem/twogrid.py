@@ -9,6 +9,7 @@ produces the two-grid approximation.
 """
 
 import math
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -121,9 +122,10 @@ def linearized_solve(t_h, problem, u_base, quad=None):
 
     PCG runs to FINE_PCG_TOL relative to ||r(u_base)||, preconditioned by
     the V-cycle on ``t_h``'s refinement chain.  Returns (solution,
-    SolveReport of the linear solve); NoConvergence propagates, with the
-    reason PCG stopped.
+    SolveReport of the linear solve, with the wall time of the whole call
+    in ``wall_s``); NoConvergence propagates, with the reason PCG stopped.
     """
+    start = time.perf_counter()
     quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     if u_base.mesh is not t_h:
         raise NotNested("u_base must live on the fine mesh; prolongate first")
@@ -141,6 +143,7 @@ def linearized_solve(t_h, problem, u_base, quad=None):
                                             stiffness=stiffness)
     delta, report = newton_step(t_h, problem, u_base, residual, stiffness,
                                 quad, FINE_PCG_TOL)
+    report.wall_s = time.perf_counter() - start
     return FemFunction(t_h, u_base.values + delta), report
 
 

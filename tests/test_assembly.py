@@ -306,14 +306,11 @@ def test_interface_flux_supported_on_interface_vertices():
 def test_apply_dirichlet_homogeneous():
     mesh = generate_interface_mesh(4)
     a = assemble_stiffness(mesh, D_UNIT)
-    rhs = np.ones(mesh.n_vertices)
+    rhs = np.arange(mesh.n_vertices, dtype=float)
     ac, rc = apply_dirichlet(a, rhs, mesh.boundary_vertices)
-    for b in mesh.boundary_vertices:
-        row = ac.getrow(b).toarray().ravel()
-        expected = np.zeros(mesh.n_vertices)
-        expected[b] = 1.0
-        np.testing.assert_array_equal(row, expected)
-        assert rc[b] == 0.0
+    free = mesh.interior_vertices
+    assert ac.shape == (len(free), len(free))
+    np.testing.assert_array_equal(rc, rhs[free])
     assert abs(ac - ac.T).max() <= 1e-14
 
 
@@ -507,28 +504,11 @@ def test_apply_dirichlet_matches_dense_oracle():
     rhs = np.random.default_rng(3).standard_normal(mesh.n_vertices)
     ac, rc = apply_dirichlet(jac, rhs, b)
 
-    keep = np.ones(mesh.n_vertices)
-    keep[b] = 0.0
-    dense = jac.toarray()
-    np.testing.assert_array_equal(
-        ac.toarray(), keep[:, None] * dense * keep + np.diag(1.0 - keep))
-    np.testing.assert_array_equal(rc, keep * rhs)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), b)
+    np.testing.assert_array_equal(ac.toarray(),
+                                  jac.toarray()[np.ix_(free, free)])
+    np.testing.assert_array_equal(rc, rhs[free])
     assert ac.has_canonical_format
-
-
-def test_apply_dirichlet_inserts_a_missing_boundary_diagonal():
-    mesh = generate_interface_mesh(4)
-    dense = assemble_stiffness(mesh, D_UNIT).toarray()
-    b = mesh.boundary_vertices
-    dense[b, b] = 0.0
-    a = sp.csr_matrix(dense)  # stores no entry at a boundary diagonal
-    assert np.all(a.diagonal()[b] == 0.0)
-    ac, _ = apply_dirichlet(a, np.zeros(mesh.n_vertices), b)
-    expected = dense.copy()
-    expected[b] = 0.0
-    expected[:, b] = 0.0
-    expected[b, b] = 1.0
-    np.testing.assert_array_equal(ac.toarray(), expected)
 
 
 def test_apply_dirichlet_leaves_a_writable_input_alone():
@@ -539,7 +519,3 @@ def test_apply_dirichlet_leaves_a_writable_input_alone():
                             mesh.boundary_vertices)
     ac.eliminate_zeros()
     np.testing.assert_array_equal(a.toarray(), before)
-    assembled = assemble_stiffness(mesh, D_UNIT)
-    ac, _ = apply_dirichlet(assembled, np.zeros(mesh.n_vertices),
-                            mesh.boundary_vertices)
-    assert np.shares_memory(ac.indices, mesh.csr_pattern.indices)

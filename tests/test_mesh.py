@@ -297,6 +297,51 @@ def test_parse_error_carries_line_number():
     assert err.value.line_number == 3
 
 
+VERTICES = "vertices 3\n0 0 1\n1 0 1\n0 1 1\n"
+TRIANGLE = "triangles 1\n0 1 2 1\n"
+
+
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("vertices 3\n0 0 1\n1 0 2\n0 1 x\n", 3,
+                 "boundary flag must be 0 or 1", id="flag-before-bad-value"),
+    pytest.param("vertices 3\n0 0 1\n1 0 1.0\n0 1\n", 3,
+                 "bad vertex line", id="float-flag-before-short-line"),
+    pytest.param("vertices 3\n0 0 1\n1 0 1\ntriangles 0\n", 4,
+                 "expected 'x y boundary_flag'", id="header-as-vertex"),
+    pytest.param("vertices 3\n0 0 1\n\n1 0 1 # two of three\n", 4,
+                 "unexpected end of input", id="end-inside-section"),
+    pytest.param(VERTICES + "triangles 1\n0 1 2 3\ninterface_edges 0\n", 6,
+                 "region must be 1 or 2", id="region"),
+    pytest.param(VERTICES + "triangles 1\n0 1 99999999999999999999 1\n",
+                 6, "bad triangle line", id="index-overflows-int64"),
+    pytest.param(VERTICES + TRIANGLE + "interface_edges 1\n0 1 2\n", 8,
+                 "expected 'va vb'", id="edge-width"),
+    pytest.param(VERTICES + TRIANGLE + "interface_edges 1\n0 b\n", 8,
+                 "bad edge line", id="edge-value"),
+    pytest.param(VERTICES + TRIANGLE + "interface_edges 0\n0 1\n", 8,
+                 "trailing content", id="trailing"),
+])
+def test_parse_error_names_the_first_bad_line(text, line, message):
+    with pytest.raises(ParseError) as err:
+        load_mesh(text)
+    assert err.value.line_number == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_save_mesh_text_format():
+    mesh = Mesh(
+        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 1.0 / 3.0]]),
+        triangles=np.array([[0, 1, 2]]),
+        regions=np.array([2]),
+        boundary_vertices=np.array([0, 2]),
+        interface_edges=np.array([[0, 1]]),
+        h=1.0,
+    )
+    assert save_mesh(mesh) == (
+        "vertices 3\n0.0 0.0 1\n1.0 0.0 0\n0.1 0.3333333333333333 1\n"
+        "triangles 1\n0 1 2 2\ninterface_edges 1\n0 1\n")
+
+
 def test_parse_error_on_bad_header():
     with pytest.raises(ParseError):
         load_mesh("points 3\n")
@@ -333,9 +378,8 @@ def test_prolongation_is_built_on_first_use_and_cached():
     p0 = fine.interior_prolongation
     assert p0 is fine.interior_prolongation
     assert root.interior_prolongation is None
-    expected = fine.prolongation.toarray()
-    expected[fine.boundary_vertices] = 0.0
-    expected[:, root.boundary_vertices] = 0.0
+    expected = fine.prolongation.toarray()[
+        np.ix_(fine.interior_vertices, root.interior_vertices)]
     np.testing.assert_array_equal(p0.toarray(), expected)
     assert p0.nnz == np.count_nonzero(expected)
     with pytest.raises(ValueError):
@@ -349,6 +393,18 @@ def test_prolongation_is_built_on_first_use_and_cached():
     np.testing.assert_array_equal(r0.toarray(), expected.T)
     with pytest.raises(ValueError):
         r0.data[0] = 99.0
+
+
+def test_interior_vertices_are_built_on_first_use_and_cached():
+    mesh = generate_interface_mesh(4)
+    assert "interior_vertices" not in vars(mesh)
+    interior = mesh.interior_vertices
+    assert interior is mesh.interior_vertices
+    np.testing.assert_array_equal(
+        interior,
+        np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices))
+    with pytest.raises(ValueError):
+        interior[0] = 0
 
 
 def test_csr_pattern_is_built_on_first_use_and_cached():

@@ -13,6 +13,8 @@ from twogridfem import (
     NoConvergence,
     VCycle,
     apply_dirichlet,
+    assemble_reaction_jacobian,
+    assemble_semilinear_residual,
     assemble_stiffness,
     builtin_problem,
     compute_barriers,
@@ -20,8 +22,10 @@ from twogridfem import (
     linearized_solve,
     linf_check,
     newton_solve,
+    newton_step,
     pcg_solve,
     refine_uniform,
+    triangle_rule,
 )
 
 from conftest import cube_problem
@@ -147,9 +151,13 @@ def test_vcycle_is_symmetric_and_positive():
     ac, _ = jump_system(mesh)
     b = VCycle(mesh, ac)
     assert len(b.levels) == 2
+    # every level solves on its mesh's free vertices
+    for level, level_mesh in zip(b.levels, (mesh, mesh.parent)):
+        n_free = len(level_mesh.interior_vertices)
+        assert level.matrix.shape == (n_free, n_free)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        r1, r2 = rng.standard_normal((2, mesh.n_vertices))
+        r1, r2 = rng.standard_normal((2, ac.shape[0]))
         b2 = b(r2)
         assert abs(r1 @ b2 - r2 @ b(r1)) <= (
             1e-12 * np.linalg.norm(r1) * np.linalg.norm(b2))
@@ -203,6 +211,54 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
         assert all(ref() is None for ref in refs)
     finally:
         gc.enable()
+
+
+def newton_step_at(mesh, problem, values):
+    """Arguments of a Newton step at ``values`` on ``mesh``."""
+    quad = triangle_rule(5)
+    stiffness = assemble_stiffness(mesh, problem.diffusion)
+    state = FemFunction(mesh, values)
+    residual = assemble_semilinear_residual(mesh, state, problem, quad,
+                                            stiffness=stiffness)
+    return mesh, problem, state, residual, stiffness, quad
+
+
+def test_newton_step_scatters_the_correction_onto_the_free_vertices():
+    mesh = nested_meshes(1)[-1]
+    problem = builtin_problem("power11")
+    args = newton_step_at(mesh, problem, np.zeros(mesh.n_vertices))
+    delta, report = newton_step(*args, tol=1e-9)
+    assert report.converged
+    assert delta.shape == (mesh.n_vertices,)
+    assert np.all(delta[mesh.boundary_vertices] == 0.0)
+    # the interior values solve the Jacobian's interior block
+    _, _, state, residual, stiffness, quad = args
+    jac = stiffness + assemble_reaction_jacobian(
+        mesh, state, problem.nonlinearity.d1, quad)
+    free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
+    gap = jac.toarray()[np.ix_(free, free)] @ delta[free] + residual[free]
+    assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(residual)
+
+
+def test_newton_step_out_of_budget_carries_full_length_iterates(
+        monkeypatch):
+    def short_pcg(a, rhs, **kwargs):
+        return pcg_solve(a, rhs, max_iters=2, **kwargs)
+
+    monkeypatch.setattr(solvers, "pcg_solve", short_pcg)
+    mesh = nested_meshes(1)[-1]
+    problem = builtin_problem("power11")
+    args = newton_step_at(mesh, problem, np.zeros(mesh.n_vertices))
+    with pytest.raises(NoConvergence, match="no convergence") as err:
+        newton_step(*args, tol=1e-13)
+    for iterate in (err.value.best, err.value.last):
+        assert iterate.shape == (mesh.n_vertices,)
+        assert np.all(iterate[mesh.boundary_vertices] == 0.0)
+        assert np.any(iterate != 0.0)
+    # newton_solve steps along the best iterate instead
+    with pytest.raises(NoConvergence, match="newton") as err:
+        newton_solve(mesh, problem, None, NewtonOptions(max_iters=1))
+    assert err.value.report.iterations == 1
 
 
 @pytest.mark.parametrize("c", [0.0, 1.0, 10.0])

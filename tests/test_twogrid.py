@@ -116,6 +116,7 @@ def test_linearized_solve_affine_equals_fine_galerkin():
     u_direct, _ = newton_solve(fine, problem, None, TIGHT)
     assert np.abs(u_lin.values - u_direct.values).max() <= 1e-9
     assert report.converged
+    assert report.wall_s > 0.0
 
 
 def test_linearized_solve_fixed_point():
