@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, triangle_geometry
+from .mesh import Mesh, free_vertices, triangle_geometry
 
 __all__ = [
     "QuadratureRule",
@@ -347,11 +347,9 @@ def apply_dirichlet(matrix, rhs, boundary):
     the P1 functions that vanish on the boundary.
 
     Returns ``matrix[free][:, free]`` as CSR and ``rhs[free]``, where
-    ``free`` is the vertices not in ``boundary`` in increasing order
-    (``Mesh.interior_vertices``); stored zeros stay stored.
+    ``free`` is :func:`~twogridfem.mesh.free_vertices` of ``boundary``,
+    the order of ``Mesh.interior_vertices``; stored zeros stay stored.
     """
-    keep = np.ones(matrix.shape[0], dtype=bool)
-    keep[boundary] = False
-    free = np.flatnonzero(keep)
+    free = free_vertices(matrix.shape[0], boundary)
     return (sp.csr_matrix(matrix)[free][:, free],
             np.asarray(rhs, dtype=float)[free])

@@ -8,6 +8,7 @@ construction.  Uniform (red) refinement keeps meshes nested, which the
 two-grid machinery relies on.
 """
 
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -123,9 +124,7 @@ class Mesh:
     @cached_property
     def interior_vertices(self):
         """The vertices not on the boundary, in increasing order."""
-        mask = np.ones(self.n_vertices, dtype=bool)
-        mask[self.boundary_vertices] = False
-        interior = np.flatnonzero(mask)
+        interior = free_vertices(self.n_vertices, self.boundary_vertices)
         _freeze(interior)
         return interior
 
@@ -201,6 +200,13 @@ class CsrPattern(NamedTuple):
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
+
+
+def free_vertices(n_vertices, boundary):
+    """``range(n_vertices)`` without ``boundary``, in increasing order."""
+    keep = np.ones(n_vertices, dtype=bool)
+    keep[boundary] = False
+    return np.flatnonzero(keep)
 
 
 def _freeze(*arrays):
@@ -494,12 +500,16 @@ def save_mesh(mesh):
 
 def _parse_rows(bodies, dtype):
     """Lines of whitespace-separated numbers as a structured array with
-    one field per column, or None unless every line parses."""
+    one field per column, or None unless every line parses.  Some numpy
+    versions truncate a float in an integer column with only a
+    DeprecationWarning; here that fails under any warning filters."""
     if not bodies:
         return np.zeros(0, dtype)
     try:
-        return np.loadtxt(bodies, dtype=dtype, comments=None, ndmin=1)
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.loadtxt(bodies, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, DeprecationWarning):
         return None
 
 

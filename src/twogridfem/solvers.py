@@ -112,16 +112,14 @@ class _Level(NamedTuple):
 class VCycle:
     """Symmetric multigrid V(1,1)-cycle on a mesh's refinement chain.
 
-    ``matrix`` is an SPD system on the free vertices of ``mesh``
-    (``mesh.interior_vertices``), as
+    ``matrix`` is an SPD system on ``mesh.interior_vertices``, as
     :func:`~twogridfem.assembly.apply_dirichlet` returns it.  Each coarser
-    level's operator is the Galerkin product P0^T A P0 on that level's
-    free vertices, where P0 is ``Mesh.interior_prolongation``, the
-    prolongation between the spaces that vanish on the boundary.  Every
-    level smooths once before and once after its coarse correction with
+    level's operator is the Galerkin product P0^T A P0 on its interior
+    vertices, P0 being ``Mesh.interior_prolongation``.  Every level
+    smooths once before and once after its coarse correction with
     l1-Jacobi, which converges for any SPD matrix without a damping
-    parameter, and the root of the chain is solved exactly.  Calling the cycle on a residual applies an SPD
-    approximation of the inverse.
+    parameter, and the root of the chain is solved exactly.  Calling the
+    cycle on a residual applies an SPD approximation of the inverse.
     """
 
     def __init__(self, mesh, matrix):

@@ -328,6 +328,25 @@ def test_parse_error_names_the_first_bad_line(text, line, message):
     assert str(err.value) == f"line {line}: {message}"
 
 
+# Production code runs with the default warning filters, not the test
+# suite's DeprecationWarning-as-error setting.
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")
+@pytest.mark.parametrize("text, line, message", [
+    pytest.param("vertices 3\n0 0 1\n1 0 1.0\n0 1 0\n", 3,
+                 "bad vertex line", id="float-flag"),
+    pytest.param(VERTICES + "triangles 1\n0 1 2.9 1\n", 6,
+                 "bad triangle line", id="float-corner"),
+    pytest.param(VERTICES + "triangles 1\n0 1 2 1.0\n", 6,
+                 "bad triangle line", id="float-region"),
+    pytest.param(VERTICES + TRIANGLE + "interface_edges 1\n0 1.5\n", 8,
+                 "bad edge line", id="float-edge-end"),
+])
+def test_float_in_an_integer_column_is_a_parse_error(text, line, message):
+    with pytest.raises(ParseError) as err:
+        load_mesh(text)
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_save_mesh_text_format():
     mesh = Mesh(
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 1.0 / 3.0]]),
