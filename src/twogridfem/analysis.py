@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    DEFAULT_QUAD_DEGREE,
     FemFunction,
     assemble_stiffness,
-    quadrature_points,
+    quadrature_blocks,
     triangle_rule,
 )
 from .problems import ManufacturedSolution
@@ -99,36 +98,37 @@ def grad_l2_norm(mesh, v):
 
 
 def lp_norm(mesh, v, p, quad=None):
-    """L^p norm of a FemFunction or coordinate callback, p in {2, 4}."""
+    """L^p norm of a FemFunction or pointwise coordinate callback, p in
+    {2, 4}; the callback gets one block of quadrature points at a time."""
     if p not in (2, 4):
         raise ValueError(f"p must be 2 or 4, got {p}")
-    quad = quad or triangle_rule(max(DEFAULT_QUAD_DEGREE, p))
-    if isinstance(v, FemFunction):
-        vals = v.at_quadrature(quad)
-    else:
-        vals = np.asarray(v(quadrature_points(mesh, quad)), dtype=float)
-    total = float(np.sum(
-        mesh.areas[:, None] * quad.weights[None, :] * np.abs(vals) ** p))
+    quad = quad or triangle_rule()
+    state = v if isinstance(v, FemFunction) else None
+    total = 0.0
+    for block, points, values in quadrature_blocks(mesh, quad, state):
+        if state is None:
+            values = np.asarray(v(points), dtype=float)
+        total += float(np.sum(mesh.areas[block, None] * quad.weights
+                              * np.abs(values) ** p))
     return total ** (1.0 / p)
 
 
 def _manufactured_errors(mesh, diffusion, u_h, exact, quad):
-    areas = mesh.areas
-    coords = quadrature_points(mesh, quad)
-    uh_q = u_h.at_quadrature(quad)
-    uh_grad = np.einsum("mi,mid->md", u_h.values[mesh.triangles],
-                        mesh.gradients)
-
     e2 = e4 = een = 0.0
-    for region in np.unique(mesh.regions):
-        m = mesh.regions == region
-        d = diffusion[int(region)]
-        diff = exact.exact(coords[m]) - uh_q[m]
-        w = areas[m, None] * quad.weights[None, :]
+    for block, points, uh_q in quadrature_blocks(mesh, quad, u_h):
+        w = mesh.areas[block, None] * quad.weights
+        diff = exact.exact(points) - uh_q
         e2 += float(np.sum(w * diff ** 2))
         e4 += float(np.sum(w * diff ** 4))
-        gdiff = exact.exact_grad(coords[m], int(region)) - uh_grad[m][:, None, :]
-        een += d * float(np.sum(w * np.sum(gdiff ** 2, axis=-1)))
+        uh_grad = np.einsum("mi,mid->md", u_h.values[mesh.triangles[block]],
+                            mesh.gradients[block])
+        regions = mesh.regions[block]
+        for region in np.unique(regions):
+            m = regions == region
+            gdiff = (exact.exact_grad(points[m], int(region))
+                     - uh_grad[m][:, None, :])
+            een += diffusion[int(region)] * float(
+                np.sum(w[m] * np.sum(gdiff ** 2, axis=-1)))
     linf = float(np.max(np.abs(exact.exact(mesh.vertices) - u_h.values)))
     return math.sqrt(een), math.sqrt(e2), e4 ** 0.25, linf
 
@@ -136,13 +136,13 @@ def _manufactured_errors(mesh, diffusion, u_h, exact, quad):
 def error_norms(mesh, diffusion, u_h, exact, quad=None):
     """Errors of u_h against a manufactured solution or a finer reference.
 
-    With a ManufacturedSolution the exact fields are integrated per element
-    per region with the given quadrature (exact gradients are used
-    directly, not interpolated).  With a reference FemFunction on a nested
+    With a ManufacturedSolution the exact fields are integrated block by
+    block with the given quadrature, the exact gradients (used directly,
+    not interpolated) per region.  With a reference FemFunction on a nested
     finer mesh, u_h is prolongated there and the norms are exact
     differences of two P1 functions.
     """
-    quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
+    quad = quad or triangle_rule()
     if isinstance(exact, ManufacturedSolution):
         een, e2, e4, linf = _manufactured_errors(
             mesh, diffusion, u_h, exact, quad)
@@ -207,21 +207,15 @@ def linf_check(u_h, barriers, tol=LINF_TOL):
     )
 
 
-def ladyzhenskaya_margin(mesh, v, d=2, quad=None):
+def ladyzhenskaya_margin(mesh, v, quad=None):
     """Slack in ||v||_4 <= C ||v||_2^a ||grad v||_2^b for an H^1_0 function.
 
-    In 2D (executed on the mesh) the constants are C = 2^(1/4),
-    a = b = 1/2; the margin must be nonnegative up to roundoff.  The 3D
-    inequality is available as a pure formula via
-    ladyzhenskaya_margin_formula.
+    On the (2D) mesh the constants are C = 2^(1/4), a = b = 1/2; the margin
+    must be nonnegative up to roundoff.  The 3D inequality is available as
+    a pure formula via ladyzhenskaya_margin_formula.
     """
-    if d != 2:
-        raise ValueError(
-            "only d=2 executes on a mesh; use ladyzhenskaya_margin_formula "
-            "for the 3D constants")
     if np.any(v.values[v.mesh.boundary_vertices] != 0.0):
         raise BoundaryNotZero("v must vanish on the boundary (H^1_0)")
-    quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     l2 = lp_norm(mesh, v, 2, quad)
     l4 = lp_norm(mesh, v, 4, quad)
     grad = grad_l2_norm(mesh, v)

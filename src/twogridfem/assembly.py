@@ -24,7 +24,7 @@ __all__ = [
     "DegenerateTriangle",
     "NotAVertex",
     "triangle_rule",
-    "quadrature_points",
+    "quadrature_blocks",
     "local_stiffness",
     "assemble_stiffness",
     "assemble_reaction_jacobian",
@@ -162,10 +162,6 @@ class FemFunction:
             raise ValueError("operands live on different meshes")
         return FemFunction(self.mesh, self.values + other.values)
 
-    def at_quadrature(self, quad):
-        """Values at the quadrature points of every triangle, shape (M, k)."""
-        return self.values[self.mesh.triangles] @ quad.points.T
-
 
 def _diffusion_per_triangle(mesh, diffusion):
     d = np.empty(mesh.n_triangles)
@@ -221,34 +217,25 @@ def assemble_stiffness(mesh, diffusion):
     return _scatter(mesh, local)
 
 
-def _points(mesh, triangles, quad):
-    points = np.empty((len(triangles), len(quad.weights), 2))
-    for axis in range(2):
-        # a column view first: ``vertices[triangles, axis]`` gathers slower
-        np.matmul(mesh.vertices[:, axis][triangles], quad.points.T,
-                  out=points[..., axis])
-    return points
-
-
-def quadrature_points(mesh, quad):
-    """Physical coordinates of every quadrature point, shape (M, k, 2)."""
-    return _points(mesh, mesh.triangles, quad)
-
-
 def _block_slices(mesh):
     for start in range(0, mesh.n_triangles, _BLOCK_TRIANGLES):
         yield slice(start, start + _BLOCK_TRIANGLES)
 
 
-def _blocks(mesh, quad, state=None):
-    """Per block of triangles: its slice, the coordinates of its quadrature
-    points (B, k, 2) and, with a ``state``, the state's values there (B, k),
-    else None."""
+def quadrature_blocks(mesh, quad, state=None):
+    """Per block of at most ``_BLOCK_TRIANGLES`` triangles: its slice, the
+    coordinates of its quadrature points (B, k, 2) and, with a ``state``,
+    the state's values there (B, k), else None."""
     for block in _block_slices(mesh):
         triangles = mesh.triangles[block]
+        points = np.empty((len(triangles), len(quad.weights), 2))
+        for axis in range(2):
+            # a column view first: ``vertices[triangles, axis]`` gathers slower
+            np.matmul(mesh.vertices[:, axis][triangles], quad.points.T,
+                      out=points[..., axis])
         values = (None if state is None
                   else state.values[triangles] @ quad.points.T)
-        yield block, _points(mesh, triangles, quad), values
+        yield block, points, values
 
 
 def assemble_reaction_jacobian(mesh, state, d1, quad):
@@ -258,7 +245,7 @@ def assemble_reaction_jacobian(mesh, state, d1, quad):
     weighted_products = (quad.weights[:, None, None] * lam[:, :, None]
                          * lam[:, None, :]).reshape(-1, 9)
     local = np.empty((mesh.n_triangles, 9))
-    for block, points, values in _blocks(mesh, quad, state):
+    for block, points, values in quadrature_blocks(mesh, quad, state):
         np.matmul(d1(points, values), weighted_products, out=local[block])
         local[block] *= areas[block, None]
     return _scatter(mesh, local)
@@ -271,7 +258,7 @@ def _moment_vector(mesh, quad, f, state=None):
     areas = _positive_areas(mesh)
     weighted_basis = quad.weights[:, None] * quad.points  # (k, 3)
     local = np.empty((mesh.n_triangles, 3))
-    for block, points, values in _blocks(mesh, quad, state):
+    for block, points, values in quadrature_blocks(mesh, quad, state):
         np.matmul(f(points, values), weighted_basis, out=local[block])
         local[block] *= areas[block, None]
     return np.bincount(
@@ -285,7 +272,7 @@ def assemble_point_load(mesh, location, magnitude):
     dist = np.abs(mesh.vertices - loc[None, :]).max(axis=1)
     hits = np.nonzero(dist <= 1e-12)[0]
     if hits.size != 1:
-        raise NotAVertex(f"no mesh vertex at {tuple(loc)}")
+        raise NotAVertex(f"no mesh vertex at {tuple(loc.tolist())}")
     load = np.zeros(mesh.n_vertices)
     load[hits[0]] = magnitude
     return load

@@ -14,17 +14,15 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import convergence_report, error_norms
-from .assembly import NotAVertex, triangle_rule
+from .assembly import NotAVertex, assemble_point_load, triangle_rule
 from .mesh import MeshError, check_angle_condition, generate_interface_mesh, \
     refine_uniform
 from .problems import ProblemError, builtin_problem, \
     manufactured_interface_problem
 from .solvers import NewtonOptions, SolverError, newton_solve
-from .twogrid import nested_newton_solve, newton_levels, \
-    select_coarse_size, two_grid_solve
+from .twogrid import InvalidRegularity, nested_newton_solve, \
+    newton_levels, select_coarse_size, two_grid_solve
 
 __all__ = ["StudyConfig", "ConfigError", "load_config", "main"]
 
@@ -81,8 +79,11 @@ class StudyConfig:
             raise ConfigError(
                 f"unknown problem {self.problem_name!r}; "
                 f"choose from {', '.join(PROBLEM_NAMES)}")
-        if self.snap not in ("up", "nearest"):
-            raise ConfigError("snap must be 'up' or 'nearest'")
+        try:
+            # checks s, tau and snap; any h serves
+            select_coarse_size(1.0, self.s, self.tau, snap=self.snap)
+        except (InvalidRegularity, ValueError) as exc:
+            raise ConfigError(str(exc)) from None
 
     def newton_options(self):
         return NewtonOptions(abs_tol=self.newton_abs_tol,
@@ -188,14 +189,10 @@ def _build_hierarchy(cfg):
     meshes = [mesh]
     for _ in range(cfg.level_count - 1):
         meshes.append(refine_uniform(meshes[-1]))
-    if problem.point_source is not None:
-        # fail early if the load cannot land on a vertex
-        loc = np.asarray(problem.point_source.location, dtype=float)
-        dist = np.abs(meshes[0].vertices - loc[None, :]).max(axis=1)
-        if dist.min() > 1e-12:
-            raise ConfigError(
-                f"point source at {tuple(loc)} is not a vertex of the "
-                f"coarsest mesh")
+    source = problem.point_source
+    if source is not None:
+        # fail early (NotAVertex) if the load cannot land on a vertex
+        assemble_point_load(meshes[0], source.location, source.magnitude)
     return problem, exact, meshes
 
 

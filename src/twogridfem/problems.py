@@ -3,7 +3,9 @@
 Nonlinearity callbacks are numpy-vectorized: they accept coordinate arrays
 of shape (..., 2) and state arrays of shape (...) and return arrays of
 shape (...).  All problem data is immutable and the callbacks must be pure
-and pointwise: assembly calls them on one block of points at a time.
+and pointwise: assembly calls them, and the error norms call a
+manufactured solution's ``exact`` and ``exact_grad``, on one block of
+points at a time.
 """
 
 from dataclasses import dataclass
@@ -102,7 +104,10 @@ class ManufacturedSolution:
 
     ``exact(points)`` evaluates u, ``exact_grad(points, region)`` the
     per-region gradient (the gradient jumps across the interface), and
-    ``source`` is the volume load that makes u solve the PDE.
+    ``source`` is the volume load that makes u solve the PDE.  All three
+    must be pointwise: ``error_norms`` passes one block of quadrature
+    points (B, k, 2) at a time, and ``exact_grad`` only the points of the
+    block's triangles in that region.
     """
 
     exact: callable
@@ -252,12 +257,12 @@ def builtin_problem(name, **params):
         d_in = float(params.pop("d_inside", 1000.0))
         d_out = float(params.pop("d_outside", 1.0))
         magnitude = float(params.pop("magnitude", 1000.0))
-        location = params.pop("location", (0.0, 0.0))
+        location = _point(params.pop("location", (0.0, 0.0)))
         _reject_extra(name, params)
         return Problem(
             diffusion={1: d_in, 2: d_out},
             nonlinearity=_power_nonlinearity(11),
-            point_source=PointSource(tuple(location), magnitude),
+            point_source=PointSource(location, magnitude),
             domain=domain, interface_box=box, name=name,
         )
 
@@ -310,6 +315,17 @@ def builtin_problem(name, **params):
         )
 
     raise UnknownProblem(f"no built-in problem named {name!r}")
+
+
+def _point(location):
+    """``location`` as a pair of finite floats; ValueError otherwise."""
+    try:
+        x, y = (float(c) for c in location)
+        if np.isfinite([x, y]).all():
+            return x, y
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"location must be two finite numbers, got {location!r}")
 
 
 def _reject_extra(name, params):

@@ -211,8 +211,9 @@ def select_coarse_size(h, s, tau, d=2, snap="up", levels=None):
     geometrically closest one.  Passing ``levels`` restricts candidates to
     an explicit list of available coarse sizes.
     """
-    if s <= 1 or tau <= 1:
-        raise InvalidRegularity("regularity exponents must exceed 1")
+    for name, value in (("s", s), ("tau", tau)):
+        if not value > 1:
+            raise InvalidRegularity(f"{name} must exceed 1, got {value:g}")
     if d not in (2, 3):
         raise InvalidRegularity(f"dimension must be 2 or 3, got {d}")
     if snap not in ("up", "nearest"):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from twogridfem import assembly
 from twogridfem import (
     BoundaryNotZero,
     DegenerateDenominator,
@@ -142,6 +145,88 @@ def test_error_norms_against_reference_solution():
     assert rec.err_l2 == pytest.approx(lp_norm(fine, diff, 2), rel=1e-12)
 
 
+def whole_mesh_errors(mesh, diffusion, u, exact, quad):
+    """Energy, L2 and L4 errors of u against a manufactured solution from
+    all quadrature points of the mesh at once."""
+    points = np.matmul(quad.points, mesh.triangle_coords())
+    w = mesh.areas[:, None] * quad.weights
+    diff = exact.exact(points) - u.values[mesh.triangles] @ quad.points.T
+    grad = np.einsum("mi,mid->md", u.values[mesh.triangles], mesh.gradients)
+    energy = 0.0
+    for region in (1, 2):
+        m = mesh.regions == region
+        gdiff = exact.exact_grad(points[m], region) - grad[m][:, None, :]
+        energy += diffusion[region] * np.sum(
+            w[m] * np.sum(gdiff ** 2, axis=-1))
+    return [math.sqrt(energy), math.sqrt(np.sum(w * diff ** 2)),
+            np.sum(w * diff ** 4) ** 0.25]
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["default", "short-last"])
+def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", block)
+    limit = assembly._BLOCK_TRIANGLES
+    problem, exact = manufactured_interface_problem(1000.0, 1.0)
+    mesh = generate_interface_mesh(64, problem.domain, problem.interface_box)
+    assert mesh.n_triangles > limit
+    assert block is None or mesh.n_triangles % block != 0
+    rng = np.random.default_rng(8)
+    u = FemFunction(mesh, exact.exact(mesh.vertices)
+                    + 0.01 * rng.standard_normal(mesh.n_vertices))
+    quad = triangle_rule(5)
+
+    triangles = {"exact": [], "exact_grad": []}
+
+    def spy(name):
+        fn = getattr(exact, name)
+
+        def spied(points, *args):
+            if points.ndim == 3:  # not the vertices of the nodal error
+                triangles[name].append(len(points))
+            return fn(points, *args)
+        return spied
+
+    spied = dataclasses.replace(exact, exact=spy("exact"),
+                                exact_grad=spy("exact_grad"))
+    rec = error_norms(mesh, problem.diffusion, u, spied, quad)
+    for name, counts in triangles.items():
+        assert max(counts) <= limit, name
+        assert sum(counts) == mesh.n_triangles, name
+    np.testing.assert_allclose(
+        [rec.err_energy, rec.err_l2, rec.err_l4],
+        whole_mesh_errors(mesh, problem.diffusion, u, exact, quad),
+        rtol=1e-13)
+
+    # lp_norm of a callback, which is blocked too, and of a FemFunction
+    triangles["exact"].clear()
+    points = np.matmul(quad.points, mesh.triangle_coords())
+    w = mesh.areas[:, None] * quad.weights
+    for v, at_points in ((spied.exact, exact.exact(points)),
+                         (u, u.values[mesh.triangles] @ quad.points.T)):
+        for p in (2, 4):
+            assert lp_norm(mesh, v, p, quad) == pytest.approx(
+                np.sum(w * np.abs(at_points) ** p) ** (1 / p), rel=1e-13)
+    assert max(triangles["exact"]) <= limit
+
+
+def test_error_norms_peak_memory():
+    # measured at n = 256: 28 bytes per triangle block by block; the
+    # whole-mesh (M, 7) and (M, 7, 2) arrays at the quadrature points and
+    # their per-region copies peaked at 469
+    problem, exact = manufactured_interface_problem(1000.0, 1.0)
+    mesh = generate_interface_mesh(256, problem.domain, problem.interface_box)
+    u = FemFunction(mesh, exact.exact(mesh.vertices))
+    error_norms(mesh, problem.diffusion, u, exact)  # areas and gradients
+    tracemalloc.start()
+    try:
+        error_norms(mesh, problem.diffusion, u, exact)
+        per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
+    finally:
+        tracemalloc.stop()
+    assert per_triangle < 60
+
+
 def test_estimate_eoc_hand_values():
     assert estimate_eoc([1 / 8, 1 / 16], [0.1, 0.025]) == [
         pytest.approx(2.0)]
@@ -206,12 +291,6 @@ def test_ladyzhenskaya_requires_zero_boundary():
     values = np.ones(mesh.n_vertices)
     with pytest.raises(BoundaryNotZero):
         ladyzhenskaya_margin(mesh, FemFunction(mesh, values))
-
-
-def test_ladyzhenskaya_rejects_3d_mesh_execution():
-    mesh = generate_interface_mesh(4)
-    with pytest.raises(ValueError):
-        ladyzhenskaya_margin(mesh, FemFunction.zeros(mesh), d=3)
 
 
 def test_ladyzhenskaya_formula_constants():

@@ -28,7 +28,7 @@ from twogridfem import (
     triangle_rule,
 )
 from twogridfem import assembly
-from twogridfem.assembly import _moment_vector, quadrature_points
+from twogridfem.assembly import _moment_vector, quadrature_blocks
 
 from conftest import dense_stiffness_oracle, grad_l2_squared_oracle, \
     relabelled
@@ -374,7 +374,7 @@ def test_assembly_matches_coo_oracle(loaded, degree):
     quad = triangle_rule(degree)
     state = FemFunction(mesh, np.random.default_rng(1).uniform(
         -1, 1, mesh.n_vertices))
-    xq = state.at_quadrature(quad)
+    xq = state.values[mesh.triangles] @ quad.points.T
     w = 3.0 * xq ** 2 * quad.weights * mesh.areas[:, None]
     lam = quad.points
     assert_same_csr(
@@ -445,7 +445,7 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
     assert mesh.n_triangles % block != 0  # a short last block
     monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", block)
     quad = triangle_rule(5)
-    points = quadrature_points(mesh, quad)
+    points = np.matmul(quad.points, mesh.triangle_coords())
     lam = quad.points
 
     # x-dependent reaction: kappa^2(x) vanishes inside the interface box
@@ -453,7 +453,7 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
     nl = sinh_pbe.nonlinearity
     state = FemFunction(mesh, np.random.default_rng(4).uniform(
         -1, 1, mesh.n_vertices))
-    uq = state.at_quadrature(quad)
+    uq = state.values[mesh.triangles] @ quad.points.T
     stiffness = assemble_stiffness(mesh, sinh_pbe.diffusion)
     load = assemble_load(mesh, sinh_pbe, quad)
     oracle = (stiffness @ state.values
@@ -484,13 +484,25 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
         unblocked_moments(mesh, quad, manufactured.source(points)))
 
 
-def test_quadrature_points_match_the_broadcast_product():
+def test_quadrature_points_match_the_broadcast_product(monkeypatch):
     mesh = refine_uniform(refine_uniform(generate_interface_mesh(4)))
+    block = 100
+    assert mesh.n_triangles % block != 0  # a short last block
+    monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", block)
+    state = FemFunction(mesh, np.random.default_rng(5).uniform(
+        -1, 1, mesh.n_vertices))
     for degree in (1, 2, 5, 7):
         quad = triangle_rule(degree)
+        slices, points, values = zip(*quadrature_blocks(mesh, quad, state))
+        assert [s.indices(mesh.n_triangles) for s in slices] == [
+            (start, min(start + block, mesh.n_triangles), 1)
+            for start in range(0, mesh.n_triangles, block)]
         np.testing.assert_array_max_ulp(
-            quadrature_points(mesh, quad),
+            np.concatenate(points),
             np.matmul(quad.points, mesh.triangle_coords()), maxulp=1)
+        np.testing.assert_allclose(
+            np.concatenate(values),
+            state.values[mesh.triangles] @ quad.points.T, rtol=0, atol=1e-15)
 
 
 def test_apply_dirichlet_matches_dense_oracle():

@@ -116,6 +116,21 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
     assert main(["converge", "--config", cfg]) == 2
 
 
+@pytest.mark.parametrize("old, new, reason", [
+    pytest.param("name = power11", "name = power11\nlocation = 0.3",
+                 "location must be two finite numbers", id="scalar-location"),
+    pytest.param("domain = -1 1 -1 1\nbox = -0.5 0.5 -0.5 0.5",
+                 "domain = 0.5 2.5 0.5 2.5\nbox = 1 2 1 2",
+                 "no mesh vertex at (0.0, 0.0)", id="load-off-the-mesh"),
+])
+def test_bad_point_source_is_config_error(tmp_path, capsys, old, new,
+                                          reason):
+    cfg = write_cfg(tmp_path, POWER11_CFG.replace(old, new))
+    assert main(["check-mesh", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and reason in err
+
+
 def test_missing_config_file():
     assert main(["converge", "--config", "/nonexistent/study.cfg"]) == 2
 
@@ -128,6 +143,9 @@ def test_missing_config_file():
                  id="quad_degree"),
     pytest.param("coarsest_n", "coarsest_n = 4", "coarsest_n = 1",
                  id="coarsest_n"),
+    pytest.param("s", "[output]", "[twogrid]\ns = 1\n\n[output]", id="s"),
+    pytest.param("tau", "[output]", "[twogrid]\ntau = 0.5\n\n[output]",
+                 id="tau"),
 ])
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, key, old,
                                               new):

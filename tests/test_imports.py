@@ -1,6 +1,8 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports and defines each
+name it exports."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -37,3 +39,9 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_defines_every_export(path):
+    module = importlib.import_module(f"twogridfem.{path.stem}")
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
