@@ -18,6 +18,7 @@ __all__ = [
     "ErrorRecord",
     "ConvergenceReport",
     "LinfReport",
+    "AngleReport",
     "AnalysisError",
     "ZeroError",
     "BoundaryNotZero",
@@ -29,12 +30,14 @@ __all__ = [
     "estimate_eoc",
     "convergence_report",
     "linf_check",
+    "check_angle_condition",
     "ladyzhenskaya_margin",
     "ladyzhenskaya_margin_formula",
     "twogrid_bound_ratio",
 ]
 
 LINF_TOL = 1e-9
+ANGLE_TOL_FACTOR = 1e-12  # scaled by the largest stiffness diagonal entry
 DEGENERATE_L4 = 1e-14
 
 
@@ -80,6 +83,16 @@ class LinfReport:
     min_value: float
     max_value: float
     violations: list
+    tolerance: float
+
+
+@dataclass
+class AngleReport:
+    """Result of the stiffness off-diagonal sign audit."""
+
+    worst_offdiag: float
+    violating_pairs: list
+    passes: bool
     tolerance: float
 
 
@@ -203,6 +216,31 @@ def linf_check(u_h, barriers, tol=LINF_TOL):
         min_value=float(values.min()),
         max_value=float(values.max()),
         violations=[int(i) for i in bad],
+        tolerance=tol,
+    )
+
+
+def check_angle_condition(mesh, diffusion):
+    """Audit the sign of the stiffness off-diagonal entries.
+
+    The discrete maximum principle requires a(phi_i, phi_j) <= 0 for all
+    i != j.  Entries above the tolerance (1e-12 times the largest diagonal
+    entry) are reported as violating pairs.  Pure diagnostic.
+    """
+    A = assemble_stiffness(mesh, diffusion).tocoo()
+    off = A.row != A.col
+    tol = ANGLE_TOL_FACTOR * float(A.data[~off].max())
+    rows, cols, vals = A.row[off], A.col[off], A.data[off]
+    worst = float(vals.max()) if vals.size else 0.0
+    bad = vals > tol
+    pairs = sorted(
+        {(int(min(i, j)), int(max(i, j)))
+         for i, j in zip(rows[bad], cols[bad])}
+    )
+    return AngleReport(
+        worst_offdiag=worst,
+        violating_pairs=pairs,
+        passes=not pairs,
         tolerance=tol,
     )
 

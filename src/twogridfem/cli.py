@@ -8,16 +8,16 @@ Exit codes: 0 success, 1 solver failure, 2 configuration error.
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .analysis import convergence_report, error_norms
+from .analysis import check_angle_condition, convergence_report, \
+    error_norms
 from .assembly import NotAVertex, assemble_point_load, triangle_rule
-from .mesh import MeshError, check_angle_condition, generate_interface_mesh, \
-    refine_uniform
+from .mesh import MeshError, generate_interface_mesh, refine_uniform
 from .problems import ProblemError, builtin_problem, \
     manufactured_interface_problem
 from .solvers import NewtonOptions, SolverError, newton_solve
@@ -41,12 +41,12 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
+@dataclasses.dataclass(frozen=True)
 class StudyConfig:
     """Everything a study needs: problem, geometry, levels, tolerances."""
 
     problem_name: str = "manufactured"
-    problem_params: dict = field(default_factory=dict)
+    problem_params: dict = dataclasses.field(default_factory=dict)
     domain: tuple = (-1.0, 1.0, -1.0, 1.0)
     box: tuple = (-0.5, 0.5, -0.5, 0.5)
     coarsest_n: int = 8
@@ -61,9 +61,6 @@ class StudyConfig:
     out_dir: str = "out"
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.level_count < 1:
             raise ConfigError("need at least one level")
         if self.coarsest_n < 2:
@@ -91,19 +88,49 @@ class StudyConfig:
                              max_iters=self.newton_max_iters)
 
 
-def _floats(text, count, what):
-    parts = text.split()
-    if len(parts) != count:
-        raise ConfigError(f"{what} needs {count} numbers, got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"bad number in {what}: {text!r}") from None
+def _numbers(text):
+    """One float, or a tuple of floats when the text holds several."""
+    values = tuple(float(part) for part in text.split())
+    if not values:
+        raise ValueError("no value")
+    return values[0] if len(values) == 1 else values
+
+
+def _rectangle(text):
+    """``xmin xmax ymin ymax`` as a tuple of four floats."""
+    values = tuple(float(part) for part in text.split())
+    if len(values) != 4:
+        raise ValueError(f"needs 4 numbers, got {len(values)}")
+    return values
+
+
+# (section, key) -> (StudyConfig field, parser of the value text); the
+# [problem] keys other than name are the problem's parameters
+SETTINGS = {
+    ("problem", "name"): ("problem_name", str),
+    ("geometry", "domain"): ("domain", _rectangle),
+    ("geometry", "box"): ("box", _rectangle),
+    ("levels", "coarsest_n"): ("coarsest_n", int),
+    ("levels", "count"): ("level_count", int),
+    ("solver", "newton_abs_tol"): ("newton_abs_tol", float),
+    ("solver", "newton_rel_tol"): ("newton_rel_tol", float),
+    ("solver", "newton_max_iters"): ("newton_max_iters", int),
+    ("solver", "quad_degree"): ("quad_degree", int),
+    ("twogrid", "s"): ("s", float),
+    ("twogrid", "tau"): ("tau", float),
+    ("twogrid", "snap"): ("snap", str),
+    ("output", "out_dir"): ("out_dir", str),
+}
 
 
 def load_config(path):
-    """Parse the key-value study configuration file."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    """Parse the study configuration file; every section and key must be
+    one of SETTINGS or a [problem] parameter."""
+    # no section is the default one, so [DEFAULT] is an unknown section
+    # instead of keys copied into every other section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None,
+                                       default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -111,75 +138,42 @@ def load_config(path):
     if not read:
         raise ConfigError(f"cannot read config file {path}")
 
-    cfg = StudyConfig()
-    try:
-        if parser.has_section("problem"):
-            sec = dict(parser.items("problem"))
-            cfg.problem_name = sec.pop("name", cfg.problem_name)
-            for key, value in sec.items():
-                try:
-                    cfg.problem_params[key] = float(value)
-                except ValueError:
-                    raise ConfigError(
-                        f"problem parameter {key} = {value!r} is not a "
-                        f"number") from None
-        if parser.has_section("geometry"):
-            sec = dict(parser.items("geometry"))
-            if "domain" in sec:
-                cfg.domain = _floats(sec["domain"], 4, "domain")
-            if "box" in sec:
-                cfg.box = _floats(sec["box"], 4, "box")
-        if parser.has_section("levels"):
-            sec = dict(parser.items("levels"))
-            cfg.coarsest_n = int(sec.get("coarsest_n", cfg.coarsest_n))
-            cfg.level_count = int(sec.get("count", cfg.level_count))
-        if parser.has_section("solver"):
-            sec = dict(parser.items("solver"))
-            cfg.newton_abs_tol = float(
-                sec.get("newton_abs_tol", cfg.newton_abs_tol))
-            cfg.newton_rel_tol = float(
-                sec.get("newton_rel_tol", cfg.newton_rel_tol))
-            cfg.newton_max_iters = int(
-                sec.get("newton_max_iters", cfg.newton_max_iters))
-            cfg.quad_degree = int(sec.get("quad_degree", cfg.quad_degree))
-        if parser.has_section("twogrid"):
-            sec = dict(parser.items("twogrid"))
-            cfg.s = float(sec.get("s", cfg.s))
-            cfg.tau = float(sec.get("tau", cfg.tau))
-            cfg.snap = sec.get("snap", cfg.snap)
-        if parser.has_section("output"):
-            cfg.out_dir = parser.get("output", "out_dir", fallback=cfg.out_dir)
-    except ValueError as exc:
-        raise ConfigError(f"bad config value: {exc}") from None
-    cfg.validate()
-    return cfg
+    values, params = {}, {}
+    for section in parser.sections():
+        keys = [k for s, k in SETTINGS if s == section]
+        if not keys:
+            raise ConfigError(f"[{section}] is not a config section")
+        for key, text in parser.items(section):
+            if key in keys:
+                target, name, parse = values, *SETTINGS[section, key]
+            elif section == "problem":
+                target, name, parse = params, key, _numbers
+            else:
+                raise ConfigError(f"{key} is not a key of [{section}]; "
+                                  f"choose from {', '.join(keys)}")
+            try:
+                target[name] = parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {text!r}: {exc}") from None
+    return StudyConfig(problem_params=params, **values)
 
 
 def _build_problem(cfg):
     """Problem instance plus the exact solution when one exists."""
-    params = dict(cfg.problem_params)
-    d_in = params.pop("d_inside", None)
-    d_out = params.pop("d_outside", None)
-    if cfg.problem_name == "manufactured":
-        if params:
+    params = cfg.problem_params
+    try:
+        if cfg.problem_name != "manufactured":
+            return builtin_problem(cfg.problem_name, domain=cfg.domain,
+                                   interface_box=cfg.box, **params), None
+        extra = sorted(set(params) - {"d_inside", "d_outside"})
+        if extra:
             raise ConfigError(
                 f"manufactured problem takes only d_inside/d_outside, "
-                f"got {sorted(params)}")
-        problem, exact = manufactured_interface_problem(
-            d_in if d_in is not None else 1000.0,
-            d_out if d_out is not None else 1.0)
-        return problem, exact
-    kwargs = dict(params)
-    if d_in is not None:
-        kwargs["d_inside"] = d_in
-    if d_out is not None:
-        kwargs["d_outside"] = d_out
-    try:
-        problem = builtin_problem(cfg.problem_name, domain=cfg.domain,
-                                  interface_box=cfg.box, **kwargs)
+                f"got {extra}")
+        return manufactured_interface_problem(params.get("d_inside", 1000.0),
+                                              params.get("d_outside", 1.0))
     except (ProblemError, ValueError) as exc:
         raise ConfigError(str(exc)) from None
-    return problem, None
 
 
 def _build_hierarchy(cfg):
@@ -354,7 +348,7 @@ def cmd_solve(cfg, args):
         fh.write(f"# {cfg.problem_name} n={cfg.coarsest_n} "
                  f"levels={cfg.level_count} nodal values\n")
         for value in solution.values:
-            fh.write(f"{value!r}\n")
+            fh.write(f"{_fmt(value)}\n")
     print(f"wrote {path} ({solution.mesh.n_vertices} values, "
           f"{reports[-1].iterations} newton iterations on the finest level)")
     return 0
@@ -392,13 +386,11 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.levels is not None:
-            cfg.level_count = args.levels
-        if args.quad_degree is not None:
-            cfg.quad_degree = args.quad_degree
-        if args.snap is not None:
-            cfg.snap = args.snap
-        cfg.validate()
+        overrides = {"level_count": args.levels,
+                     "quad_degree": args.quad_degree, "snap": args.snap}
+        cfg = dataclasses.replace(cfg, **{
+            name: value for name, value in overrides.items()
+            if value is not None})
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,6 @@ import scipy.sparse as sp
 __all__ = [
     "Mesh",
     "CsrPattern",
-    "AngleReport",
     "MeshError",
     "InvalidSubdivision",
     "InterfaceNotResolved",
@@ -27,13 +26,10 @@ __all__ = [
     "ValidationError",
     "generate_interface_mesh",
     "refine_uniform",
-    "check_angle_condition",
     "validate_mesh",
     "save_mesh",
     "load_mesh",
 ]
-
-ANGLE_TOL_FACTOR = 1e-12  # scaled by the largest stiffness diagonal entry
 
 
 class MeshError(Exception):
@@ -253,16 +249,6 @@ def _csr_pattern(triangles, n):
                       a.indices.astype(index_dtype), slots.reshape(-1, 9))
 
 
-@dataclass
-class AngleReport:
-    """Result of the stiffness off-diagonal sign audit."""
-
-    worst_offdiag: float
-    violating_pairs: list
-    passes: bool
-    tolerance: float
-
-
 def triangle_geometry(p):
     """Signed areas (M,) and basis gradients (M, 3, 2) of triangles p (M, 3, 2).
 
@@ -422,33 +408,6 @@ def refine_uniform(mesh):
         h=mesh.h / 2.0,
         parent=mesh,
         midpoint_edges=midpoint_edges,
-    )
-
-
-def check_angle_condition(mesh, diffusion):
-    """Audit the sign of the stiffness off-diagonal entries.
-
-    The discrete maximum principle requires a(phi_i, phi_j) <= 0 for all
-    i != j.  Entries above the tolerance (1e-12 times the largest diagonal
-    entry) are reported as violating pairs.  Pure diagnostic.
-    """
-    from .assembly import assemble_stiffness  # deferred: avoids cycle
-
-    A = assemble_stiffness(mesh, diffusion).tocoo()
-    off = A.row != A.col
-    tol = ANGLE_TOL_FACTOR * float(A.data[~off].max())
-    rows, cols, vals = A.row[off], A.col[off], A.data[off]
-    worst = float(vals.max()) if vals.size else 0.0
-    bad = vals > tol
-    pairs = sorted(
-        {(int(min(i, j)), int(max(i, j)))
-         for i, j in zip(rows[bad], cols[bad])}
-    )
-    return AngleReport(
-        worst_offdiag=worst,
-        violating_pairs=pairs,
-        passes=not pairs,
-        tolerance=tol,
     )
 
 

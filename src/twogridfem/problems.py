@@ -254,9 +254,9 @@ def builtin_problem(name, **params):
     box = params.pop("interface_box", DEFAULT_BOX)
 
     if name == "power11":
-        d_in = float(params.pop("d_inside", 1000.0))
-        d_out = float(params.pop("d_outside", 1.0))
-        magnitude = float(params.pop("magnitude", 1000.0))
+        d_in = _number("d_inside", params.pop("d_inside", 1000.0))
+        d_out = _number("d_outside", params.pop("d_outside", 1.0))
+        magnitude = _number("magnitude", params.pop("magnitude", 1000.0))
         location = _point(params.pop("location", (0.0, 0.0)))
         _reject_extra(name, params)
         return Problem(
@@ -267,10 +267,10 @@ def builtin_problem(name, **params):
         )
 
     if name == "sinh_pbe":
-        kappa2 = float(params.pop("kappa2", 1.0))
-        d_in = float(params.pop("d_inside", 2.0))
-        d_out = float(params.pop("d_outside", 80.0))
-        g_flux = float(params.pop("g_flux", 1.0))
+        kappa2 = _number("kappa2", params.pop("kappa2", 1.0))
+        d_in = _number("d_inside", params.pop("d_inside", 2.0))
+        d_out = _number("d_outside", params.pop("d_outside", 80.0))
+        g_flux = _number("g_flux", params.pop("g_flux", 1.0))
         _reject_extra(name, params)
         if kappa2 < 0:
             raise ValueError("kappa2 must be nonnegative")
@@ -293,10 +293,11 @@ def builtin_problem(name, **params):
         )
 
     if name in ("linear_reaction", "zero_reaction"):
-        c = float(params.pop("c", 1.0)) if name == "linear_reaction" else 0.0
-        f = float(params.pop("f", 1.0))
-        d_in = float(params.pop("d_inside", 1.0))
-        d_out = float(params.pop("d_outside", 1.0))
+        c = (_number("c", params.pop("c", 1.0)) if name == "linear_reaction"
+             else 0.0)
+        f = _number("f", params.pop("f", 1.0))
+        d_in = _number("d_inside", params.pop("d_inside", 1.0))
+        d_out = _number("d_outside", params.pop("d_outside", 1.0))
         _reject_extra(name, params)
         if c < 0:
             raise ValueError("reaction coefficient c must be nonnegative")
@@ -317,6 +318,14 @@ def builtin_problem(name, **params):
     raise UnknownProblem(f"no built-in problem named {name!r}")
 
 
+def _number(key, value):
+    """``value`` as one float; ValueError naming ``key`` otherwise."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} must be one number, got {value!r}") from None
+
+
 def _point(location):
     """``location`` as a pair of finite floats; ValueError otherwise."""
     try:
@@ -334,7 +343,7 @@ def _reject_extra(name, params):
             f"unknown parameters for {name}: {sorted(params)}")
 
 
-def manufactured_interface_problem(d1, d2):
+def manufactured_interface_problem(d_inside, d_outside):
     """Exact-solution problem on (-1,1)^2 with the interface on x = 0.
 
     The solution is u(x, y) = w(x) sin(pi y) with w piecewise
@@ -343,10 +352,10 @@ def manufactured_interface_problem(d1, d2):
     while satisfying both jump conditions.  The reaction is b(xi) = xi^3.
     The construction is validated at build time to 1e-12.
     """
-    d1 = float(d1)
-    d2 = float(d2)
+    d1 = _number("d_inside", d_inside)
+    d2 = _number("d_outside", d_outside)
     if d1 <= 0 or d2 <= 0:
-        raise ValueError("diffusion coefficients must be positive")
+        raise ValueError("d_inside and d_outside must be positive")
     pi = np.pi
     flux = 1.0  # common value of D w' at the interface
     # w_left = (1 + x) + a_l sin(pi x), w_right = (1 - x) + a_r sin(pi x)

@@ -40,6 +40,8 @@ logger = logging.getLogger(__name__)
 # and floored at FORCING_FLOOR.
 FORCING_FACTOR = 1e-2
 FORCING_FLOOR = 1e-12
+# the line search halves the Newton step down to this fraction of it
+MIN_STEP = 2.0 ** -10
 
 
 class SolverError(Exception):
@@ -57,7 +59,7 @@ class NoConvergence(SolverError):
 
 
 class LineSearchStall(SolverError):
-    """Damping reduced the step below the minimum without progress."""
+    """Damping reduced the step below MIN_STEP without progress."""
 
     def __init__(self, message, best=None, report=None):
         super().__init__(message)
@@ -67,12 +69,11 @@ class LineSearchStall(SolverError):
 
 @dataclass
 class NewtonOptions:
-    """Damped Newton controls: sup-norm tolerances and step-halving limits."""
+    """Damped Newton controls: sup-norm tolerances and the iteration cap."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-12
     max_iters: int = 40
-    min_step: float = 2.0 ** -10
 
     def __post_init__(self):
         if self.abs_tol <= 0:
@@ -341,7 +342,7 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
 
         step = 1.0
         accepted = False
-        while step >= opts.min_step:
+        while step >= MIN_STEP:
             u_try = u + step * delta
             r_try = residual(u_try)
             rsup_try = float(np.abs(r_try).max())

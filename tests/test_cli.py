@@ -1,11 +1,13 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 import twogridfem.cli as cli
 import twogridfem.twogrid as twogrid
 from twogridfem.cli import main
+from twogridfem.mesh import generate_interface_mesh
 
 MANUFACTURED_CFG = """
 [problem]
@@ -90,7 +92,8 @@ def read_csv(path):
 
 
 def test_check_mesh_passes(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, POWER11_CFG)
+    # a % is read literally, not as an interpolation
+    cfg = write_cfg(tmp_path, POWER11_CFG.replace("{out}", "{out}%"))
     assert main(["check-mesh", "--config", cfg]) == 0
     out = capsys.readouterr().out
     assert "level" in out and "yes" in out
@@ -122,6 +125,10 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
     pytest.param("domain = -1 1 -1 1\nbox = -0.5 0.5 -0.5 0.5",
                  "domain = 0.5 2.5 0.5 2.5\nbox = 1 2 1 2",
                  "no mesh vertex at (0.0, 0.0)", id="load-off-the-mesh"),
+    pytest.param("name = power11", "name = power11\nd_inside = 1 2",
+                 "d_inside", id="several-numbers"),
+    pytest.param("name = power11", "name = power11\nmagnitude =",
+                 "magnitude", id="empty-value"),
 ])
 def test_bad_point_source_is_config_error(tmp_path, capsys, old, new,
                                           reason):
@@ -146,6 +153,13 @@ def test_missing_config_file():
     pytest.param("s", "[output]", "[twogrid]\ns = 1\n\n[output]", id="s"),
     pytest.param("tau", "[output]", "[twogrid]\ntau = 0.5\n\n[output]",
                  id="tau"),
+    pytest.param("d_inside", "d_inside = 10", "d_inside = 0",
+                 id="d_inside"),
+    pytest.param("cuont", "count = 3", "cuont = 1", id="unknown-key"),
+    pytest.param("[twogird]", "[output]", "[twogird]\ns = 2\n\n[output]",
+                 id="unknown-section"),
+    pytest.param("[DEFAULT]", "[problem]\nname = manufactured\n",
+                 "[DEFAULT]\n", id="default-section"),
 ])
 def test_out_of_range_setting_is_config_error(tmp_path, capsys, key, old,
                                               new):
@@ -239,6 +253,17 @@ def test_solve_writes_nodal_values(tmp_path):
     lines = (tmp_path / "out" / "solution.txt").read_text().splitlines()
     assert lines[0].startswith("#")
     assert len(lines) - 1 == 9 * 9  # coarsest n=4, one refinement -> n=8
+    assert all(np.isfinite(float(line)) for line in lines[1:])
+
+
+def test_point_load_location_from_config(tmp_path):
+    cfg = write_cfg(tmp_path, POWER11_CFG.replace(
+        "name = power11", "name = power11\nlocation = 0.25 0"))
+    assert main(["solve", "--config", cfg, "--levels", "1"]) == 0
+    lines = (tmp_path / "out" / "solution.txt").read_text().splitlines()
+    values = np.array([float(line) for line in lines[1:]])
+    mesh = generate_interface_mesh(8)
+    assert tuple(mesh.vertices[values.argmax()]) == (0.25, 0.0)
 
 
 def test_quad_degree_override_runs(tmp_path):

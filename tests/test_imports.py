@@ -1,5 +1,5 @@
-"""Every module of the package uses each name it imports and defines each
-name it exports."""
+"""Every module of the package imports at module level, uses each name it
+imports and defines each name it exports."""
 
 import ast
 import importlib
@@ -31,6 +31,15 @@ def unused_imports(source):
                   if name not in used)
 
 
+def function_level_imports(source):
+    """Lines of the imports made inside a function or method."""
+    return sorted({
+        inner.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
 def test_guard_sees_an_unused_import():
     source = "import os\nfrom a import b, c as d\n__all__ = ['d']\nos.sep\n"
     assert unused_imports(source) == [(2, "b")]
@@ -39,6 +48,17 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_guard_sees_a_function_level_import():
+    source = ("import os\n\ndef f():\n    def g():\n        import sys\n\n"
+              "class A:\n    def h(self):\n        from . import b\n")
+    assert function_level_imports(source) == [5, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_at_module_level(path):
+    assert function_level_imports(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

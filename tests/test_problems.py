@@ -98,6 +98,8 @@ def test_builtin_rejects_bad_values():
         builtin_problem("linear_reaction", c=-1.0)
     with pytest.raises(ValueError):
         builtin_problem("sinh_pbe", kappa2=-2.0)
+    with pytest.raises(ValueError, match="kappa2 must be one number"):
+        builtin_problem("sinh_pbe", kappa2=(1.0, 2.0))
     for location in (0.3, (0.0, float("nan")), (0.0, 0.0, 0.0)):
         with pytest.raises(ValueError, match="location"):
             builtin_problem("power11", location=location)
