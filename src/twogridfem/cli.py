@@ -18,7 +18,7 @@ from .analysis import check_angle_condition, convergence_report, \
     error_norms
 from .assembly import NotAVertex, assemble_point_load, triangle_rule
 from .mesh import MeshError, generate_interface_mesh, refine_uniform
-from .problems import ProblemError, builtin_problem, \
+from .problems import BUILTIN_PROBLEMS, ProblemError, builtin_problem, \
     manufactured_interface_problem
 from .solvers import NewtonOptions, SolverError, newton_solve
 from .twogrid import InvalidRegularity, nested_newton_solve, \
@@ -33,9 +33,6 @@ TWOGRID_COLUMNS = ["h", "H", "err_energy_direct", "err_energy_twogrid",
                    "ratio", "coarse_newton_iters", "fine_linear_iters",
                    "wall_ms_direct", "wall_ms_twogrid"]
 
-PROBLEM_NAMES = ("manufactured", "power11", "sinh_pbe", "linear_reaction",
-                 "zero_reaction")
-
 
 class ConfigError(Exception):
     pass
@@ -43,12 +40,15 @@ class ConfigError(Exception):
 
 @dataclasses.dataclass(frozen=True)
 class StudyConfig:
-    """Everything a study needs: problem, geometry, levels, tolerances."""
+    """Everything a study needs: problem, geometry, levels, tolerances.
+
+    ``domain`` and ``box`` are None unless set, for the problem's own
+    geometry."""
 
     problem_name: str = "manufactured"
     problem_params: dict = dataclasses.field(default_factory=dict)
-    domain: tuple = (-1.0, 1.0, -1.0, 1.0)
-    box: tuple = (-0.5, 0.5, -0.5, 0.5)
+    domain: tuple | None = None
+    box: tuple | None = None
     coarsest_n: int = 8
     level_count: int = 3
     newton_abs_tol: float = 1e-10
@@ -72,10 +72,10 @@ class StudyConfig:
             raise ConfigError(f"newton_{exc}") from None
         if self.quad_degree < 1:
             raise ConfigError("quad_degree must be at least 1")
-        if self.problem_name not in PROBLEM_NAMES:
-            raise ConfigError(
-                f"unknown problem {self.problem_name!r}; "
-                f"choose from {', '.join(PROBLEM_NAMES)}")
+        names = ("manufactured",) + BUILTIN_PROBLEMS
+        if self.problem_name not in names:
+            raise ConfigError(f"unknown problem {self.problem_name!r}; "
+                              f"choose from {', '.join(names)}")
         try:
             # checks s, tau and snap; any h serves
             select_coarse_size(1.0, self.s, self.tau, snap=self.snap)
@@ -146,11 +146,14 @@ def load_config(path):
         for key, text in parser.items(section):
             if key in keys:
                 target, name, parse = values, *SETTINGS[section, key]
-            elif section == "problem":
-                target, name, parse = params, key, _numbers
-            else:
+            elif section != "problem":
                 raise ConfigError(f"{key} is not a key of [{section}]; "
                                   f"choose from {', '.join(keys)}")
+            elif key in ("domain", "interface_box"):
+                raise ConfigError(f"{key} is not a problem parameter; the "
+                                  f"geometry is set under [geometry]")
+            else:
+                target, name, parse = params, key, _numbers
             try:
                 target[name] = parse(text)
             except ValueError as exc:
@@ -161,10 +164,17 @@ def load_config(path):
 def _build_problem(cfg):
     """Problem instance plus the exact solution when one exists."""
     params = cfg.problem_params
+    geometry = {key: value for key, value
+                in (("domain", cfg.domain), ("interface_box", cfg.box))
+                if value is not None}
     try:
         if cfg.problem_name != "manufactured":
-            return builtin_problem(cfg.problem_name, domain=cfg.domain,
-                                   interface_box=cfg.box, **params), None
+            return builtin_problem(cfg.problem_name, **geometry,
+                                   **params), None
+        for key, value in (("domain", cfg.domain), ("box", cfg.box)):
+            if value is not None:
+                raise ConfigError(f"{key} cannot be set: the manufactured "
+                                  f"problem has a fixed geometry")
         extra = sorted(set(params) - {"d_inside", "d_outside"})
         if extra:
             raise ConfigError(

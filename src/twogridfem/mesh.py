@@ -56,7 +56,10 @@ class ParseError(MeshError):
 
 @dataclass(eq=False)
 class Mesh:
-    """Conforming P1 triangulation with region tags and interface edges.
+    """Conforming P1 triangulation whose region tags resolve the interface.
+
+    Every triangle lies on one side of the interface, so the interface is
+    the set of edges where the region tag changes.
 
     Attributes
     ----------
@@ -64,7 +67,6 @@ class Mesh:
     triangles : (M, 3) int array, counterclockwise vertex triples
     regions : (M,) int array with values in {1, 2}
     boundary_vertices : sorted int array, vertices on the outer boundary
-    interface_edges : (K, 2) int array, edges lying on the interface
     h : maximum element diameter
     parent : coarser mesh this one refines, or None
     midpoint_edges : (N - N_parent, 2) int array mapping each new vertex
@@ -73,6 +75,8 @@ class Mesh:
     gradients : (M, 3, 2) gradients of the barycentric basis functions
     prolongation : (N, N_parent) sparse P1 embedding of the parent's
         space, or None without a parent
+    interface_edges : (K, 2) int array, the edges (lo, hi) shared by a
+        region-1 and a region-2 triangle, in lexicographic order
     interior_vertices : sorted int array, the vertices not on the
         boundary: the unknowns of every system solved on the mesh
     interior_prolongation : ``prolongation[interior_vertices][:,
@@ -81,17 +85,16 @@ class Mesh:
         CSR, or None without a parent
     csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
 
-    All arrays are read-only.  ``interior_vertices``, ``areas``,
-    ``gradients``, the prolongations, the restriction and ``csr_pattern``
-    are computed once, on first use; two threads racing on that first use
-    compute the same values, so meshes are safe to share.
+    All arrays are read-only.  ``interface_edges``, ``interior_vertices``,
+    ``areas``, ``gradients``, the prolongations, the restriction and
+    ``csr_pattern`` are computed once, on first use; two threads racing on
+    that first use compute the same values, so meshes are safe to share.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     regions: np.ndarray
     boundary_vertices: np.ndarray
-    interface_edges: np.ndarray
     h: float
     parent: "Mesh | None" = None
     midpoint_edges: np.ndarray | None = field(default=None, repr=False)
@@ -103,11 +106,8 @@ class Mesh:
         self.boundary_vertices = np.ascontiguousarray(
             self.boundary_vertices, dtype=np.int64
         )
-        self.interface_edges = np.ascontiguousarray(
-            self.interface_edges, dtype=np.int64
-        ).reshape(-1, 2)
         _freeze(self.vertices, self.triangles, self.regions,
-                self.boundary_vertices, self.interface_edges)
+                self.boundary_vertices)
 
     @property
     def n_vertices(self):
@@ -116,6 +116,18 @@ class Mesh:
     @property
     def n_triangles(self):
         return self.triangles.shape[0]
+
+    @cached_property
+    def interface_edges(self):
+        """The edges used by two triangles of different regions."""
+        lo, hi, edge_of = _unique_edges(self.triangles, self.n_vertices)
+        uses = np.bincount(edge_of.ravel())
+        inside = np.bincount(edge_of[self.regions == 1].ravel(),
+                             minlength=lo.size)
+        on = (uses == 2) & (inside == 1)
+        edges = np.column_stack([lo[on], hi[on]])
+        _freeze(edges)
+        return edges
 
     @cached_property
     def interior_vertices(self):
@@ -271,11 +283,6 @@ def _max_diameter(vertices, triangles):
     return float(np.hypot(edges[..., 0], edges[..., 1]).max())
 
 
-def _sorted_rows(edges):
-    """Edge pairs in lexicographic order."""
-    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
-
-
 def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
                             interface_box=(-0.5, 0.5, -0.5, 0.5)):
     """Build a structured right-triangle mesh resolving an interface box.
@@ -283,10 +290,10 @@ def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
     The domain ``(xmin, xmax, ymin, ymax)`` is split into an n-by-n grid of
     cells, each cut along the lower-left/upper-right diagonal.  Triangles
     whose centroid lies inside ``interface_box`` get region tag 1, the rest
-    tag 2.  The interface consists of the grid edges on the box boundary
-    that do not lie on the outer boundary; a box sharing sides with the
-    domain therefore degenerates to a line interface (e.g. a vertical line
-    when the box spans the full height and half the width).
+    tag 2.  The interface, the edges between the two regions, is then the
+    part of the box boundary inside the domain; a box sharing sides with
+    the domain therefore degenerates to a line interface (e.g. a vertical
+    line when the box spans the full height and half the width).
 
     Raises
     ------
@@ -337,23 +344,11 @@ def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
     on_boundary[:, [0, n]] = True
     boundary_vertices = np.flatnonzero(on_boundary)
 
-    # Interface edges: the box perimeter, minus any side flush with the
-    # outer boundary.
-    column = np.arange(iy0, iy1) * (n + 1)
-    row = np.arange(ix0, ix1)
-    sides = [np.column_stack([column + i, column + i + n + 1])
-             for i in (ix0, ix1) if 0 < i < n]
-    sides += [np.column_stack([row + j * (n + 1), row + j * (n + 1) + 1])
-              for j in (iy0, iy1) if 0 < j < n]
-    interface_edges = _sorted_rows(
-        np.concatenate(sides + [np.empty((0, 2), dtype=np.int64)]))
-
     return Mesh(
         vertices=vertices,
         triangles=triangles,
         regions=regions,
         boundary_vertices=boundary_vertices,
-        interface_edges=interface_edges,
         h=_max_diameter(vertices, triangles),
     )
 
@@ -388,23 +383,11 @@ def refine_uniform(mesh):
     boundary_vertices = np.union1d(mesh.boundary_vertices,
                                    midpoint[np.bincount(edge_of.ravel()) == 1])
 
-    iface = np.sort(mesh.interface_edges, axis=1)
-    iface_keys = iface[:, 0] * n_old + iface[:, 1]
-    keys = lo * n_old + hi
-    if not np.isin(iface_keys, keys).all():
-        raise ValidationError("interface edge is not an edge of a triangle")
-    mids = midpoint[np.searchsorted(keys, iface_keys)]
-    interface_edges = _sorted_rows(np.concatenate([
-        np.column_stack([iface[:, 0], mids]),
-        np.column_stack([iface[:, 1], mids]),
-    ]))
-
     return Mesh(
         vertices=vertices,
         triangles=triangles,
         regions=np.repeat(mesh.regions, 4),
         boundary_vertices=boundary_vertices,
-        interface_edges=interface_edges,
         h=mesh.h / 2.0,
         parent=mesh,
         midpoint_edges=midpoint_edges,
@@ -417,9 +400,6 @@ def validate_mesh(mesh):
     if mesh.triangles.size and (
             mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
         raise ValidationError("triangle references a vertex index out of range")
-    if mesh.interface_edges.size and (
-            mesh.interface_edges.min() < 0 or mesh.interface_edges.max() >= n):
-        raise ValidationError("interface edge references a vertex out of range")
     if mesh.boundary_vertices.size and (
             mesh.boundary_vertices.min() < 0
             or mesh.boundary_vertices.max() >= n):
@@ -442,18 +422,16 @@ def validate_mesh(mesh):
 
 
 def save_mesh(mesh):
-    """Serialize to the plain-text mesh format (full float precision)."""
-    flags = np.zeros(mesh.n_vertices, dtype=np.int64)
-    flags[mesh.boundary_vertices] = 1
+    """Serialize to the plain-text mesh format (full float precision).
+
+    The format holds the vertices and the tagged triangles; the boundary
+    and the interface follow from them."""
     lines = [f"vertices {mesh.n_vertices}"]
     # by column: a list per row would cost a garbage-tracked object each
-    lines += [f"{x!r} {y!r} {flag}" for x, y, flag
-              in zip(*mesh.vertices.T.tolist(), flags.tolist())]
+    lines += [f"{x!r} {y!r}" for x, y in zip(*mesh.vertices.T.tolist())]
     lines.append(f"triangles {mesh.n_triangles}")
     lines += [f"{a} {b} {c} {r}" for a, b, c, r
               in zip(*mesh.triangles.T.tolist(), mesh.regions.tolist())]
-    lines.append(f"interface_edges {len(mesh.interface_edges)}")
-    lines += [f"{a} {b}" for a, b in zip(*mesh.interface_edges.T.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -475,9 +453,10 @@ def _parse_rows(bodies, dtype):
 def load_mesh(text):
     """Parse the plain-text mesh format and validate the result.
 
-    The format holds no refinement links, so the loaded mesh has
-    ``parent`` and ``midpoint_edges`` set to None and cannot take part in
-    prolongation or a two-grid solve.
+    The boundary vertices are the vertices of the edges used by one
+    triangle.  The format holds no refinement links, so the loaded mesh
+    has ``parent`` and ``midpoint_edges`` set to None and cannot take part
+    in prolongation or a two-grid solve.
 
     Raises ParseError (with the 1-based line number) on malformed input
     and ValidationError on structurally invalid meshes.
@@ -532,31 +511,27 @@ def load_mesh(text):
         return [values[name] for name in dtype.names]
 
     nv = section("vertices")
-    x, y, flags = table(nv, (float, float, np.int64),
-                        "expected 'x y boundary_flag'", "bad vertex line",
-                        (0, 1), "boundary flag must be 0 or 1")
-    vertices = np.column_stack([x, y])
+    vertices = np.column_stack(table(nv, (float, float), "expected 'x y'",
+                                     "bad vertex line"))
     nt = section("triangles")
     *corners, regions = table(nt, (np.int64,) * 4,
                               "expected 'v0 v1 v2 region'",
                               "bad triangle line",
                               (1, 2), "region must be 1 or 2")
     triangles = np.column_stack(corners)
-    edges = np.column_stack(table(section("interface_edges"),
-                                  (np.int64,) * 2, "expected 'va vb'",
-                                  "bad edge line"))
     if pos != len(bodies):
         raise ParseError("trailing content", numbers[pos])
 
-    # bounds must hold before any vertex-indexed computation (h)
+    # bounds must hold before any vertex-indexed computation (edges, h)
     if nt and (triangles.min() < 0 or triangles.max() >= nv):
         raise ValidationError("triangle references a vertex index out of range")
+    lo, hi, edge_of = _unique_edges(triangles, nv)
+    once = np.bincount(edge_of.ravel()) == 1
     mesh = Mesh(
         vertices=vertices,
         triangles=triangles,
         regions=regions,
-        boundary_vertices=np.nonzero(flags == 1)[0],
-        interface_edges=edges,
+        boundary_vertices=np.union1d(lo[once], hi[once]),
         h=_max_diameter(vertices, triangles) if nt else 0.0,
     )
     return validate_mesh(mesh)

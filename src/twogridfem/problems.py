@@ -21,6 +21,7 @@ __all__ = [
     "ProblemError",
     "NoFiniteBarrier",
     "UnknownProblem",
+    "BUILTIN_PROBLEMS",
     "compute_barriers",
     "builtin_problem",
     "manufactured_interface_problem",
@@ -28,6 +29,9 @@ __all__ = [
 
 DEFAULT_DOMAIN = (-1.0, 1.0, -1.0, 1.0)
 DEFAULT_BOX = (-0.5, 0.5, -0.5, 0.5)
+
+# the names builtin_problem constructs
+BUILTIN_PROBLEMS = ("power11", "sinh_pbe", "linear_reaction", "zero_reaction")
 
 
 class ProblemError(Exception):
@@ -315,7 +319,8 @@ def builtin_problem(name, **params):
             domain=domain, interface_box=box, name=name,
         )
 
-    raise UnknownProblem(f"no built-in problem named {name!r}")
+    raise UnknownProblem(f"no built-in problem named {name!r}; choose from "
+                         f"{', '.join(BUILTIN_PROBLEMS)}")
 
 
 def _number(key, value):

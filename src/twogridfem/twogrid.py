@@ -71,8 +71,6 @@ class TwoGridResult:
     fine_solution: FemFunction
     coarse_report: SolveReport
     fine_report: SolveReport
-    coarse_h: float
-    fine_h: float
 
 
 def refinement_chain(fine_mesh, coarse_mesh):
@@ -163,8 +161,6 @@ def two_grid_solve(t_coarse, t_fine, problem, quad=None):
         fine_solution=u_fine,
         coarse_report=coarse_report,
         fine_report=fine_report,
-        coarse_h=t_coarse.h,
-        fine_h=t_fine.h,
     )
 
 

@@ -14,7 +14,6 @@ def unit_square_pair():
         triangles=triangles,
         regions=np.array([1, 1]),
         boundary_vertices=np.array([0, 1, 2, 3]),
-        interface_edges=np.empty((0, 2), dtype=np.int64),
         h=np.sqrt(2.0),
     )
 
@@ -96,6 +95,5 @@ def relabelled(mesh, seed=0):
         triangles=triangles,
         regions=mesh.regions[order],
         boundary_vertices=np.sort(label[mesh.boundary_vertices]),
-        interface_edges=label[mesh.interface_edges],
         h=mesh.h,
     )

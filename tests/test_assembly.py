@@ -100,7 +100,6 @@ def test_assemble_stiffness_rejects_clockwise_triangle(unit_square_pair):
         triangles=np.array([[0, 1, 3], [0, 2, 3]]),  # second is clockwise
         regions=unit_square_pair.regions,
         boundary_vertices=unit_square_pair.boundary_vertices,
-        interface_edges=unit_square_pair.interface_edges,
         h=unit_square_pair.h,
     )
     with pytest.raises(DegenerateTriangle, match="triangle 1"):
@@ -163,7 +162,6 @@ def test_reaction_jacobian_single_triangle_mass(unit_square_pair):
         triangles=np.array([[0, 1, 2]]),
         regions=np.array([1]),
         boundary_vertices=np.array([0, 1, 2]),
-        interface_edges=np.empty((0, 2), dtype=np.int64),
         h=np.sqrt(2.0),
     )
     state = FemFunction.zeros(mesh)
@@ -256,20 +254,23 @@ def test_point_load_not_a_vertex():
 
 
 def test_interface_flux_constant(unit_square_pair):
-    # mark the diagonal as the interface edge
+    # regions 1 and 2 meet on the diagonal, the interface edge, which the
+    # loaded copy also counts once
     from twogridfem import Mesh
     mesh = Mesh(
         vertices=unit_square_pair.vertices,
         triangles=unit_square_pair.triangles,
-        regions=unit_square_pair.regions,
+        regions=np.array([1, 2]),
         boundary_vertices=unit_square_pair.boundary_vertices,
-        interface_edges=np.array([[0, 3]]),
         h=unit_square_pair.h,
     )
-    load = assemble_interface_flux(mesh, lambda x: np.ones(x.shape[:-1]))
+    loaded = load_mesh("vertices 4\n0 0\n1 0\n0 1\n1 1\n"
+                       "triangles 2\n0 1 3 1\n0 3 2 2\n")
     length = np.sqrt(2.0)
-    np.testing.assert_allclose(load, [length / 2, 0.0, 0.0, length / 2],
-                               atol=1e-14)
+    for m in (mesh, loaded):
+        load = assemble_interface_flux(m, lambda x: np.ones(x.shape[:-1]))
+        np.testing.assert_allclose(load, [length / 2, 0.0, 0.0, length / 2],
+                                   atol=1e-14)
 
 
 def test_interface_flux_zero():
@@ -283,9 +284,8 @@ def test_interface_flux_linear_exact(unit_square_pair):
     mesh = Mesh(
         vertices=unit_square_pair.vertices,
         triangles=unit_square_pair.triangles,
-        regions=unit_square_pair.regions,
+        regions=np.array([1, 2]),
         boundary_vertices=unit_square_pair.boundary_vertices,
-        interface_edges=np.array([[0, 3]]),
         h=unit_square_pair.h,
     )
     # g(x, y) = x is linear along the diagonal (0,0)-(1,1)

@@ -156,6 +156,15 @@ def test_missing_config_file():
     pytest.param("d_inside", "d_inside = 10", "d_inside = 0",
                  id="d_inside"),
     pytest.param("cuont", "count = 3", "cuont = 1", id="unknown-key"),
+    pytest.param("domain", "[output]",
+                 "[geometry]\ndomain = 0 2 0 1\n\n[output]",
+                 id="manufactured-domain"),
+    pytest.param("box", "[output]",
+                 "[geometry]\nbox = -1 0 -1 1\n\n[output]",
+                 id="manufactured-box"),
+    pytest.param("domain", "d_outside = 1",
+                 "d_outside = 1\ndomain = 0 2 0 1",
+                 id="geometry-as-problem-parameter"),
     pytest.param("[twogird]", "[output]", "[twogird]\ns = 2\n\n[output]",
                  id="unknown-section"),
     pytest.param("[DEFAULT]", "[problem]\nname = manufactured\n",

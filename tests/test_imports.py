@@ -1,5 +1,6 @@
 """Every module of the package imports at module level, uses each name it
-imports and defines each name it exports."""
+imports, defines each name it exports and reads each private name it
+defines."""
 
 import ast
 import importlib
@@ -38,6 +39,53 @@ def function_level_imports(source):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for inner in ast.walk(node)
         if isinstance(inner, (ast.Import, ast.ImportFrom))})
+
+
+def private_definitions(source):
+    """Module-level private names (``_x``, not dunders) a module binds by
+    def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names.update(n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def names_read(source):
+    """Names a module reads: loaded names, attributes and imported names."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def unread_private_names(sources):
+    """Private module-level names of ``sources`` that none of them reads."""
+    read = set().union(*map(names_read, sources))
+    return sorted(set().union(*map(private_definitions, sources)) - read)
+
+
+def test_guard_sees_an_unread_private_name():
+    sources = ["def _used():\n    pass\n\ndef _dead():\n    pass\n"
+               "_TABLE = {}\n__all__ = []\n",
+               "from a import _used\nimport m\nm._TABLE\n"]
+    assert unread_private_names(sources) == ["_dead"]
+
+
+def test_package_reads_every_private_name():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
 
 
 def test_guard_sees_an_unused_import():

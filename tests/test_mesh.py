@@ -197,6 +197,53 @@ def test_fine_interface_edges_inside_coarse_ones():
         assert contained
 
 
+GEOMETRIES = [
+    pytest.param((-1, 1, -1, 1), (-0.5, 0.5, -0.5, 0.5), id="default"),
+    pytest.param((-1, 1, -1, 1), (-1, 0, -1, 1), id="flush-three-sides"),
+    pytest.param((-1, 1, -1, 1), (-1, 0, -0.5, 0.5), id="flush-left"),
+    pytest.param((-1, 1, -1, 1), (-1, 1, -1, 1), id="whole-domain"),
+    pytest.param((0, 2, 0, 1), (0.5, 1.5, 0.25, 0.75), id="off-centre"),
+]
+
+
+def interface_and_boundary_oracle(mesh):
+    """Walk the triangles, collecting the regions of each edge's triangles:
+    an interface edge has one triangle of each region, and a boundary
+    vertex lies on an edge of one triangle."""
+    regions_of = {}
+    for tri, region in zip(mesh.triangles.tolist(), mesh.regions.tolist()):
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            regions_of.setdefault((min(a, b), max(a, b)), []).append(region)
+    interface = sorted(edge for edge, regions in regions_of.items()
+                       if sorted(regions) == [1, 2])
+    boundary = sorted({vertex for edge, regions in regions_of.items()
+                       if len(regions) == 1 for vertex in edge})
+    return [list(edge) for edge in interface], boundary
+
+
+@pytest.mark.parametrize("domain, box", GEOMETRIES)
+def test_interface_and_boundary_match_a_triangle_walk(domain, box):
+    mesh = generate_interface_mesh(4, domain, box)
+    for _ in range(4):
+        interface, boundary = interface_and_boundary_oracle(mesh)
+        loaded = load_mesh(save_mesh(mesh))
+        for m in (mesh, loaded):
+            assert m.interface_edges.tolist() == interface
+            assert m.interface_edges.shape == (len(interface), 2)
+            assert m.interface_edges.dtype == np.int64
+            assert m.boundary_vertices.tolist() == boundary
+        mesh = refine_uniform(mesh)
+
+
+def test_interface_edges_are_built_on_first_use_and_cached():
+    mesh = generate_interface_mesh(4)
+    assert "interface_edges" not in vars(mesh)
+    edges = mesh.interface_edges
+    assert edges is mesh.interface_edges
+    with pytest.raises(ValueError):
+        edges[0, 0] = 0
+
+
 def test_angle_condition_structured_mesh_all_levels():
     mesh = generate_interface_mesh(4)
     for _ in range(3):
@@ -214,7 +261,6 @@ def test_angle_condition_obtuse_triangle_fails():
         triangles=np.array([[0, 1, 2]]),
         regions=np.array([1]),
         boundary_vertices=np.array([0, 1, 2]),
-        interface_edges=np.empty((0, 2), dtype=np.int64),
         h=4.0,
     )
     report = check_angle_condition(mesh, {1: 1.0})
@@ -244,12 +290,11 @@ def test_load_accepts_comments_and_blank_lines():
     text = (
         "# a tiny one-triangle mesh\n\n"
         "vertices 3\n"
-        "0.0 0.0 1\n"
-        "1.0 0.0 1  # inline comment\n"
-        "0.0 1.0 1\n"
+        "0.0 0.0\n"
+        "1.0 0.0  # inline comment\n"
+        "0.0 1.0\n"
         "triangles 1\n"
         "0 1 2 1\n"
-        "interface_edges 0\n"
     )
     mesh = load_mesh(text)
     assert mesh.n_triangles == 1
@@ -258,9 +303,8 @@ def test_load_accepts_comments_and_blank_lines():
 
 def test_load_rejects_out_of_range_index():
     text = (
-        "vertices 3\n0 0 1\n1 0 1\n0 1 1\n"
+        "vertices 3\n0 0\n1 0\n0 1\n"
         "triangles 1\n0 1 3 1\n"
-        "interface_edges 0\n"
     )
     with pytest.raises(ValidationError):
         load_mesh(text)
@@ -273,7 +317,6 @@ def test_validate_rejects_edge_shared_by_three_triangles():
         triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
         regions=np.array([1, 1, 1]),
         boundary_vertices=np.array([0, 1, 2, 3, 4]),
-        interface_edges=np.empty((0, 2), dtype=np.int64),
         h=2.0,
     )
     with pytest.raises(ValidationError, match=r"edge \(0, 1\) shared by 3"):
@@ -282,43 +325,39 @@ def test_validate_rejects_edge_shared_by_three_triangles():
 
 def test_load_rejects_negative_area():
     text = (
-        "vertices 3\n0 0 1\n1 0 1\n0 1 1\n"
+        "vertices 3\n0 0\n1 0\n0 1\n"
         "triangles 1\n0 2 1 1\n"  # clockwise
-        "interface_edges 0\n"
     )
     with pytest.raises(ValidationError):
         load_mesh(text)
 
 
 def test_parse_error_carries_line_number():
-    text = "vertices 2\n0 0 1\noops\ntriangles 0\ninterface_edges 0\n"
+    text = "vertices 2\n0 0\noops\ntriangles 0\n"
     with pytest.raises(ParseError) as err:
         load_mesh(text)
     assert err.value.line_number == 3
 
 
-VERTICES = "vertices 3\n0 0 1\n1 0 1\n0 1 1\n"
+VERTICES = "vertices 3\n0 0\n1 0\n0 1\n"
 TRIANGLE = "triangles 1\n0 1 2 1\n"
 
 
 @pytest.mark.parametrize("text, line, message", [
-    pytest.param("vertices 3\n0 0 1\n1 0 2\n0 1 x\n", 3,
-                 "boundary flag must be 0 or 1", id="flag-before-bad-value"),
-    pytest.param("vertices 3\n0 0 1\n1 0 1.0\n0 1\n", 3,
-                 "bad vertex line", id="float-flag-before-short-line"),
-    pytest.param("vertices 3\n0 0 1\n1 0 1\ntriangles 0\n", 4,
-                 "expected 'x y boundary_flag'", id="header-as-vertex"),
-    pytest.param("vertices 3\n0 0 1\n\n1 0 1 # two of three\n", 4,
+    pytest.param("vertices 3\n0 0\n1 x\n0 1\n", 3,
+                 "bad vertex line", id="vertex-value"),
+    pytest.param("vertices 3\n0 0 1\n1 0 1\n0 1 1\n", 2,
+                 "expected 'x y'", id="old-boundary-flag-column"),
+    # a header has two tokens, like a vertex line, but not two numbers
+    pytest.param("vertices 3\n0 0\n1 0\ntriangles 0\n", 4,
+                 "bad vertex line", id="header-as-vertex"),
+    pytest.param("vertices 3\n0 0\n\n1 0 # two of three\n", 4,
                  "unexpected end of input", id="end-inside-section"),
-    pytest.param(VERTICES + "triangles 1\n0 1 2 3\ninterface_edges 0\n", 6,
+    pytest.param(VERTICES + "triangles 1\n0 1 2 3\n", 6,
                  "region must be 1 or 2", id="region"),
     pytest.param(VERTICES + "triangles 1\n0 1 99999999999999999999 1\n",
                  6, "bad triangle line", id="index-overflows-int64"),
-    pytest.param(VERTICES + TRIANGLE + "interface_edges 1\n0 1 2\n", 8,
-                 "expected 'va vb'", id="edge-width"),
-    pytest.param(VERTICES + TRIANGLE + "interface_edges 1\n0 b\n", 8,
-                 "bad edge line", id="edge-value"),
-    pytest.param(VERTICES + TRIANGLE + "interface_edges 0\n0 1\n", 8,
+    pytest.param(VERTICES + TRIANGLE + "interface_edges 0\n", 7,
                  "trailing content", id="trailing"),
 ])
 def test_parse_error_names_the_first_bad_line(text, line, message):
@@ -332,14 +371,10 @@ def test_parse_error_names_the_first_bad_line(text, line, message):
 # suite's DeprecationWarning-as-error setting.
 @pytest.mark.filterwarnings("ignore::DeprecationWarning")
 @pytest.mark.parametrize("text, line, message", [
-    pytest.param("vertices 3\n0 0 1\n1 0 1.0\n0 1 0\n", 3,
-                 "bad vertex line", id="float-flag"),
     pytest.param(VERTICES + "triangles 1\n0 1 2.9 1\n", 6,
                  "bad triangle line", id="float-corner"),
     pytest.param(VERTICES + "triangles 1\n0 1 2 1.0\n", 6,
                  "bad triangle line", id="float-region"),
-    pytest.param(VERTICES + TRIANGLE + "interface_edges 1\n0 1.5\n", 8,
-                 "bad edge line", id="float-edge-end"),
 ])
 def test_float_in_an_integer_column_is_a_parse_error(text, line, message):
     with pytest.raises(ParseError) as err:
@@ -353,12 +388,64 @@ def test_save_mesh_text_format():
         triangles=np.array([[0, 1, 2]]),
         regions=np.array([2]),
         boundary_vertices=np.array([0, 2]),
-        interface_edges=np.array([[0, 1]]),
         h=1.0,
     )
     assert save_mesh(mesh) == (
-        "vertices 3\n0.0 0.0 1\n1.0 0.0 0\n0.1 0.3333333333333333 1\n"
-        "triangles 1\n0 1 2 2\ninterface_edges 1\n0 1\n")
+        "vertices 3\n0.0 0.0\n1.0 0.0\n0.1 0.3333333333333333\n"
+        "triangles 1\n0 1 2 2\n")
+
+
+# the unit square in 2 x 2 cells: region 1 left of x = 0.5, region 2 right
+SQUARE = """vertices 9
+0.0 0.0
+0.5 0.0
+1.0 0.0
+0.0 0.5
+0.5 0.5
+1.0 0.5
+0.0 1.0
+0.5 1.0
+1.0 1.0
+triangles 8
+0 1 4 1
+0 4 3 1
+1 2 5 2
+1 5 4 2
+3 4 7 1
+3 7 6 1
+4 5 8 2
+4 8 7 2
+"""
+
+
+def test_load_derives_boundary_and_interface():
+    mesh = load_mesh(SQUARE)
+    assert mesh.boundary_vertices.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert mesh.interface_edges.tolist() == [[1, 4], [4, 7]]
+
+
+def test_save_reproduces_the_loaded_text():
+    assert save_mesh(load_mesh(SQUARE)) == SQUARE
+
+
+def test_refined_loaded_mesh_has_the_outer_boundary_as_boundary():
+    mesh = load_mesh(SQUARE)
+    for _ in range(2):
+        mesh = refine_uniform(mesh)
+        x, y = mesh.vertices.T
+        on_boundary = (x == 0) | (x == 1) | (y == 0) | (y == 1)
+        assert np.array_equal(mesh.boundary_vertices,
+                              np.flatnonzero(on_boundary))
+        assert np.all(mesh.vertices[mesh.interface_edges, 0] == 0.5)
+
+
+@pytest.mark.parametrize("regions, interface", [
+    ((1, 2), [[0, 3]]), ((2, 1), [[0, 3]]), ((1, 1), []), ((2, 2), []),
+])
+def test_loaded_interface_is_where_the_region_changes(regions, interface):
+    text = ("vertices 4\n0 0\n1 0\n0 1\n1 1\ntriangles 2\n"
+            f"0 1 3 {regions[0]}\n0 3 2 {regions[1]}\n")
+    assert load_mesh(text).interface_edges.tolist() == interface
 
 
 def test_parse_error_on_bad_header():

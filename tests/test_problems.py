@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twogridfem import (
+    BUILTIN_PROBLEMS,
     NoFiniteBarrier,
     Nonlinearity,
     PointSource,
@@ -14,15 +15,13 @@ from twogridfem import (
 
 from conftest import cube_problem
 
-BUILTIN_NAMES = ("power11", "sinh_pbe", "linear_reaction", "zero_reaction")
-
 
 def sample_points(rng, count):
     return np.column_stack([rng.uniform(-1, 1, count),
                             rng.uniform(-1, 1, count)])
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", BUILTIN_PROBLEMS)
 def test_builtin_derivatives_match_finite_differences(name):
     nl = builtin_problem(name).nonlinearity
     rng = np.random.default_rng(42)
@@ -37,7 +36,7 @@ def test_builtin_derivatives_match_finite_differences(name):
     assert np.all(np.abs(fd2 - d2) <= 1e-6 * (1.0 + np.abs(d2)))
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", BUILTIN_PROBLEMS)
 def test_builtin_sign_conditions_by_sampling(name):
     nl = builtin_problem(name).nonlinearity
     rng = np.random.default_rng(1)
@@ -51,7 +50,7 @@ def test_builtin_sign_conditions_by_sampling(name):
 def test_builtin_monotonicity_between_barriers():
     # all built-ins are locally monotone: d1 >= 0 on the barrier interval
     rng = np.random.default_rng(2)
-    for name in BUILTIN_NAMES:
+    for name in BUILTIN_PROBLEMS:
         problem = builtin_problem(name)
         nl = problem.nonlinearity
         x = sample_points(rng, 100)
@@ -86,8 +85,13 @@ def test_linear_reaction_zero_c_is_pure_diffusion():
     assert np.all(p.nonlinearity.eval(x, np.array([1.0, -2.0, 5.0])) == 0.0)
 
 
+@pytest.mark.parametrize("name", BUILTIN_PROBLEMS)
+def test_every_listed_problem_builds_with_its_defaults(name):
+    assert builtin_problem(name).name == name
+
+
 def test_builtin_rejects_unknown_name_and_params():
-    with pytest.raises(UnknownProblem):
+    with pytest.raises(UnknownProblem, match=", ".join(BUILTIN_PROBLEMS)):
         builtin_problem("frobnicate")
     with pytest.raises(UnknownProblem):
         builtin_problem("power11", wibble=3.0)
