@@ -404,6 +404,12 @@ def validate_mesh(mesh):
             mesh.boundary_vertices.min() < 0
             or mesh.boundary_vertices.max() >= n):
         raise ValidationError("boundary vertex index out of range")
+    # an unused vertex would be an unknown with an empty stiffness row
+    corners = np.bincount(mesh.triangles.ravel(), minlength=n)
+    if np.any(corners == 0):
+        raise ValidationError(
+            f"vertex {int(np.argmin(corners))} is not a corner of any "
+            f"triangle")
     areas = mesh.areas
     if np.any(areas <= 0):
         bad = int(np.argmax(areas <= 0))

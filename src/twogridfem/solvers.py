@@ -26,6 +26,7 @@ __all__ = [
     "SolverError",
     "NoConvergence",
     "LineSearchStall",
+    "CoarseHierarchy",
     "VCycle",
     "pcg_solve",
     "newton_step",
@@ -37,9 +38,17 @@ logger = logging.getLogger(__name__)
 
 # Inexact-Newton forcing: linear solves run at relative tolerance
 # FORCING_FACTOR * (current nonlinear residual), capped at FORCING_FACTOR
-# and floored at FORCING_FLOOR.
+# and floored at FORCING_FLOOR.  It is raised to at least
+# min(FORCING_FACTOR, TARGET_SHARE * target / ||r||_2): a correction whose
+# linear residual is a tenth of the Newton target in the 2-norm, and so in
+# the sup-norm, is as good as the outer iteration can use.
 FORCING_FACTOR = 1e-2
 FORCING_FLOOR = 1e-12
+TARGET_SHARE = 0.1
+# A Newton step that cuts the residual sup-norm at least this many times
+# leaves the Jacobian close enough to keep its V-cycle's coarse hierarchy
+# for the next step; after a slower step the hierarchy is rebuilt.
+HIERARCHY_REUSE_CUT = 10.0
 # the line search halves the Newton step down to this fraction of it
 MIN_STEP = 2.0 ** -10
 
@@ -87,13 +96,20 @@ class NewtonOptions:
 @dataclass
 class SolveReport:
     """What a solve did; ``wall_s``, the wall time of the whole call, is
-    set by ``newton_solve`` and ``twogrid.linearized_solve`` only."""
+    set by ``newton_solve`` and ``twogrid.linearized_solve`` only.
+
+    ``newton_solve`` also lists, per Newton step, the PCG iterations of its
+    correction (``step_linear_iters``, summing to ``linear_iters_total``)
+    and whether the step built a new coarse hierarchy for its V-cycle
+    (``step_new_hierarchy``; never on a mesh without a ``parent``)."""
 
     iterations: int
     residual_history: list = field(default_factory=list)
     converged: bool = False
     linear_iters_total: int = 0
     wall_s: float = 0.0
+    step_linear_iters: list = field(default_factory=list)
+    step_new_hierarchy: list = field(default_factory=list)
 
 
 def _jacobi_inverse(a):
@@ -110,6 +126,44 @@ class _Level(NamedTuple):
     restriction: sp.csr_matrix   # P0^T
 
 
+class CoarseHierarchy:
+    """The coarse part of a :class:`VCycle`: the Galerkin operators on
+    the parent levels of a mesh and the LU factors of the root's.
+
+    It is empty until the first cycle it is handed builds it from that
+    cycle's fine matrix; every later cycle on the same mesh reuses it with
+    its own fine matrix.  It holds no fine-level data, so keeping it
+    between Newton steps costs only the coarse operators.
+    """
+
+    def __init__(self):
+        self.levels = []
+        self.root_solve = None
+
+    @property
+    def built(self):
+        return self.root_solve is not None
+
+    def build(self, mesh, matrix):
+        a = matrix
+        while mesh.parent is not None:
+            a = mesh.interior_restriction @ a @ mesh.interior_prolongation
+            mesh = mesh.parent
+            if mesh.parent is not None:
+                self.levels.append(_make_level(mesh, a))
+        self.root_solve = splu(a.tocsc()).solve
+
+
+def _make_level(mesh, a):
+    """A V-cycle level: ``a`` on ``mesh``'s free vertices, its l1-Jacobi
+    weights and the transfers from the parent's free vertices."""
+    abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
+                          shape=a.shape)
+    weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
+    return _Level(a, weights, mesh.interior_prolongation,
+                  mesh.interior_restriction)
+
+
 class VCycle:
     """Symmetric multigrid V(1,1)-cycle on a mesh's refinement chain.
 
@@ -121,20 +175,23 @@ class VCycle:
     l1-Jacobi, which converges for any SPD matrix without a damping
     parameter, and the root of the chain is solved exactly.  Calling the
     cycle on a residual applies an SPD approximation of the inverse.
+
+    The finest level, ``matrix`` and its weights, is built for every
+    cycle.  The coarser levels and the root come from ``coarse``, a
+    :class:`CoarseHierarchy` of an earlier cycle on ``mesh``, which is
+    built from ``matrix`` if it is empty; without one the cycle builds
+    its own.  A reused hierarchy was built from an earlier matrix, so the
+    cycle is then an SPD approximation of a nearby operator's inverse.
     """
 
-    def __init__(self, mesh, matrix):
-        self.levels = []
+    def __init__(self, mesh, matrix, coarse=None):
         a = matrix.tocsr()
-        while mesh.parent is not None:
-            p, r = mesh.interior_prolongation, mesh.interior_restriction
-            abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
-                                  shape=a.shape)
-            weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
-            self.levels.append(_Level(a, weights, p, r))
-            mesh = mesh.parent
-            a = r @ a @ p
-        self.root_solve = splu(a.tocsc()).solve
+        coarse = CoarseHierarchy() if coarse is None else coarse
+        if not coarse.built:
+            coarse.build(mesh, a)
+        fine = [] if mesh.parent is None else [_make_level(mesh, a)]
+        self.levels = fine + coarse.levels
+        self.root_solve = coarse.root_solve
 
     def __call__(self, r):
         # a loop, not recursion: a closure calling itself would form a
@@ -250,23 +307,28 @@ def make_initial_guess(mesh, problem, values=None):
     return FemFunction(mesh, values)
 
 
-def newton_step(mesh, problem, state, residual, stiffness, quad, tol):
+def newton_step(mesh, problem, state, residual, stiffness, quad, tol,
+                coarse=None):
     """One Newton correction: PCG on J delta = -residual.
 
     J = K + R(state) is ``stiffness`` plus the reaction Jacobian at
     ``state``, restricted to the free vertices by :func:`apply_dirichlet`.
     PCG runs to relative tolerance ``tol``, preconditioned by the V-cycle
     on the mesh's refinement chain, or by Jacobi on a mesh without a
-    ``parent``.  Returns (delta, SolveReport of the linear solve), delta
-    zero on the boundary; NoConvergence propagates, its ``best`` and
-    ``last`` iterates scattered the same way.
+    ``parent``.  The V-cycle's coarse levels come from ``coarse``, a
+    :class:`CoarseHierarchy` of an earlier step on ``mesh`` (built from
+    this step's J if it is empty); without one the step builds its own.
+    The fine matrix dies with the step.  Returns (delta, SolveReport of
+    the linear solve), delta zero on the boundary; NoConvergence
+    propagates, its ``best`` and ``last`` iterates scattered the same way.
     """
     jac = assemble_reaction_jacobian(mesh, state, problem.nonlinearity.d1,
                                      quad)
     jac.data += stiffness.data
     system, rhs = apply_dirichlet(jac, -residual, mesh.boundary_vertices)
     del jac  # PCG needs only the restriction
-    preconditioner = None if mesh.parent is None else VCycle(mesh, system)
+    preconditioner = (None if mesh.parent is None
+                      else VCycle(mesh, system, coarse))
 
     def scatter(values):
         delta = np.zeros(mesh.n_vertices)
@@ -293,9 +355,17 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     exactly: ``initial`` must carry the boundary data (the default initial
     guess does).
 
+    The forcing never asks PCG for a linear residual below a tenth of the
+    Newton target (``TARGET_SHARE``).  A step that cuts the residual
+    sup-norm at least ``HIERARCHY_REUSE_CUT`` times hands its V-cycle's
+    :class:`CoarseHierarchy` to the next step; any slower step drops it,
+    and the next step builds a new one.  Only the coarse levels are kept
+    between steps, and they die with the call.
+
     Returns (solution, SolveReport); raises NoConvergence or
     LineSearchStall with the best iterate attached.  Every report records
-    the wall time of the whole call in ``wall_s``.
+    the wall time of the whole call in ``wall_s`` and the per-step PCG
+    iterations and hierarchy builds.
     """
     start = time.perf_counter()
     opts = opts or NewtonOptions()
@@ -318,27 +388,36 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     rsup = float(np.abs(r).max())
     history = [rsup]
     target = max(opts.abs_tol, opts.rel_tol * rsup)
-    lin_total = 0
+    step_iters = []
+    step_built = []
+    coarse = CoarseHierarchy()
     iterations = 0
+
+    def report(converged):
+        return SolveReport(iterations, history, converged, sum(step_iters),
+                           time.perf_counter() - start, step_iters,
+                           step_built)
 
     while rsup > target:
         if iterations >= opts.max_iters:
             raise NoConvergence(
                 f"newton: residual {rsup:.3e} above {target:.3e} after "
                 f"{iterations} iterations",
-                best=FemFunction(mesh, u),
-                report=SolveReport(iterations, history, False, lin_total,
-                                   time.perf_counter() - start),
-            )
-        eta = max(FORCING_FLOOR, min(FORCING_FACTOR, FORCING_FACTOR * rsup))
+                best=FemFunction(mesh, u), report=report(False))
+        # the boundary rows of r are zero: its 2-norm is PCG's ||rhs||
+        eta = max(FORCING_FLOOR, min(FORCING_FACTOR, max(
+            FORCING_FACTOR * rsup,
+            TARGET_SHARE * target / float(np.linalg.norm(r)))))
+        step_built.append(mesh.parent is not None and not coarse.built)
         try:
             delta, lin_report = newton_step(
-                mesh, problem, FemFunction(mesh, u), r, stiffness, quad, eta)
+                mesh, problem, FemFunction(mesh, u), r, stiffness, quad, eta,
+                coarse)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)
             delta, lin_report = exc.best, exc.report
-        lin_total += lin_report.iterations
+        step_iters.append(lin_report.iterations)
 
         step = 1.0
         accepted = False
@@ -347,21 +426,19 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
             r_try = residual(u_try)
             rsup_try = float(np.abs(r_try).max())
             if rsup_try <= rsup:
-                u, r, rsup = u_try, r_try, rsup_try
                 accepted = True
                 break
             step /= 2.0
         if not accepted:
             raise LineSearchStall(
                 f"newton: line search stalled at residual {rsup:.3e}",
-                best=FemFunction(mesh, u),
-                report=SolveReport(iterations, history, False, lin_total,
-                                   time.perf_counter() - start),
-            )
+                best=FemFunction(mesh, u), report=report(False))
+        if rsup_try * HIERARCHY_REUSE_CUT > rsup:
+            coarse = CoarseHierarchy()
+        u, r, rsup = u_try, r_try, rsup_try
         iterations += 1
         history.append(rsup)
         logger.info("iter %d resid %.6e lin_iters %d",
                     iterations, rsup, lin_report.iterations)
 
-    return FemFunction(mesh, u), SolveReport(
-        iterations, history, True, lin_total, time.perf_counter() - start)
+    return FemFunction(mesh, u), report(True)

@@ -332,6 +332,19 @@ def test_load_rejects_negative_area():
         load_mesh(text)
 
 
+def test_load_rejects_a_vertex_no_triangle_uses():
+    # as a free unknown with an empty stiffness row, the extra vertex
+    # would fail a solve far from the cause ("non-positive diagonal")
+    mesh = generate_interface_mesh(4)
+    head, tail = save_mesh(mesh).split("triangles")
+    text = (head.replace(f"vertices {mesh.n_vertices}",
+                         f"vertices {mesh.n_vertices + 1}")
+            + "0.3 0.3\ntriangles" + tail)
+    with pytest.raises(ValidationError,
+                       match=rf"vertex {mesh.n_vertices} is not a corner"):
+        load_mesh(text)
+
+
 def test_parse_error_carries_line_number():
     text = "vertices 2\n0 0\noops\ntriangles 0\n"
     with pytest.raises(ParseError) as err:

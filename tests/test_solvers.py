@@ -1,4 +1,5 @@
 import gc
+import logging
 import weakref
 
 import numpy as np
@@ -21,6 +22,7 @@ from twogridfem import (
     generate_interface_mesh,
     linearized_solve,
     linf_check,
+    newton_levels,
     newton_solve,
     newton_step,
     pcg_solve,
@@ -187,17 +189,21 @@ def test_vcycle_pcg_iterations_do_not_grow_with_refinement(monkeypatch):
 
 
 def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
-    refs = []
+    fine_refs, coarse_refs, reused = [], [], []
 
     def spy(a, rhs, **kwargs):
-        # every earlier cycle died when its pcg_solve returned
-        assert all(ref() is None for ref in refs)
+        # every earlier step's fine matrix died when its step returned
+        assert all(ref() is None for ref in fine_refs)
         levels = kwargs["preconditioner"].levels
+        reused.append(bool(coarse_refs)
+                      and coarse_refs[-1]() is levels[-1].matrix)
         # the cycle uses the prolongations cached on the meshes
         assert levels[0].prolongation is fine.interior_prolongation
         assert levels[1].prolongation is fine.parent.interior_prolongation
         assert levels[0].restriction is fine.interior_restriction
-        refs.append(weakref.ref(levels[-1].matrix))
+        assert levels[0].matrix is a
+        fine_refs.append(weakref.ref(a))
+        coarse_refs.append(weakref.ref(levels[-1].matrix))
         return pcg_solve(a, rhs, **kwargs)
 
     monkeypatch.setattr(solvers, "pcg_solve", spy)
@@ -205,12 +211,88 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
     fine = nested_meshes(2)[-1]
     gc.disable()
     try:
-        newton_solve(fine, problem)
+        _, report = newton_solve(fine, problem)
+        # later steps reused a hierarchy, which lived until the solve
+        # returned, and then died with all the others
+        assert any(reused)
+        assert reused == [not built for built in report.step_new_hierarchy]
+        assert all(ref() is None for ref in coarse_refs)
         linearized_solve(fine, problem, FemFunction.zeros(fine))
-        assert len(refs) > 1
-        assert all(ref() is None for ref in refs)
+        assert len(fine_refs) > 1
+        assert all(ref() is None for ref in fine_refs + coarse_refs)
     finally:
         gc.enable()
+
+
+def test_newton_levels_builds_one_hierarchy_per_refined_level(monkeypatch):
+    builds = []
+    build = solvers.CoarseHierarchy.build
+
+    def spy(self, mesh, matrix):
+        builds.append(mesh.n_vertices)
+        build(self, mesh, matrix)
+
+    monkeypatch.setattr(solvers.CoarseHierarchy, "build", spy)
+    meshes = nested_meshes(3)
+    reports = [report for _, report in
+               newton_levels(meshes, builtin_problem("power11"))]
+    assert builds == [mesh.n_vertices for mesh in meshes[1:]]
+    assert [sum(r.step_new_hierarchy) for r in reports] == [0, 1, 1, 1]
+    for report in reports:
+        assert len(report.step_linear_iters) == report.iterations
+        assert sum(report.step_linear_iters) == report.linear_iters_total
+    # 29 when every step built its own hierarchy and ran PCG to the
+    # forcing alone
+    assert reports[-1].linear_iters_total <= 24
+
+
+@pytest.mark.parametrize("refinements, most", [(1, 35), (2, 49), (3, 56)])
+def test_cold_newton_pcg_iterations(refinements, most):
+    # a cold start begins at J(0) = K, far from the converged Jacobian:
+    # only a step that cut the residual tenfold hands its hierarchy on
+    # (the bounds are the counts with a new hierarchy on every step)
+    mesh = nested_meshes(refinements)[-1]
+    _, report = newton_solve(mesh, builtin_problem("power11"))
+    hist, built = report.residual_history, report.step_new_hierarchy
+    assert built[0]
+    assert built[1:] == [new * solvers.HIERARCHY_REUSE_CUT > old
+                         for old, new in zip(hist, hist[1:-1])]
+    assert report.linear_iters_total <= most
+
+
+@pytest.mark.parametrize("problem", [
+    builtin_problem("power11"),
+    builtin_problem("linear_reaction", d_inside=1e4),
+], ids=["power11", "linear_reaction"])
+def test_newton_forcing_stops_at_a_tenth_of_the_target(problem,
+                                                       monkeypatch):
+    requests = []
+
+    def spy(a, rhs, **kwargs):
+        requests.append((kwargs["tol"], float(np.linalg.norm(rhs))))
+        return pcg_solve(a, rhs, **kwargs)
+
+    monkeypatch.setattr(solvers, "pcg_solve", spy)
+    opts = NewtonOptions()
+    _, report = newton_solve(nested_meshes(2)[-1], problem, None, opts)
+    target = max(opts.abs_tol, opts.rel_tol * report.residual_history[0])
+    assert len(requests) == report.iterations
+    for tol, rhs_norm in requests:
+        # the norms of r and of its restriction may differ in the last bit
+        floor = min(solvers.FORCING_FACTOR, 0.1 * target / rhs_norm)
+        assert tol >= floor * (1.0 - 1e-12)
+
+
+def test_newton_does_not_ask_pcg_below_roundoff(caplog):
+    # the forcing used to ask the last step for a residual of 9e-21,
+    # which PCG cannot reach: it stagnated after 33 iterations
+    problem = builtin_problem("linear_reaction", d_inside=1e4)
+    mesh = nested_meshes(5)[-1]
+    with caplog.at_level(logging.WARNING, logger=solvers.__name__):
+        _, report = newton_solve(mesh, problem)
+    assert report.converged
+    assert not [rec for rec in caplog.records
+                if rec.levelno >= logging.WARNING]
 
 
 def newton_step_at(mesh, problem, values):
