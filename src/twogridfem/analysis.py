@@ -7,6 +7,7 @@ import numpy as np
 
 from .assembly import (
     FemFunction,
+    _block_slices,
     assemble_stiffness,
     quadrature_blocks,
     triangle_rule,
@@ -101,32 +102,33 @@ def energy_norm(mesh, diffusion, v):
 
     Exact for P1 functions (piecewise-constant gradients).
     """
+    if v.mesh is not mesh:
+        raise ValueError("v lives on a different mesh than the one given")
     a = assemble_stiffness(mesh, diffusion)
     return math.sqrt(max(float(v.values @ (a @ v.values)), 0.0))
 
 
-def grad_l2_norm(mesh, v):
+def grad_l2_norm(v):
     """H1 seminorm ||grad v||_2 (unit diffusion energy norm)."""
-    return energy_norm(mesh, {1: 1.0, 2: 1.0}, v)
+    return energy_norm(v.mesh, {1: 1.0, 2: 1.0}, v)
 
 
-def lp_norm(mesh, v, p, quad=None):
-    """L^p norm of a FemFunction or pointwise coordinate callback, p in
-    {2, 4}; the callback gets one block of quadrature points at a time."""
+def lp_norm(v, p, quad=None):
+    """L^p norm of a FemFunction, p in {2, 4}, by quadrature."""
     if p not in (2, 4):
         raise ValueError(f"p must be 2 or 4, got {p}")
     quad = quad or triangle_rule()
-    state = v if isinstance(v, FemFunction) else None
+    mesh = v.mesh
     total = 0.0
-    for block, points, values in quadrature_blocks(mesh, quad, state):
-        if state is None:
-            values = np.asarray(v(points), dtype=float)
+    for block in _block_slices(mesh):
+        values = v.values[mesh.triangles[block]] @ quad.points.T
         total += float(np.sum(mesh.areas[block, None] * quad.weights
                               * np.abs(values) ** p))
     return total ** (1.0 / p)
 
 
-def _manufactured_errors(mesh, diffusion, u_h, exact, quad):
+def _manufactured_errors(diffusion, u_h, exact, quad):
+    mesh = u_h.mesh
     e2 = e4 = een = 0.0
     for block, points, uh_q in quadrature_blocks(mesh, quad, u_h):
         w = mesh.areas[block, None] * quad.weights
@@ -146,7 +148,7 @@ def _manufactured_errors(mesh, diffusion, u_h, exact, quad):
     return math.sqrt(een), math.sqrt(e2), e4 ** 0.25, linf
 
 
-def error_norms(mesh, diffusion, u_h, exact, quad=None):
+def error_norms(diffusion, u_h, exact, quad=None):
     """Errors of u_h against a manufactured solution or a finer reference.
 
     With a ManufacturedSolution the exact fields are integrated block by
@@ -157,20 +159,19 @@ def error_norms(mesh, diffusion, u_h, exact, quad=None):
     """
     quad = quad or triangle_rule()
     if isinstance(exact, ManufacturedSolution):
-        een, e2, e4, linf = _manufactured_errors(
-            mesh, diffusion, u_h, exact, quad)
+        een, e2, e4, linf = _manufactured_errors(diffusion, u_h, exact, quad)
     elif isinstance(exact, FemFunction):
         diff = prolongate(u_h, exact.mesh) - exact
         een = energy_norm(exact.mesh, diffusion, diff)
-        e2 = lp_norm(exact.mesh, diff, 2, quad)
-        e4 = lp_norm(exact.mesh, diff, 4, quad)
+        e2 = lp_norm(diff, 2, quad)
+        e4 = lp_norm(diff, 4, quad)
         linf = float(np.max(np.abs(diff.values)))
     else:
         raise TypeError(
             "exact must be a ManufacturedSolution or a reference FemFunction")
     return ErrorRecord(
-        h=mesh.h,
-        n_dof=len(mesh.interior_vertices),
+        h=u_h.mesh.h,
+        n_dof=len(u_h.mesh.interior_vertices),
         err_energy=een,
         err_l2=e2,
         err_l4=e4,
@@ -187,7 +188,7 @@ def estimate_eoc(hs, errors):
     if any(h2 >= h1 for h1, h2 in zip(hs, hs[1:])):
         raise ValueError("mesh sizes must be strictly decreasing")
     if any(e == 0.0 for e in errors):
-        raise ZeroError("zero error: rate undefined")
+        raise ZeroError("zero error: convergence rate undefined")
     return [math.log(e1 / e2) / math.log(h1 / h2)
             for (h1, e1), (h2, e2) in zip(zip(hs, errors),
                                           zip(hs[1:], errors[1:]))]
@@ -245,7 +246,7 @@ def check_angle_condition(mesh, diffusion):
     )
 
 
-def ladyzhenskaya_margin(mesh, v, quad=None):
+def ladyzhenskaya_margin(v, quad=None):
     """Slack in ||v||_4 <= C ||v||_2^a ||grad v||_2^b for an H^1_0 function.
 
     On the (2D) mesh the constants are C = 2^(1/4), a = b = 1/2; the margin
@@ -254,9 +255,9 @@ def ladyzhenskaya_margin(mesh, v, quad=None):
     """
     if np.any(v.values[v.mesh.boundary_vertices] != 0.0):
         raise BoundaryNotZero("v must vanish on the boundary (H^1_0)")
-    l2 = lp_norm(mesh, v, 2, quad)
-    l4 = lp_norm(mesh, v, 4, quad)
-    grad = grad_l2_norm(mesh, v)
+    l2 = lp_norm(v, 2, quad)
+    l4 = lp_norm(v, 4, quad)
+    grad = grad_l2_norm(v)
     return ladyzhenskaya_margin_formula(l2, grad, l4, d=2)
 
 
@@ -284,7 +285,7 @@ def ladyzhenskaya_margin_formula(norm_l2, norm_grad, norm_l4, d,
     return c * norm_l2 ** a * norm_grad ** b - norm_l4
 
 
-def twogrid_bound_ratio(u_h, u_coarse_prolonged, u_two_grid, mesh, diffusion,
+def twogrid_bound_ratio(u_h, u_coarse_prolonged, u_two_grid, diffusion,
                         quad=None):
     """Ratio |||u_h - u^h||| / ||u_h - u_H||_4^2 from the two-grid bound.
 
@@ -292,12 +293,9 @@ def twogrid_bound_ratio(u_h, u_coarse_prolonged, u_two_grid, mesh, diffusion,
     remainder estimate behind the algorithm.  Raises DegenerateDenominator
     when the coarse and fine solutions coincide to roundoff.
     """
-    for fn in (u_h, u_coarse_prolonged, u_two_grid):
-        if fn.mesh is not mesh:
-            raise ValueError("all functions must live on the given fine mesh")
-    denom = lp_norm(mesh, u_h - u_coarse_prolonged, 4, quad)
+    coarse_gap, two_grid_gap = u_h - u_coarse_prolonged, u_h - u_two_grid
+    denom = lp_norm(coarse_gap, 4, quad)
     if denom < DEGENERATE_L4:
         raise DegenerateDenominator(
             f"||u_h - u_H||_4 = {denom:.3e} is numerically zero")
-    numer = energy_norm(mesh, diffusion, u_h - u_two_grid)
-    return numer / denom ** 2
+    return energy_norm(u_h.mesh, diffusion, two_grid_gap) / denom ** 2

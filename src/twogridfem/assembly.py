@@ -157,11 +157,6 @@ class FemFunction:
             raise ValueError("operands live on different meshes")
         return FemFunction(self.mesh, self.values - other.values)
 
-    def __add__(self, other):
-        if other.mesh is not self.mesh:
-            raise ValueError("operands live on different meshes")
-        return FemFunction(self.mesh, self.values + other.values)
-
 
 def _diffusion_per_triangle(mesh, diffusion):
     d = np.empty(mesh.n_triangles)
@@ -238,8 +233,9 @@ def quadrature_blocks(mesh, quad, state=None):
         yield block, points, values
 
 
-def assemble_reaction_jacobian(mesh, state, d1, quad):
+def assemble_reaction_jacobian(state, d1, quad):
     """Weighted mass matrix M_ij = int d1(x, u) phi_j phi_i by quadrature."""
+    mesh = state.mesh
     areas = _positive_areas(mesh)
     lam = quad.points
     weighted_products = (quad.weights[:, None, None] * lam[:, :, None]
@@ -309,8 +305,8 @@ def assemble_load(mesh, problem, quad):
     return load
 
 
-def assemble_semilinear_residual(mesh, state, problem, quad,
-                                 stiffness=None, load=None):
+def assemble_semilinear_residual(state, problem, quad, stiffness=None,
+                                 load=None):
     """Discrete residual r_i = a(u,phi_i) + (b(u),phi_i) - <loads,phi_i>.
 
     Dirichlet rows are zeroed, so the residual vanishes exactly at a
@@ -318,6 +314,7 @@ def assemble_semilinear_residual(mesh, state, problem, quad,
     The optional ``stiffness``/``load`` arguments reuse state-independent
     pieces across Newton iterations.
     """
+    mesh = state.mesh
     if stiffness is None:
         stiffness = assemble_stiffness(mesh, problem.diffusion)
     if load is None:

@@ -2,7 +2,7 @@
 
 Configuration is flat key-value text (``key = value`` under ``[section]``
 headers).  Results are written as CSV plus gnuplot-ready ``.dat`` files.
-Exit codes: 0 success, 1 solver failure, 2 configuration error.
+Exit codes: 0 success, 1 solver failure or zero error, 2 configuration error.
 """
 
 import argparse
@@ -14,8 +14,8 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import check_angle_condition, convergence_report, \
-    error_norms
+from .analysis import AnalysisError, ZeroError, check_angle_condition, \
+    convergence_report, error_norms
 from .assembly import NotAVertex, assemble_point_load, triangle_rule
 from .mesh import MeshError, generate_interface_mesh, refine_uniform
 from .problems import BUILTIN_PROBLEMS, ProblemError, builtin_problem, \
@@ -269,8 +269,8 @@ def cmd_converge(cfg, args):
     levels = list(newton_levels(chain, problem, cfg.newton_options(), quad))
     if exact is None:
         exact = levels[-1][0]
-    records = [error_norms(mesh, problem.diffusion, u, exact, quad)
-               for mesh, (u, _) in zip(meshes, levels)]
+    records = [error_norms(problem.diffusion, u, exact, quad)
+               for u, _ in levels[:len(meshes)]]
     report = convergence_report(records)
 
     rows = []
@@ -327,10 +327,12 @@ def cmd_twogrid(cfg, args):
         result = two_grid_solve(coarse, mesh, problem, quad=quad)
         wall_two = (time.perf_counter() - start) * 1e3
 
-        err_direct = error_norms(mesh, problem.diffusion, direct, exact,
+        err_direct = error_norms(problem.diffusion, direct, exact,
                                  quad).err_energy
-        err_two = error_norms(mesh, problem.diffusion, result.fine_solution,
-                              exact, quad).err_energy
+        err_two = error_norms(problem.diffusion, result.fine_solution, exact,
+                              quad).err_energy
+        if err_direct == 0.0:
+            raise ZeroError("zero direct error: two-grid ratio undefined")
         if args.seed is not None:
             wall_direct = wall_two = 0.0
         rows.append([
@@ -411,6 +413,9 @@ def main(argv=None):
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 1
+    except AnalysisError as exc:
+        print(f"undefined result: {exc}", file=sys.stderr)
         return 1
 
 

@@ -136,6 +136,8 @@ def _sample_points(problem, count, seed):
 
 
 _SEARCH_LIMIT = 1e9
+BARRIER_SAMPLES = 128  # compute_barriers samples the source at this
+BARRIER_SEED = 0       # many random points, drawn with this seed
 
 
 def _smallest_nonneg_point(fn, start):
@@ -181,7 +183,7 @@ def _largest_nonpos_point(fn, start, cap):
         lo, step = hi, step * 2.0
 
 
-def compute_barriers(problem, samples=128, seed=0):
+def compute_barriers(problem):
     """Solution bounds (lower, upper) from the sign structure of b.
 
     The volume source is folded into the nonlinearity
@@ -200,7 +202,7 @@ def compute_barriers(problem, samples=128, seed=0):
     if problem.source is None and not problem.source_bound:
         alpha_t, beta_t = nl.barrier_alpha, nl.barrier_beta
     else:
-        x = _sample_points(problem, samples, seed)
+        x = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
         if problem.source is not None:
             fvals = np.asarray(problem.source(x), dtype=float)
             lo_shift, hi_shift = fvals, fvals
@@ -324,11 +326,14 @@ def builtin_problem(name, **params):
 
 
 def _number(key, value):
-    """``value`` as one float; ValueError naming ``key`` otherwise."""
+    """``value`` as one finite float; ValueError naming ``key`` otherwise."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} must be one number, got {value!r}") from None
+    if not np.isfinite(number):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+    return number
 
 
 def _point(location):

@@ -236,6 +236,8 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner=None):
     x = np.zeros(n)
     r = np.array(rhs, dtype=float)
     rnorm = float(np.linalg.norm(r))
+    if not np.isfinite(rnorm):
+        raise SolverError(f"pcg: right-hand side is not finite ({rnorm})")
     target = tol * rnorm
     history = [rnorm]
     if rnorm <= target:  # a zero right-hand side, or tol >= 1
@@ -307,7 +309,7 @@ def make_initial_guess(mesh, problem, values=None):
     return FemFunction(mesh, values)
 
 
-def newton_step(mesh, problem, state, residual, stiffness, quad, tol,
+def newton_step(problem, state, residual, stiffness, quad, tol,
                 coarse=None):
     """One Newton correction: PCG on J delta = -residual.
 
@@ -316,14 +318,14 @@ def newton_step(mesh, problem, state, residual, stiffness, quad, tol,
     PCG runs to relative tolerance ``tol``, preconditioned by the V-cycle
     on the mesh's refinement chain, or by Jacobi on a mesh without a
     ``parent``.  The V-cycle's coarse levels come from ``coarse``, a
-    :class:`CoarseHierarchy` of an earlier step on ``mesh`` (built from
+    :class:`CoarseHierarchy` of an earlier step on the mesh (built from
     this step's J if it is empty); without one the step builds its own.
     The fine matrix dies with the step.  Returns (delta, SolveReport of
     the linear solve), delta zero on the boundary; NoConvergence
     propagates, its ``best`` and ``last`` iterates scattered the same way.
     """
-    jac = assemble_reaction_jacobian(mesh, state, problem.nonlinearity.d1,
-                                     quad)
+    mesh = state.mesh
+    jac = assemble_reaction_jacobian(state, problem.nonlinearity.d1, quad)
     jac.data += stiffness.data
     system, rhs = apply_dirichlet(jac, -residual, mesh.boundary_vertices)
     del jac  # PCG needs only the restriction
@@ -362,10 +364,10 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     and the next step builds a new one.  Only the coarse levels are kept
     between steps, and they die with the call.
 
-    Returns (solution, SolveReport); raises NoConvergence or
-    LineSearchStall with the best iterate attached.  Every report records
-    the wall time of the whole call in ``wall_s`` and the per-step PCG
-    iterations and hierarchy builds.
+    Returns (solution, SolveReport); raises NoConvergence (at once on a
+    non-finite initial residual) or LineSearchStall with the best iterate
+    attached.  Every report records the wall time of the whole call in
+    ``wall_s`` and the per-step PCG iterations and hierarchy builds.
     """
     start = time.perf_counter()
     opts = opts or NewtonOptions()
@@ -380,8 +382,8 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
 
     def residual(values):
         return assemble_semilinear_residual(
-            mesh, FemFunction(mesh, values), problem, quad,
-            stiffness=stiffness, load=load)
+            FemFunction(mesh, values), problem, quad, stiffness=stiffness,
+            load=load)
 
     u = initial.values.copy()
     r = residual(u)
@@ -398,6 +400,9 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
                            time.perf_counter() - start, step_iters,
                            step_built)
 
+    if not np.isfinite(rsup):
+        raise NoConvergence(f"newton: initial residual {rsup} is not finite",
+                            best=initial, report=report(False))
     while rsup > target:
         if iterations >= opts.max_iters:
             raise NoConvergence(
@@ -411,8 +416,7 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
         step_built.append(mesh.parent is not None and not coarse.built)
         try:
             delta, lin_report = newton_step(
-                mesh, problem, FemFunction(mesh, u), r, stiffness, quad, eta,
-                coarse)
+                problem, FemFunction(mesh, u), r, stiffness, quad, eta, coarse)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)

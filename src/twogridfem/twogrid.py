@@ -57,8 +57,8 @@ class TwoGridError(Exception):
     pass
 
 
-class NotNested(TwoGridError):
-    pass
+class NotNested(TwoGridError, ValueError):
+    """Two meshes (or the functions on them) that must be nested are not."""
 
 
 class InvalidRegularity(TwoGridError):
@@ -109,8 +109,8 @@ def _prolonged_base(u_coarse, t_h, problem):
                               prolongate(u_coarse, t_h).values)
 
 
-def linearized_solve(t_h, problem, u_base, quad=None):
-    """One Newton step on the fine mesh from ``u_base``.
+def linearized_solve(problem, u_base, quad=None):
+    """One Newton step from ``u_base`` on its (fine) mesh.
 
     Returns u_base + delta, where delta solves J delta = -r(u_base) with
     homogeneous Dirichlet rows, r is the semilinear residual and
@@ -119,15 +119,13 @@ def linearized_solve(t_h, problem, u_base, quad=None):
     Dirichlet data, so the result does too.
 
     PCG runs to FINE_PCG_TOL relative to ||r(u_base)||, preconditioned by
-    the V-cycle on ``t_h``'s refinement chain.  Returns (solution,
+    the V-cycle on the mesh's refinement chain.  Returns (solution,
     SolveReport of the linear solve, with the wall time of the whole call
     in ``wall_s``); NoConvergence propagates, with the reason PCG stopped.
     """
     start = time.perf_counter()
     quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
-    if u_base.mesh is not t_h:
-        raise NotNested("u_base must live on the fine mesh; prolongate first")
-
+    t_h = u_base.mesh
     nl = problem.nonlinearity
     d1_nodal = np.asarray(nl.d1(t_h.vertices, u_base.values), dtype=float)
     if np.any(d1_nodal < 0):
@@ -137,10 +135,10 @@ def linearized_solve(t_h, problem, u_base, quad=None):
             stacklevel=2)
 
     stiffness = assemble_stiffness(t_h, problem.diffusion)
-    residual = assemble_semilinear_residual(t_h, u_base, problem, quad,
+    residual = assemble_semilinear_residual(u_base, problem, quad,
                                             stiffness=stiffness)
-    delta, report = newton_step(t_h, problem, u_base, residual, stiffness,
-                                quad, FINE_PCG_TOL)
+    delta, report = newton_step(problem, u_base, residual, stiffness, quad,
+                                FINE_PCG_TOL)
     report.wall_s = time.perf_counter() - start
     return FemFunction(t_h, u_base.values + delta), report
 
@@ -155,7 +153,7 @@ def two_grid_solve(t_coarse, t_fine, problem, quad=None):
     u_coarse, coarse_report = newton_solve(
         t_coarse, problem, None, COARSE_NEWTON_OPTS, quad)
     u_base = _prolonged_base(u_coarse, t_fine, problem)
-    u_fine, fine_report = linearized_solve(t_fine, problem, u_base, quad)
+    u_fine, fine_report = linearized_solve(problem, u_base, quad)
     return TwoGridResult(
         coarse_solution=u_coarse,
         fine_solution=u_fine,

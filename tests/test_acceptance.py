@@ -58,7 +58,7 @@ def manufactured_study():
     """Criteria 1-3: D = (1000, 1), s = 2, levels h = 1/8 .. 1/128."""
     problem, exact = manufactured_interface_problem(1000.0, 1.0)
     meshes = hierarchy(16, 4, problem)  # cell sizes 1/8 .. 1/128
-    records = [error_norms(mesh, problem.diffusion, u, exact)
+    records = [error_norms(problem.diffusion, u, exact)
                for mesh, (u, _) in zip(
                    meshes, newton_levels(meshes, problem, TIGHT))]
     return convergence_report(records)
@@ -101,11 +101,11 @@ def test_criterion_4_two_grid_quality(power11_study):
     coarse = meshes[0]          # n = 8, cell size 1/4
 
     result = two_grid_solve(coarse, fine, problem)
-    err_direct = error_norms(fine, problem.diffusion, solutions[4],
+    err_direct = error_norms(problem.diffusion, solutions[4],
                              reference).err_energy
-    err_two = error_norms(fine, problem.diffusion, result.fine_solution,
+    err_two = error_norms(problem.diffusion, result.fine_solution,
                           reference).err_energy
-    err_base = error_norms(fine, problem.diffusion,
+    err_base = error_norms(problem.diffusion,
                            prolongate(result.coarse_solution, fine),
                            reference).err_energy
     assert err_two <= err_base  # the fine Newton update never hurts
@@ -151,7 +151,7 @@ def test_criterion_7_ladyzhenskaya_margins():
         for _ in range(100):
             values = rng.standard_normal(mesh.n_vertices)
             values[mesh.boundary_vertices] = 0.0
-            margin = ladyzhenskaya_margin(mesh, FemFunction(mesh, values))
+            margin = ladyzhenskaya_margin(FemFunction(mesh, values))
             worst = min(worst, margin)
         mesh = refine_uniform(mesh)
     report(7, worst >= -1e-12,
@@ -168,7 +168,7 @@ def test_criterion_8_lemma_ratio_stability(power11_study):
         result = two_grid_solve(meshes[0], meshes[-1], problem)
         base = prolongate(result.coarse_solution, meshes[-1])
         ratios.append(twogrid_bound_ratio(
-            u_h, base, result.fine_solution, meshes[-1], problem.diffusion))
+            u_h, base, result.fine_solution, problem.diffusion))
     spread = max(ratios) / min(ratios)
     report(8, spread < 5.0,
            f"ratios {[f'{r:.2f}' for r in ratios]}, spread {spread:.2f} < 5")

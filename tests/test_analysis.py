@@ -67,7 +67,7 @@ def test_energy_norm_matches_gradient_oracle():
         vals = rng.standard_normal(mesh.n_vertices)
         v = FemFunction(mesh, vals)
         oracle = math.sqrt(grad_l2_squared_oracle(mesh, vals))
-        assert grad_l2_norm(mesh, v) == pytest.approx(oracle, rel=1e-11)
+        assert grad_l2_norm(v) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_energy_sandwich_random_functions():
@@ -85,33 +85,55 @@ def test_energy_sandwich_random_functions():
 def test_lp_norm_constants():
     mesh = generate_interface_mesh(4, (-1, 1, -1, 1))
     one = FemFunction(mesh, np.ones(mesh.n_vertices))
-    assert lp_norm(mesh, one, 2) == pytest.approx(2.0, abs=1e-13)
-    assert lp_norm(mesh, one, 4) == pytest.approx(math.sqrt(2.0), abs=1e-13)
+    assert lp_norm(one, 2) == pytest.approx(2.0, abs=1e-13)
+    assert lp_norm(one, 4) == pytest.approx(math.sqrt(2.0), abs=1e-13)
     zero = FemFunction.zeros(mesh)
-    assert lp_norm(mesh, zero, 2) == 0.0
+    assert lp_norm(zero, 2) == 0.0
 
 
 def test_lp_norm_linear_function_analytic():
     mesh = generate_interface_mesh(8, (-1, 1, -1, 1))
     # ||x||_L2 over (-1,1)^2: sqrt(int x^2 dx dy) = sqrt(4/3)
     exact = math.sqrt(4.0 / 3.0)
-    assert lp_norm(mesh, lambda p: p[..., 0], 2) == pytest.approx(
-        exact, abs=1e-13)
     interp = FemFunction(mesh, mesh.vertices[:, 0])
-    assert lp_norm(mesh, interp, 2) == pytest.approx(exact, abs=1e-13)
+    assert lp_norm(interp, 2) == pytest.approx(exact, abs=1e-13)
 
 
 def test_lp_norm_rejects_other_exponents():
     mesh = generate_interface_mesh(4)
     with pytest.raises(ValueError):
-        lp_norm(mesh, FemFunction.zeros(mesh), 3)
+        lp_norm(FemFunction.zeros(mesh), 3)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda u, w: energy_norm(w.mesh, D_UNIT, u),
+                 id="energy_norm"),
+    pytest.param(lambda u, w: grad_l2_norm(u - w), id="grad_l2_norm"),
+    pytest.param(lambda u, w: lp_norm(u - w, 2), id="lp_norm"),
+    pytest.param(lambda u, w: error_norms(D_UNIT, u, w), id="error_norms"),
+    pytest.param(lambda u, w: ladyzhenskaya_margin(u - w),
+                 id="ladyzhenskaya_margin"),
+    pytest.param(lambda u, w: twogrid_bound_ratio(u, w, u, D_UNIT),
+                 id="twogrid_bound_ratio-coarse"),
+    pytest.param(lambda u, w: twogrid_bound_ratio(u, u, w, D_UNIT),
+                 id="twogrid_bound_ratio-two-grid"),
+])
+def test_functions_on_different_meshes_are_refused(call):
+    # u lives on a refinement of w's mesh: no norm may mix the two
+    coarse = generate_interface_mesh(4)
+    fine = refine_uniform(coarse)
+    rng = np.random.default_rng(4)
+    u = FemFunction(fine, rng.standard_normal(fine.n_vertices))
+    w = FemFunction(coarse, rng.standard_normal(coarse.n_vertices))
+    with pytest.raises(ValueError, match="mesh"):
+        call(u, w)
 
 
 def test_error_norms_self_reference_is_zero():
     mesh = generate_interface_mesh(4)
     rng = np.random.default_rng(1)
     u = FemFunction(mesh, rng.standard_normal(mesh.n_vertices))
-    rec = error_norms(mesh, D_UNIT, u, u)
+    rec = error_norms(D_UNIT, u, u)
     assert rec.err_energy == 0.0
     assert rec.err_l2 == 0.0
     assert rec.err_l4 == 0.0
@@ -122,11 +144,11 @@ def test_error_norms_interpolant_positive_and_halving():
     problem, exact = manufactured_interface_problem(10.0, 1.0)
     mesh = generate_interface_mesh(8, problem.domain, problem.interface_box)
     u = FemFunction(mesh, exact.exact(mesh.vertices))
-    rec1 = error_norms(mesh, problem.diffusion, u, exact)
+    rec1 = error_norms(problem.diffusion, u, exact)
     assert rec1.err_energy > 0 and rec1.err_l2 > 0
     assert rec1.err_linf_nodal == 0.0  # nodal interpolant
     fine = refine_uniform(mesh)
-    rec2 = error_norms(fine, problem.diffusion,
+    rec2 = error_norms(problem.diffusion,
                        FemFunction(fine, exact.exact(fine.vertices)), exact)
     assert rec2.err_energy == pytest.approx(rec1.err_energy / 2.0, rel=0.2)
 
@@ -137,12 +159,12 @@ def test_error_norms_against_reference_solution():
     fine = refine_uniform(refine_uniform(coarse))
     u_c, _ = newton_solve(coarse, problem)
     u_f, _ = newton_solve(fine, problem)
-    rec = error_norms(coarse, problem.diffusion, u_c, u_f)
+    rec = error_norms(problem.diffusion, u_c, u_f)
     assert rec.err_energy > 0
     assert rec.h == coarse.h
     # self-consistency: the difference measured directly on the fine mesh
     diff = prolongate(u_c, fine) - u_f
-    assert rec.err_l2 == pytest.approx(lp_norm(fine, diff, 2), rel=1e-12)
+    assert rec.err_l2 == pytest.approx(lp_norm(diff, 2), rel=1e-12)
 
 
 def whole_mesh_errors(mesh, diffusion, u, exact, quad):
@@ -189,7 +211,7 @@ def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
 
     spied = dataclasses.replace(exact, exact=spy("exact"),
                                 exact_grad=spy("exact_grad"))
-    rec = error_norms(mesh, problem.diffusion, u, spied, quad)
+    rec = error_norms(problem.diffusion, u, spied, quad)
     for name, counts in triangles.items():
         assert max(counts) <= limit, name
         assert sum(counts) == mesh.n_triangles, name
@@ -198,16 +220,12 @@ def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
         whole_mesh_errors(mesh, problem.diffusion, u, exact, quad),
         rtol=1e-13)
 
-    # lp_norm of a callback, which is blocked too, and of a FemFunction
-    triangles["exact"].clear()
-    points = np.matmul(quad.points, mesh.triangle_coords())
+    # lp_norm of a FemFunction, block by block too
     w = mesh.areas[:, None] * quad.weights
-    for v, at_points in ((spied.exact, exact.exact(points)),
-                         (u, u.values[mesh.triangles] @ quad.points.T)):
-        for p in (2, 4):
-            assert lp_norm(mesh, v, p, quad) == pytest.approx(
-                np.sum(w * np.abs(at_points) ** p) ** (1 / p), rel=1e-13)
-    assert max(triangles["exact"]) <= limit
+    at_points = u.values[mesh.triangles] @ quad.points.T
+    for p in (2, 4):
+        assert lp_norm(u, p, quad) == pytest.approx(
+            np.sum(w * np.abs(at_points) ** p) ** (1 / p), rel=1e-13)
 
 
 def test_error_norms_peak_memory():
@@ -217,10 +235,10 @@ def test_error_norms_peak_memory():
     problem, exact = manufactured_interface_problem(1000.0, 1.0)
     mesh = generate_interface_mesh(256, problem.domain, problem.interface_box)
     u = FemFunction(mesh, exact.exact(mesh.vertices))
-    error_norms(mesh, problem.diffusion, u, exact)  # areas and gradients
+    error_norms(problem.diffusion, u, exact)  # areas and gradients
     tracemalloc.start()
     try:
-        error_norms(mesh, problem.diffusion, u, exact)
+        error_norms(problem.diffusion, u, exact)
         per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
     finally:
         tracemalloc.stop()
@@ -265,7 +283,7 @@ def test_linf_check_pass_and_fail():
 
 def test_ladyzhenskaya_zero_function():
     mesh = generate_interface_mesh(4)
-    assert ladyzhenskaya_margin(mesh, FemFunction.zeros(mesh)) == 0.0
+    assert ladyzhenskaya_margin(FemFunction.zeros(mesh)) == 0.0
 
 
 def test_ladyzhenskaya_hat_function():
@@ -273,7 +291,7 @@ def test_ladyzhenskaya_hat_function():
     center = int(np.nonzero(np.all(mesh.vertices == [0.0, 0.0], axis=1))[0][0])
     values = np.zeros(mesh.n_vertices)
     values[center] = 1.0
-    assert ladyzhenskaya_margin(mesh, FemFunction(mesh, values)) >= 0.0
+    assert ladyzhenskaya_margin(FemFunction(mesh, values)) >= 0.0
 
 
 def test_ladyzhenskaya_random_h10_functions():
@@ -282,7 +300,7 @@ def test_ladyzhenskaya_random_h10_functions():
     for _ in range(100):
         values = rng.standard_normal(mesh.n_vertices)
         values[mesh.boundary_vertices] = 0.0
-        margin = ladyzhenskaya_margin(mesh, FemFunction(mesh, values))
+        margin = ladyzhenskaya_margin(FemFunction(mesh, values))
         assert margin >= -1e-12
 
 
@@ -290,7 +308,7 @@ def test_ladyzhenskaya_requires_zero_boundary():
     mesh = generate_interface_mesh(4)
     values = np.ones(mesh.n_vertices)
     with pytest.raises(BoundaryNotZero):
-        ladyzhenskaya_margin(mesh, FemFunction(mesh, values))
+        ladyzhenskaya_margin(FemFunction(mesh, values))
 
 
 def test_ladyzhenskaya_formula_constants():
@@ -317,7 +335,7 @@ def test_twogrid_bound_ratio_zero_numerator():
     rng = np.random.default_rng(2)
     u_h = FemFunction(mesh, rng.standard_normal(mesh.n_vertices))
     u_coarse = FemFunction(mesh, u_h.values + 0.1)
-    assert twogrid_bound_ratio(u_h, u_coarse, u_h, mesh, D_UNIT) == 0.0
+    assert twogrid_bound_ratio(u_h, u_coarse, u_h, D_UNIT) == 0.0
 
 
 def test_twogrid_bound_ratio_degenerate_denominator():
@@ -325,7 +343,7 @@ def test_twogrid_bound_ratio_degenerate_denominator():
     u = FemFunction(mesh, np.random.default_rng(3).standard_normal(
         mesh.n_vertices))
     with pytest.raises(DegenerateDenominator):
-        twogrid_bound_ratio(u, u, FemFunction.zeros(mesh), mesh, D_UNIT)
+        twogrid_bound_ratio(u, u, FemFunction.zeros(mesh), D_UNIT)
 
 
 def test_l2_lifting_gap_on_manufactured_problem():
@@ -334,7 +352,7 @@ def test_l2_lifting_gap_on_manufactured_problem():
                                       problem.interface_box)]
     for _ in range(2):
         meshes.append(refine_uniform(meshes[-1]))
-    records = [error_norms(mesh, problem.diffusion, u, exact)
+    records = [error_norms(problem.diffusion, u, exact)
                for mesh, (u, _) in zip(meshes, newton_levels(meshes, problem))]
     report = convergence_report(records)
     # duality lifting: eoc_l2 - eoc_energy ~ t = 1 (with 20% slack)

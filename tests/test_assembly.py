@@ -166,7 +166,7 @@ def test_reaction_jacobian_single_triangle_mass(unit_square_pair):
     )
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
-        mesh, state, lambda x, xi: np.ones(np.shape(xi)), triangle_rule(2))
+        state, lambda x, xi: np.ones(np.shape(xi)), triangle_rule(2))
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     np.testing.assert_allclose(m.toarray(), expected, atol=1e-15)
 
@@ -175,7 +175,7 @@ def test_reaction_jacobian_partition_of_unity():
     mesh = generate_interface_mesh(8, (-1, 1, -1, 1))
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
-        mesh, state, lambda x, xi: np.ones(np.shape(xi)), triangle_rule(5))
+        state, lambda x, xi: np.ones(np.shape(xi)), triangle_rule(5))
     assert m.sum() == pytest.approx(4.0, abs=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_reaction_jacobian_zero_weight():
     mesh = generate_interface_mesh(4)
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
-        mesh, state, lambda x, xi: np.zeros(np.shape(xi)), triangle_rule(5))
+        state, lambda x, xi: np.zeros(np.shape(xi)), triangle_rule(5))
     assert abs(m).max() == 0.0
 
 
@@ -192,7 +192,7 @@ def test_reaction_jacobian_nonnegative_and_symmetric():
     rng = np.random.default_rng(3)
     state = FemFunction(mesh, rng.uniform(-1, 1, mesh.n_vertices))
     m = assemble_reaction_jacobian(
-        mesh, state, lambda x, xi: 3.0 * xi ** 2, triangle_rule(5))
+        state, lambda x, xi: 3.0 * xi ** 2, triangle_rule(5))
     assert m.data.min() >= 0.0
     assert abs(m - m.T).max() <= 1e-15
 
@@ -201,7 +201,7 @@ def test_residual_zero_state_no_loads():
     mesh = generate_interface_mesh(4)
     problem = builtin_problem("linear_reaction", c=1.0, f=0.0)
     r = assemble_semilinear_residual(
-        mesh, FemFunction.zeros(mesh), problem, triangle_rule(5))
+        FemFunction.zeros(mesh), problem, triangle_rule(5))
     assert np.all(r == 0.0)
 
 
@@ -213,10 +213,10 @@ def test_residual_matches_matrix_form_for_linear_reaction():
     rng = np.random.default_rng(5)
     u = rng.standard_normal(mesh.n_vertices)
     r = assemble_semilinear_residual(
-        mesh, FemFunction(mesh, u), problem, quad)
+        FemFunction(mesh, u), problem, quad)
     a = assemble_stiffness(mesh, problem.diffusion)
     m = assemble_reaction_jacobian(
-        mesh, FemFunction.zeros(mesh),
+        FemFunction.zeros(mesh),
         lambda x, xi: np.ones(np.shape(xi)), quad)
     load = assemble_load(mesh, problem, quad)
     expected = a @ u + c * (m @ u) - load
@@ -228,7 +228,7 @@ def test_residual_small_at_converged_solution():
     mesh = generate_interface_mesh(8)
     problem = builtin_problem("sinh_pbe")
     u, report = newton_solve(mesh, problem)
-    r = assemble_semilinear_residual(mesh, u, problem, triangle_rule(5))
+    r = assemble_semilinear_residual(u, problem, triangle_rule(5))
     assert np.abs(r).max() < 1e-10
 
 
@@ -319,7 +319,7 @@ def test_constrained_operator_is_spd():
     a = assemble_stiffness(mesh, D_JUMP)
     state = FemFunction(mesh, np.random.default_rng(0).uniform(
         0, 1, mesh.n_vertices))
-    m = assemble_reaction_jacobian(mesh, state, lambda x, xi: 3 * xi ** 2,
+    m = assemble_reaction_jacobian(state, lambda x, xi: 3 * xi ** 2,
                                    triangle_rule(5))
     ac, _ = apply_dirichlet(a + m, np.zeros(mesh.n_vertices),
                             mesh.boundary_vertices)
@@ -378,7 +378,7 @@ def test_assembly_matches_coo_oracle(loaded, degree):
     w = 3.0 * xq ** 2 * quad.weights * mesh.areas[:, None]
     lam = quad.points
     assert_same_csr(
-        assemble_reaction_jacobian(mesh, state, lambda x, xi: 3.0 * xi ** 2,
+        assemble_reaction_jacobian(state, lambda x, xi: 3.0 * xi ** 2,
                                    quad),
         coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam)))
 
@@ -393,10 +393,10 @@ def test_reaction_jacobian_peak_memory():
     quad = triangle_rule(5)
     d1 = builtin_problem("power11").nonlinearity.d1
     state = FemFunction(mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
-    assemble_reaction_jacobian(mesh, state, d1, quad)  # builds the pattern
+    assemble_reaction_jacobian(state, d1, quad)  # builds the pattern
     tracemalloc.start()
     try:
-        assemble_reaction_jacobian(mesh, state, d1, quad)
+        assemble_reaction_jacobian(state, d1, quad)
         per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
     finally:
         tracemalloc.stop()
@@ -415,7 +415,7 @@ def test_semilinear_residual_peak_memory():
     state = FemFunction(mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
 
     def residual():
-        assemble_semilinear_residual(mesh, state, problem, quad,
+        assemble_semilinear_residual(state, problem, quad,
                                      stiffness=stiffness, load=load)
 
     residual()  # the mesh's areas and gradients
@@ -460,7 +460,7 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
               + unblocked_moments(mesh, quad, nl.eval(points, uq)) - load)
     oracle[mesh.boundary_vertices] = 0.0
     assert_close_to(
-        assemble_semilinear_residual(mesh, state, sinh_pbe, quad,
+        assemble_semilinear_residual(state, sinh_pbe, quad,
                                      stiffness=stiffness, load=load),
         oracle)
 
@@ -468,7 +468,7 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
     jacobian = coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam))
     jacobian.sum_duplicates()
     assert_close_to(
-        assemble_reaction_jacobian(mesh, state, nl.d1, quad).toarray(),
+        assemble_reaction_jacobian(state, nl.d1, quad).toarray(),
         jacobian.toarray())
 
     d = np.where(mesh.regions == 1, 2.0, 80.0)
@@ -509,7 +509,7 @@ def test_apply_dirichlet_matches_dense_oracle():
     mesh = refine_uniform(refine_uniform(generate_interface_mesh(4)))
     state = FemFunction(mesh, np.random.default_rng(2).uniform(
         0, 1, mesh.n_vertices))
-    jac = assemble_reaction_jacobian(mesh, state, lambda x, xi: 3 * xi ** 2,
+    jac = assemble_reaction_jacobian(state, lambda x, xi: 3 * xi ** 2,
                                      triangle_rule(5))
     jac.data += assemble_stiffness(mesh, D_JUMP).data
     b = mesh.boundary_vertices

@@ -129,6 +129,10 @@ def test_unknown_problem_is_config_error(tmp_path, capsys):
                  "d_inside", id="several-numbers"),
     pytest.param("name = power11", "name = power11\nmagnitude =",
                  "magnitude", id="empty-value"),
+    pytest.param("name = power11", "name = power11\nmagnitude = nan",
+                 "magnitude must be finite", id="nan-value"),
+    pytest.param("name = power11", "name = power11\nd_inside = inf",
+                 "d_inside must be finite", id="inf-value"),
 ])
 def test_bad_point_source_is_config_error(tmp_path, capsys, old, new,
                                           reason):
@@ -238,6 +242,22 @@ def test_twogrid_linear_reaction_ratio_one(tmp_path):
     for row in rows[1:]:
         assert float(row[4]) == pytest.approx(1.0, abs=1e-6)
         assert row[7] == "0.000" and row[8] == "0.000"  # seeded timings
+
+
+@pytest.mark.parametrize("command, reason", [
+    ("converge", "zero error: convergence rate undefined"),
+    ("twogrid", "two-grid ratio undefined"),
+], ids=["converge", "twogrid"])
+def test_zero_error_study_fails_with_one_line(tmp_path, capsys, command,
+                                              reason):
+    # no load: the solution and every error are exactly zero
+    cfg = write_cfg(tmp_path, "[problem]\nname = zero_reaction\nf = 0\n\n"
+                              "[levels]\ncoarsest_n = 4\ncount = 2\n\n"
+                              "[output]\nout_dir = {out}\n")
+    assert main([command, "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("undefined result: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_twogrid_selects_coarse_level(tmp_path):

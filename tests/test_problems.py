@@ -107,6 +107,14 @@ def test_builtin_rejects_bad_values():
     for location in (0.3, (0.0, float("nan")), (0.0, 0.0, 0.0)):
         with pytest.raises(ValueError, match="location"):
             builtin_problem("power11", location=location)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for key in ("magnitude", "d_inside"):
+            with pytest.raises(ValueError, match=f"{key} must be finite"):
+                builtin_problem("power11", **{key: bad})
+        with pytest.raises(ValueError, match="f must be finite"):
+            builtin_problem("zero_reaction", f=bad)
+        with pytest.raises(ValueError, match="d_inside must be finite"):
+            manufactured_interface_problem(bad, 1.0)
 
 
 def test_nonlinearity_validation():

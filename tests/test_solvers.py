@@ -22,6 +22,7 @@ from twogridfem import (
     generate_interface_mesh,
     linearized_solve,
     linf_check,
+    make_initial_guess,
     newton_levels,
     newton_solve,
     newton_step,
@@ -82,6 +83,13 @@ def test_pcg_zero_rhs():
     x, report = pcg_solve(a, np.zeros(4))
     assert np.all(x == 0.0)
     assert report.converged
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_pcg_refuses_a_non_finite_right_hand_side(bad):
+    a = sp.identity(4, format="csr")
+    with pytest.raises(solvers.SolverError, match="right-hand side is not finite"):
+        pcg_solve(a, np.array([1.0, bad, 0.0, 0.0]))
 
 
 def test_pcg_laplacian_within_ndof_iterations():
@@ -217,7 +225,7 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
         assert any(reused)
         assert reused == [not built for built in report.step_new_hierarchy]
         assert all(ref() is None for ref in coarse_refs)
-        linearized_solve(fine, problem, FemFunction.zeros(fine))
+        linearized_solve(problem, FemFunction.zeros(fine))
         assert len(fine_refs) > 1
         assert all(ref() is None for ref in fine_refs + coarse_refs)
     finally:
@@ -300,9 +308,9 @@ def newton_step_at(mesh, problem, values):
     quad = triangle_rule(5)
     stiffness = assemble_stiffness(mesh, problem.diffusion)
     state = FemFunction(mesh, values)
-    residual = assemble_semilinear_residual(mesh, state, problem, quad,
+    residual = assemble_semilinear_residual(state, problem, quad,
                                             stiffness=stiffness)
-    return mesh, problem, state, residual, stiffness, quad
+    return problem, state, residual, stiffness, quad
 
 
 def test_newton_step_scatters_the_correction_onto_the_free_vertices():
@@ -314,9 +322,9 @@ def test_newton_step_scatters_the_correction_onto_the_free_vertices():
     assert delta.shape == (mesh.n_vertices,)
     assert np.all(delta[mesh.boundary_vertices] == 0.0)
     # the interior values solve the Jacobian's interior block
-    _, _, state, residual, stiffness, quad = args
+    _, state, residual, stiffness, quad = args
     jac = stiffness + assemble_reaction_jacobian(
-        mesh, state, problem.nonlinearity.d1, quad)
+        state, problem.nonlinearity.d1, quad)
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
     gap = jac.toarray()[np.ix_(free, free)] @ delta[free] + residual[free]
     assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(residual)
@@ -439,6 +447,19 @@ def test_newton_no_convergence_carries_best():
     exc = err.value
     assert exc.best is not None
     assert exc.report.iterations == 1
+
+
+@pytest.mark.parametrize("interior", [np.nan, 1e40], ids=["nan", "huge"])
+def test_newton_refuses_a_non_finite_initial_residual(interior):
+    # a NaN residual, or an infinite one and with it an infinite target,
+    # passed the stopping test before any step
+    problem = builtin_problem("power11")
+    mesh = generate_interface_mesh(16)
+    initial = make_initial_guess(mesh, problem,
+                                 np.full(mesh.n_vertices, interior))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NoConvergence, match="initial residual (nan|inf) is not finite"):
+        newton_solve(mesh, problem, initial)
 
 
 def test_newton_unreachable_tolerance_reports_best():
