@@ -6,11 +6,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
+    QUADRATURE_POINTS,
+    QUADRATURE_WEIGHTS,
     FemFunction,
     _block_slices,
     assemble_stiffness,
     quadrature_blocks,
-    triangle_rule,
 )
 from .problems import ManufacturedSolution
 from .twogrid import prolongate
@@ -113,25 +114,24 @@ def grad_l2_norm(v):
     return energy_norm(v.mesh, {1: 1.0, 2: 1.0}, v)
 
 
-def lp_norm(v, p, quad=None):
+def lp_norm(v, p):
     """L^p norm of a FemFunction, p in {2, 4}, by quadrature."""
     if p not in (2, 4):
         raise ValueError(f"p must be 2 or 4, got {p}")
-    quad = quad or triangle_rule()
     mesh = v.mesh
     total = 0.0
     for block in _block_slices(mesh):
-        values = v.values[mesh.triangles[block]] @ quad.points.T
-        total += float(np.sum(mesh.areas[block, None] * quad.weights
+        values = v.values[mesh.triangles[block]] @ QUADRATURE_POINTS.T
+        total += float(np.sum(mesh.areas[block, None] * QUADRATURE_WEIGHTS
                               * np.abs(values) ** p))
     return total ** (1.0 / p)
 
 
-def _manufactured_errors(diffusion, u_h, exact, quad):
+def _manufactured_errors(diffusion, u_h, exact):
     mesh = u_h.mesh
     e2 = e4 = een = 0.0
-    for block, points, uh_q in quadrature_blocks(mesh, quad, u_h):
-        w = mesh.areas[block, None] * quad.weights
+    for block, points, uh_q in quadrature_blocks(mesh, u_h):
+        w = mesh.areas[block, None] * QUADRATURE_WEIGHTS
         diff = exact.exact(points) - uh_q
         e2 += float(np.sum(w * diff ** 2))
         e4 += float(np.sum(w * diff ** 4))
@@ -148,23 +148,22 @@ def _manufactured_errors(diffusion, u_h, exact, quad):
     return math.sqrt(een), math.sqrt(e2), e4 ** 0.25, linf
 
 
-def error_norms(diffusion, u_h, exact, quad=None):
+def error_norms(diffusion, u_h, exact):
     """Errors of u_h against a manufactured solution or a finer reference.
 
     With a ManufacturedSolution the exact fields are integrated block by
-    block with the given quadrature, the exact gradients (used directly,
-    not interpolated) per region.  With a reference FemFunction on a nested
+    block with the 7-point rule, the exact gradients (used directly, not
+    interpolated) per region.  With a reference FemFunction on a nested
     finer mesh, u_h is prolongated there and the norms are exact
     differences of two P1 functions.
     """
-    quad = quad or triangle_rule()
     if isinstance(exact, ManufacturedSolution):
-        een, e2, e4, linf = _manufactured_errors(diffusion, u_h, exact, quad)
+        een, e2, e4, linf = _manufactured_errors(diffusion, u_h, exact)
     elif isinstance(exact, FemFunction):
         diff = prolongate(u_h, exact.mesh) - exact
         een = energy_norm(exact.mesh, diffusion, diff)
-        e2 = lp_norm(diff, 2, quad)
-        e4 = lp_norm(diff, 4, quad)
+        e2 = lp_norm(diff, 2)
+        e4 = lp_norm(diff, 4)
         linf = float(np.max(np.abs(diff.values)))
     else:
         raise TypeError(
@@ -246,7 +245,7 @@ def check_angle_condition(mesh, diffusion):
     )
 
 
-def ladyzhenskaya_margin(v, quad=None):
+def ladyzhenskaya_margin(v):
     """Slack in ||v||_4 <= C ||v||_2^a ||grad v||_2^b for an H^1_0 function.
 
     On the (2D) mesh the constants are C = 2^(1/4), a = b = 1/2; the margin
@@ -255,8 +254,8 @@ def ladyzhenskaya_margin(v, quad=None):
     """
     if np.any(v.values[v.mesh.boundary_vertices] != 0.0):
         raise BoundaryNotZero("v must vanish on the boundary (H^1_0)")
-    l2 = lp_norm(v, 2, quad)
-    l4 = lp_norm(v, 4, quad)
+    l2 = lp_norm(v, 2)
+    l4 = lp_norm(v, 4)
     grad = grad_l2_norm(v)
     return ladyzhenskaya_margin_formula(l2, grad, l4, d=2)
 
@@ -285,8 +284,7 @@ def ladyzhenskaya_margin_formula(norm_l2, norm_grad, norm_l4, d,
     return c * norm_l2 ** a * norm_grad ** b - norm_l4
 
 
-def twogrid_bound_ratio(u_h, u_coarse_prolonged, u_two_grid, diffusion,
-                        quad=None):
+def twogrid_bound_ratio(u_h, u_coarse_prolonged, u_two_grid, diffusion):
     """Ratio |||u_h - u^h||| / ||u_h - u_H||_4^2 from the two-grid bound.
 
     A bounded ratio across level pairs is the empirical signature of the
@@ -294,7 +292,7 @@ def twogrid_bound_ratio(u_h, u_coarse_prolonged, u_two_grid, diffusion,
     when the coarse and fine solutions coincide to roundoff.
     """
     coarse_gap, two_grid_gap = u_h - u_coarse_prolonged, u_h - u_two_grid
-    denom = lp_norm(coarse_gap, 4, quad)
+    denom = lp_norm(coarse_gap, 4)
     if denom < DEGENERATE_L4:
         raise DegenerateDenominator(
             f"||u_h - u_H||_4 = {denom:.3e} is numerically zero")

@@ -1,9 +1,10 @@
 """P1 finite element operators on triangular meshes.
 
 Global matrices are scipy CSR with sorted indices; stiffness and reaction
-Jacobians are symmetric by construction.  Quadrature rules live on the
-reference triangle in barycentric coordinates with weights summing to one,
-so element integrals are ``area * sum(w_q * f(x_q))``.
+Jacobians are symmetric by construction.  Volume integrals use one rule,
+``QUADRATURE_POINTS`` in barycentric coordinates with
+``QUADRATURE_WEIGHTS`` summing to one, so element integrals are
+``area * sum(w_q * f(x_q))``.
 
 Quadrature-point work runs over blocks of ``_BLOCK_TRIANGLES`` triangles,
 so that its temporaries stay in cache; problem callbacks therefore receive
@@ -18,12 +19,12 @@ import scipy.sparse as sp
 from .mesh import Mesh, free_vertices, triangle_geometry
 
 __all__ = [
-    "QuadratureRule",
+    "QUADRATURE_POINTS",
+    "QUADRATURE_WEIGHTS",
     "FemFunction",
     "AssemblyError",
     "DegenerateTriangle",
     "NotAVertex",
-    "triangle_rule",
     "quadrature_blocks",
     "local_stiffness",
     "assemble_stiffness",
@@ -35,9 +36,8 @@ __all__ = [
     "apply_dirichlet",
 ]
 
-DEFAULT_QUAD_DEGREE = 5
-# Triangles per block of quadrature-point work: the (B, k) and (B, k, 2)
-# arrays of the 7-point rule then fit a 2 MiB L2 cache.
+# Triangles per block of quadrature-point work: the (B, 7) and (B, 7, 2)
+# arrays then fit a 2 MiB L2 cache.
 _BLOCK_TRIANGLES = 4096
 
 
@@ -53,81 +53,29 @@ class NotAVertex(AssemblyError):
     pass
 
 
-@dataclass(eq=False)
-class QuadratureRule:
-    """Barycentric points and weights on the reference triangle.
-
-    Weights sum to one (reference-area normalization); the rule integrates
-    polynomials up to ``degree`` exactly.
-    """
-
-    points: np.ndarray   # (k, 3)
-    weights: np.ndarray  # (k,)
-    degree: int
-
-    def __post_init__(self):
-        self.points = np.ascontiguousarray(self.points, dtype=float)
-        self.weights = np.ascontiguousarray(self.weights, dtype=float)
-
-
-def _conical_product_rule(degree):
-    """Duffy-transform tensor rule of the requested total degree.
-
-    On the reference triangle with the substitution x = s, y = t*(1-s) the
-    integrand of a degree-d polynomial has degree d+1 in s (the Jacobian
-    contributes the extra power) and degree d in t, so Gauss-Legendre with
-    ceil((d+2)/2) x ceil((d+1)/2) points is exact.  All weights positive.
-    """
-    ns = -(-(degree + 2) // 2)
-    nt = -(-(degree + 1) // 2)
-    gs, ws = np.polynomial.legendre.leggauss(ns)
-    gt, wt = np.polynomial.legendre.leggauss(nt)
-    s = 0.5 * (gs + 1.0)
-    t = 0.5 * (gt + 1.0)
-    ws = 0.5 * ws
-    wt = 0.5 * wt
-    pts = []
-    wts = []
-    for si, wsi in zip(s, ws):
-        for ti, wti in zip(t, wt):
-            x = si
-            y = ti * (1.0 - si)
-            pts.append((1.0 - x - y, x, y))
-            wts.append(wsi * wti * (1.0 - si) * 2.0)  # /(ref area 1/2)
-    return QuadratureRule(np.array(pts), np.array(wts), degree)
+def _seven_point_rule():
+    """Radon's 7-point rule: centroid plus two orbits of three points,
+    exact for polynomials of total degree 5, all weights positive."""
+    s15 = np.sqrt(15.0)
+    a = (6.0 + s15) / 21.0
+    b = (6.0 - s15) / 21.0
+    wa = (155.0 + s15) / 1200.0
+    wb = (155.0 - s15) / 1200.0
+    pts = [[1.0 / 3.0] * 3]
+    wts = [9.0 / 40.0]
+    for lam, w in ((a, wa), (b, wb)):
+        other = 1.0 - 2.0 * lam
+        pts += [[other, lam, lam], [lam, other, lam], [lam, lam, other]]
+        wts += [w, w, w]
+    points, weights = np.array(pts), np.array(wts)
+    points.flags.writeable = weights.flags.writeable = False
+    return points, weights
 
 
-def triangle_rule(degree=DEFAULT_QUAD_DEGREE):
-    """Return a rule exact for polynomials of the given total degree.
-
-    Degrees 1, 2 and 5 use the classic centroid, edge-midpoint and 7-point
-    rules; other degrees fall back to a positive-weight conical product.
-    """
-    if degree <= 1:
-        return QuadratureRule(
-            np.array([[1.0, 1.0, 1.0]]) / 3.0, np.array([1.0]), 1)
-    if degree == 2:
-        pts = np.array([
-            [0.5, 0.5, 0.0],
-            [0.0, 0.5, 0.5],
-            [0.5, 0.0, 0.5],
-        ])
-        return QuadratureRule(pts, np.full(3, 1.0 / 3.0), 2)
-    if degree == 5:
-        s15 = np.sqrt(15.0)
-        a = (6.0 + s15) / 21.0
-        b = (6.0 - s15) / 21.0
-        wa = (155.0 + s15) / 1200.0
-        wb = (155.0 - s15) / 1200.0
-        pts = [[1.0 / 3.0] * 3]
-        wts = [9.0 / 40.0]
-        for lam, w in ((a, wa), (b, wb)):
-            other = 1.0 - 2.0 * lam
-            pts += [[other, lam, lam], [lam, other, lam], [lam, lam, other]]
-            wts += [w, w, w]
-        return QuadratureRule(np.array(pts), np.array(wts), 5)
-    return _conical_product_rule(degree)
-
+# The one volume rule of every assembly and norm: barycentric points (7, 3)
+# and weights (7,) summing to one.  Any P1 rule exact for constants keeps
+# the optimal order of the Galerkin method (Ciarlet 1978, section 4.1).
+QUADRATURE_POINTS, QUADRATURE_WEIGHTS = _seven_point_rule()
 
 # 2-point Gauss on [0, 1], exact through cubics; used for edge integrals.
 _EDGE_GAUSS_T = np.array([0.5 - 0.5 / np.sqrt(3.0), 0.5 + 0.5 / np.sqrt(3.0)])
@@ -162,8 +110,9 @@ def _diffusion_per_triangle(mesh, diffusion):
     d = np.empty(mesh.n_triangles)
     for tag in np.unique(mesh.regions):
         val = float(diffusion[int(tag)])
-        if val <= 0:
-            raise ValueError(f"diffusion in region {tag} must be positive")
+        if not (np.isfinite(val) and val > 0):
+            raise ValueError(f"diffusion in region {tag} must be finite and "
+                             f"positive, got {val:g}")
         d[mesh.regions == tag] = val
     return d
 
@@ -217,44 +166,44 @@ def _block_slices(mesh):
         yield slice(start, start + _BLOCK_TRIANGLES)
 
 
-def quadrature_blocks(mesh, quad, state=None):
+def quadrature_blocks(mesh, state=None):
     """Per block of at most ``_BLOCK_TRIANGLES`` triangles: its slice, the
-    coordinates of its quadrature points (B, k, 2) and, with a ``state``,
-    the state's values there (B, k), else None."""
+    coordinates of its quadrature points (B, 7, 2) and, with a ``state``,
+    the state's values there (B, 7), else None."""
     for block in _block_slices(mesh):
         triangles = mesh.triangles[block]
-        points = np.empty((len(triangles), len(quad.weights), 2))
+        points = np.empty((len(triangles), len(QUADRATURE_WEIGHTS), 2))
         for axis in range(2):
             # a column view first: ``vertices[triangles, axis]`` gathers slower
-            np.matmul(mesh.vertices[:, axis][triangles], quad.points.T,
+            np.matmul(mesh.vertices[:, axis][triangles], QUADRATURE_POINTS.T,
                       out=points[..., axis])
         values = (None if state is None
-                  else state.values[triangles] @ quad.points.T)
+                  else state.values[triangles] @ QUADRATURE_POINTS.T)
         yield block, points, values
 
 
-def assemble_reaction_jacobian(state, d1, quad):
+def assemble_reaction_jacobian(state, d1):
     """Weighted mass matrix M_ij = int d1(x, u) phi_j phi_i by quadrature."""
     mesh = state.mesh
     areas = _positive_areas(mesh)
-    lam = quad.points
-    weighted_products = (quad.weights[:, None, None] * lam[:, :, None]
+    lam = QUADRATURE_POINTS
+    weighted_products = (QUADRATURE_WEIGHTS[:, None, None] * lam[:, :, None]
                          * lam[:, None, :]).reshape(-1, 9)
     local = np.empty((mesh.n_triangles, 9))
-    for block, points, values in quadrature_blocks(mesh, quad, state):
+    for block, points, values in quadrature_blocks(mesh, state):
         np.matmul(d1(points, values), weighted_products, out=local[block])
         local[block] *= areas[block, None]
     return _scatter(mesh, local)
 
 
-def _moment_vector(mesh, quad, f, state=None):
+def _moment_vector(mesh, f, state=None):
     """Vector v_i = sum_T area_T sum_q w_q f(x_q, u(x_q)) phi_i(x_q) for
     the callback ``f`` and the ``state`` u; without a state, ``f`` gets
     None in place of u(x_q)."""
     areas = _positive_areas(mesh)
-    weighted_basis = quad.weights[:, None] * quad.points  # (k, 3)
+    weighted_basis = QUADRATURE_WEIGHTS[:, None] * QUADRATURE_POINTS
     local = np.empty((mesh.n_triangles, 3))
-    for block, points, values in quadrature_blocks(mesh, quad, state):
+    for block, points, values in quadrature_blocks(mesh, state):
         np.matmul(f(points, values), weighted_basis, out=local[block])
         local[block] *= areas[block, None]
     return np.bincount(
@@ -291,12 +240,11 @@ def assemble_interface_flux(mesh, g_flux):
     return load
 
 
-def assemble_load(mesh, problem, quad):
+def assemble_load(mesh, problem):
     """Total load vector: volume source, point source and interface flux."""
     load = np.zeros(mesh.n_vertices)
     if problem.source is not None:
-        load += _moment_vector(mesh, quad,
-                               lambda x, _: problem.source(x))
+        load += _moment_vector(mesh, lambda x, _: problem.source(x))
     if problem.point_source is not None:
         load += assemble_point_load(mesh, problem.point_source.location,
                                     problem.point_source.magnitude)
@@ -305,8 +253,7 @@ def assemble_load(mesh, problem, quad):
     return load
 
 
-def assemble_semilinear_residual(state, problem, quad, stiffness=None,
-                                 load=None):
+def assemble_semilinear_residual(state, problem, stiffness=None, load=None):
     """Discrete residual r_i = a(u,phi_i) + (b(u),phi_i) - <loads,phi_i>.
 
     Dirichlet rows are zeroed, so the residual vanishes exactly at a
@@ -318,9 +265,9 @@ def assemble_semilinear_residual(state, problem, quad, stiffness=None,
     if stiffness is None:
         stiffness = assemble_stiffness(mesh, problem.diffusion)
     if load is None:
-        load = assemble_load(mesh, problem, quad)
+        load = assemble_load(mesh, problem)
     r = stiffness @ state.values + _moment_vector(
-        mesh, quad, problem.nonlinearity.eval, state)
+        mesh, problem.nonlinearity.eval, state)
     r -= load
     r[mesh.boundary_vertices] = 0.0
     return r

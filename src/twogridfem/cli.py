@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .analysis import AnalysisError, ZeroError, check_angle_condition, \
     convergence_report, error_norms
-from .assembly import NotAVertex, assemble_point_load, triangle_rule
+from .assembly import NotAVertex, assemble_point_load
 from .mesh import MeshError, generate_interface_mesh, refine_uniform
 from .problems import BUILTIN_PROBLEMS, ProblemError, builtin_problem, \
     manufactured_interface_problem
@@ -54,7 +54,6 @@ class StudyConfig:
     newton_abs_tol: float = 1e-10
     newton_rel_tol: float = 1e-12
     newton_max_iters: int = 40
-    quad_degree: int = 5
     s: float = 2.0
     tau: float = 2.0
     snap: str = "up"
@@ -70,8 +69,6 @@ class StudyConfig:
         except ValueError as exc:
             # NewtonOptions names the field; its key here has a prefix
             raise ConfigError(f"newton_{exc}") from None
-        if self.quad_degree < 1:
-            raise ConfigError("quad_degree must be at least 1")
         names = ("manufactured",) + BUILTIN_PROBLEMS
         if self.problem_name not in names:
             raise ConfigError(f"unknown problem {self.problem_name!r}; "
@@ -115,7 +112,6 @@ SETTINGS = {
     ("solver", "newton_abs_tol"): ("newton_abs_tol", float),
     ("solver", "newton_rel_tol"): ("newton_rel_tol", float),
     ("solver", "newton_max_iters"): ("newton_max_iters", int),
-    ("solver", "quad_degree"): ("quad_degree", int),
     ("twogrid", "s"): ("s", float),
     ("twogrid", "tau"): ("tau", float),
     ("twogrid", "snap"): ("snap", str),
@@ -259,17 +255,16 @@ def cmd_check_mesh(cfg, args):
 
 def cmd_converge(cfg, args):
     problem, exact, meshes = _build_hierarchy(cfg)
-    quad = triangle_rule(cfg.quad_degree)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     # one warm-started chain gives the study levels and, when there is no
     # exact solution, the reference on its last level
     chain = meshes if exact is not None else _with_reference_levels(meshes)
-    levels = list(newton_levels(chain, problem, cfg.newton_options(), quad))
+    levels = list(newton_levels(chain, problem, cfg.newton_options()))
     if exact is None:
         exact = levels[-1][0]
-    records = [error_norms(problem.diffusion, u, exact, quad)
+    records = [error_norms(problem.diffusion, u, exact)
                for u, _ in levels[:len(meshes)]]
     report = convergence_report(records)
 
@@ -296,13 +291,12 @@ def cmd_converge(cfg, args):
 
 def cmd_twogrid(cfg, args):
     problem, exact, meshes = _build_hierarchy(cfg)
-    quad = triangle_rule(cfg.quad_degree)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if exact is None:
         exact, _ = nested_newton_solve(_with_reference_levels(meshes),
-                                       problem, cfg.newton_options(), quad)
+                                       problem, cfg.newton_options())
 
     # grid spacing along x: the size the coarse-size selection works on
     xmin, xmax = problem.domain[:2]
@@ -320,17 +314,17 @@ def cmd_twogrid(cfg, args):
         # cold, like the two-grid solve: wall_ms_direct compares like with
         # like, so this does not reuse the warm-started reference chain
         direct, direct_report = newton_solve(
-            mesh, problem, None, cfg.newton_options(), quad)
+            mesh, problem, None, cfg.newton_options())
         wall_direct = direct_report.wall_s * 1e3
 
         start = time.perf_counter()
-        result = two_grid_solve(coarse, mesh, problem, quad=quad)
+        result = two_grid_solve(coarse, mesh, problem)
         wall_two = (time.perf_counter() - start) * 1e3
 
-        err_direct = error_norms(problem.diffusion, direct, exact,
-                                 quad).err_energy
-        err_two = error_norms(problem.diffusion, result.fine_solution, exact,
-                              quad).err_energy
+        err_direct = error_norms(problem.diffusion, direct,
+                                 exact).err_energy
+        err_two = error_norms(problem.diffusion, result.fine_solution,
+                              exact).err_energy
         if err_direct == 0.0:
             raise ZeroError("zero direct error: two-grid ratio undefined")
         if args.seed is not None:
@@ -350,11 +344,10 @@ def cmd_twogrid(cfg, args):
 
 def cmd_solve(cfg, args):
     problem, _, meshes = _build_hierarchy(cfg)
-    quad = triangle_rule(cfg.quad_degree)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     solution, reports = nested_newton_solve(meshes, problem,
-                                            cfg.newton_options(), quad)
+                                            cfg.newton_options())
     path = out / "solution.txt"
     with open(path, "w") as fh:
         fh.write(f"# {cfg.problem_name} n={cfg.coarsest_n} "
@@ -379,12 +372,11 @@ def _parser():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="study config file")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output where supported")
+        if name == "check-mesh":
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
         p.add_argument("--levels", type=int, default=None,
                        help="override the number of refinement levels")
-        p.add_argument("--quad-degree", type=int, default=None,
-                       help="override the volume quadrature degree")
         p.add_argument("--snap", choices=("up", "nearest"), default=None,
                        help="coarse-size snapping mode")
         p.add_argument("--seed", type=int, default=None,
@@ -398,8 +390,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        overrides = {"level_count": args.levels,
-                     "quad_degree": args.quad_degree, "snap": args.snap}
+        overrides = {"level_count": args.levels, "snap": args.snap}
         cfg = dataclasses.replace(cfg, **{
             name: value for name, value in overrides.items()
             if value is not None})

@@ -97,8 +97,9 @@ class Problem:
 
     def __post_init__(self):
         d = {int(k): float(v) for k, v in self.diffusion.items()}
-        if min(d.values()) <= 0:
-            raise ValueError("diffusion must be positive in every region")
+        if not d or not all(np.isfinite(v) and v > 0 for v in d.values()):
+            raise ValueError(
+                "diffusion must be finite and positive in every region")
         self.diffusion = d
 
 
@@ -106,17 +107,16 @@ class Problem:
 class ManufacturedSolution:
     """Closed-form solution used by convergence studies.
 
-    ``exact(points)`` evaluates u, ``exact_grad(points, region)`` the
-    per-region gradient (the gradient jumps across the interface), and
-    ``source`` is the volume load that makes u solve the PDE.  All three
-    must be pointwise: ``error_norms`` passes one block of quadrature
-    points (B, k, 2) at a time, and ``exact_grad`` only the points of the
+    ``exact(points)`` evaluates u and ``exact_grad(points, region)`` the
+    per-region gradient (the gradient jumps across the interface); the
+    volume load that makes u solve the PDE is the problem's ``source``.
+    Both must be pointwise: ``error_norms`` passes one block of quadrature
+    points (B, 7, 2) at a time, and ``exact_grad`` only the points of the
     block's triangles in that region.
     """
 
     exact: callable
     exact_grad: callable
-    source: callable
 
 
 def _sample_points(problem, count, seed):
@@ -427,6 +427,4 @@ def manufactured_interface_problem(d_inside, d_outside):
         interface_box=(-1.0, 0.0, -1.0, 1.0),
         name="manufactured",
     )
-    solution = ManufacturedSolution(
-        exact=exact, exact_grad=exact_grad, source=source)
-    return problem, solution
+    return problem, ManufacturedSolution(exact=exact, exact_grad=exact_grad)

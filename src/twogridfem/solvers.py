@@ -10,14 +10,12 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .assembly import (
-    DEFAULT_QUAD_DEGREE,
     FemFunction,
     apply_dirichlet,
     assemble_load,
     assemble_reaction_jacobian,
     assemble_semilinear_residual,
     assemble_stiffness,
-    triangle_rule,
 )
 
 __all__ = [
@@ -85,10 +83,10 @@ class NewtonOptions:
     max_iters: int = 40
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ValueError("abs_tol must be positive")
-        if self.rel_tol <= 0:
-            raise ValueError("rel_tol must be positive")
+        for name in ("abs_tol", "rel_tol"):
+            # an infinite tolerance stops Newton before its first step
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -309,8 +307,7 @@ def make_initial_guess(mesh, problem, values=None):
     return FemFunction(mesh, values)
 
 
-def newton_step(problem, state, residual, stiffness, quad, tol,
-                coarse=None):
+def newton_step(problem, state, residual, stiffness, tol, coarse=None):
     """One Newton correction: PCG on J delta = -residual.
 
     J = K + R(state) is ``stiffness`` plus the reaction Jacobian at
@@ -325,7 +322,7 @@ def newton_step(problem, state, residual, stiffness, quad, tol,
     propagates, its ``best`` and ``last`` iterates scattered the same way.
     """
     mesh = state.mesh
-    jac = assemble_reaction_jacobian(state, problem.nonlinearity.d1, quad)
+    jac = assemble_reaction_jacobian(state, problem.nonlinearity.d1)
     jac.data += stiffness.data
     system, rhs = apply_dirichlet(jac, -residual, mesh.boundary_vertices)
     del jac  # PCG needs only the restriction
@@ -346,7 +343,7 @@ def newton_step(problem, state, residual, stiffness, quad, tol,
     return scatter(x), report
 
 
-def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
+def newton_solve(mesh, problem, initial=None, opts=None):
     """Damped Newton iteration for the discrete semilinear system.
 
     The stiffness and load are assembled once; every iteration takes a
@@ -371,19 +368,17 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
     """
     start = time.perf_counter()
     opts = opts or NewtonOptions()
-    quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     if initial is None:
         initial = make_initial_guess(mesh, problem)
     if initial.mesh is not mesh:
         raise ValueError("initial guess lives on a different mesh")
 
-    load = assemble_load(mesh, problem, quad)
+    load = assemble_load(mesh, problem)
     stiffness = assemble_stiffness(mesh, problem.diffusion)
 
     def residual(values):
         return assemble_semilinear_residual(
-            FemFunction(mesh, values), problem, quad, stiffness=stiffness,
-            load=load)
+            FemFunction(mesh, values), problem, stiffness=stiffness, load=load)
 
     u = initial.values.copy()
     r = residual(u)
@@ -416,7 +411,7 @@ def newton_solve(mesh, problem, initial=None, opts=None, quad=None):
         step_built.append(mesh.parent is not None and not coarse.built)
         try:
             delta, lin_report = newton_step(
-                problem, FemFunction(mesh, u), r, stiffness, quad, eta, coarse)
+                problem, FemFunction(mesh, u), r, stiffness, eta, coarse)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
-    DEFAULT_QUAD_DEGREE,
     FemFunction,
     assemble_semilinear_residual,
     assemble_stiffness,
-    triangle_rule,
 )
 from .solvers import (
     NewtonOptions,
@@ -109,7 +107,7 @@ def _prolonged_base(u_coarse, t_h, problem):
                               prolongate(u_coarse, t_h).values)
 
 
-def linearized_solve(problem, u_base, quad=None):
+def linearized_solve(problem, u_base):
     """One Newton step from ``u_base`` on its (fine) mesh.
 
     Returns u_base + delta, where delta solves J delta = -r(u_base) with
@@ -124,7 +122,6 @@ def linearized_solve(problem, u_base, quad=None):
     in ``wall_s``); NoConvergence propagates, with the reason PCG stopped.
     """
     start = time.perf_counter()
-    quad = quad or triangle_rule(DEFAULT_QUAD_DEGREE)
     t_h = u_base.mesh
     nl = problem.nonlinearity
     d1_nodal = np.asarray(nl.d1(t_h.vertices, u_base.values), dtype=float)
@@ -135,15 +132,15 @@ def linearized_solve(problem, u_base, quad=None):
             stacklevel=2)
 
     stiffness = assemble_stiffness(t_h, problem.diffusion)
-    residual = assemble_semilinear_residual(u_base, problem, quad,
+    residual = assemble_semilinear_residual(u_base, problem,
                                             stiffness=stiffness)
-    delta, report = newton_step(problem, u_base, residual, stiffness, quad,
+    delta, report = newton_step(problem, u_base, residual, stiffness,
                                 FINE_PCG_TOL)
     report.wall_s = time.perf_counter() - start
     return FemFunction(t_h, u_base.values + delta), report
 
 
-def two_grid_solve(t_coarse, t_fine, problem, quad=None):
+def two_grid_solve(t_coarse, t_fine, problem):
     """Run the two-grid algorithm on a nested mesh pair.
 
     Step 1 solves the nonlinear problem on the coarse mesh (Newton to the
@@ -151,9 +148,9 @@ def two_grid_solve(t_coarse, t_fine, problem, quad=None):
     step on the fine mesh.  Total fine-grid work is a single linear solve.
     """
     u_coarse, coarse_report = newton_solve(
-        t_coarse, problem, None, COARSE_NEWTON_OPTS, quad)
+        t_coarse, problem, None, COARSE_NEWTON_OPTS)
     u_base = _prolonged_base(u_coarse, t_fine, problem)
-    u_fine, fine_report = linearized_solve(problem, u_base, quad)
+    u_fine, fine_report = linearized_solve(problem, u_base)
     return TwoGridResult(
         coarse_solution=u_coarse,
         fine_solution=u_fine,
@@ -162,7 +159,7 @@ def two_grid_solve(t_coarse, t_fine, problem, quad=None):
     )
 
 
-def newton_levels(meshes, problem, opts=None, quad=None):
+def newton_levels(meshes, problem, opts=None):
     """Warm-started Newton solves, level by level, on a refinement chain.
 
     ``meshes`` is a coarse-to-fine refinement chain.  The first level's
@@ -176,11 +173,11 @@ def newton_levels(meshes, problem, opts=None, quad=None):
     for mesh in meshes:
         initial = (None if solution is None
                    else _prolonged_base(solution, mesh, problem))
-        solution, report = newton_solve(mesh, problem, initial, opts, quad)
+        solution, report = newton_solve(mesh, problem, initial, opts)
         yield solution, report
 
 
-def nested_newton_solve(meshes, problem, opts=None, quad=None):
+def nested_newton_solve(meshes, problem, opts=None):
     """Full nonlinear solve on the finest mesh of a refinement chain.
 
     Runs :func:`newton_levels` and returns the finest solution and the
@@ -188,7 +185,7 @@ def nested_newton_solve(meshes, problem, opts=None, quad=None):
     """
     solution = None
     reports = []
-    for solution, report in newton_levels(meshes, problem, opts, quad):
+    for solution, report in newton_levels(meshes, problem, opts):
         reports.append(report)
     return solution, reports
 

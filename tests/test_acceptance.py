@@ -27,7 +27,6 @@ from twogridfem import (
     prolongate,
     refine_uniform,
     select_coarse_size,
-    triangle_rule,
     twogrid_bound_ratio,
     two_grid_solve,
 )

@@ -28,9 +28,10 @@ from twogridfem import (
     newton_solve,
     prolongate,
     refine_uniform,
-    triangle_rule,
     twogrid_bound_ratio,
 )
+
+from twogridfem.assembly import QUADRATURE_POINTS, QUADRATURE_WEIGHTS
 
 from conftest import grad_l2_squared_oracle
 
@@ -167,12 +168,13 @@ def test_error_norms_against_reference_solution():
     assert rec.err_l2 == pytest.approx(lp_norm(diff, 2), rel=1e-12)
 
 
-def whole_mesh_errors(mesh, diffusion, u, exact, quad):
+def whole_mesh_errors(mesh, diffusion, u, exact):
     """Energy, L2 and L4 errors of u against a manufactured solution from
     all quadrature points of the mesh at once."""
-    points = np.matmul(quad.points, mesh.triangle_coords())
-    w = mesh.areas[:, None] * quad.weights
-    diff = exact.exact(points) - u.values[mesh.triangles] @ quad.points.T
+    points = np.matmul(QUADRATURE_POINTS, mesh.triangle_coords())
+    w = mesh.areas[:, None] * QUADRATURE_WEIGHTS
+    diff = (exact.exact(points)
+            - u.values[mesh.triangles] @ QUADRATURE_POINTS.T)
     grad = np.einsum("mi,mid->md", u.values[mesh.triangles], mesh.gradients)
     energy = 0.0
     for region in (1, 2):
@@ -196,7 +198,6 @@ def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
     rng = np.random.default_rng(8)
     u = FemFunction(mesh, exact.exact(mesh.vertices)
                     + 0.01 * rng.standard_normal(mesh.n_vertices))
-    quad = triangle_rule(5)
 
     triangles = {"exact": [], "exact_grad": []}
 
@@ -211,20 +212,20 @@ def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
 
     spied = dataclasses.replace(exact, exact=spy("exact"),
                                 exact_grad=spy("exact_grad"))
-    rec = error_norms(problem.diffusion, u, spied, quad)
+    rec = error_norms(problem.diffusion, u, spied)
     for name, counts in triangles.items():
         assert max(counts) <= limit, name
         assert sum(counts) == mesh.n_triangles, name
     np.testing.assert_allclose(
         [rec.err_energy, rec.err_l2, rec.err_l4],
-        whole_mesh_errors(mesh, problem.diffusion, u, exact, quad),
+        whole_mesh_errors(mesh, problem.diffusion, u, exact),
         rtol=1e-13)
 
     # lp_norm of a FemFunction, block by block too
-    w = mesh.areas[:, None] * quad.weights
-    at_points = u.values[mesh.triangles] @ quad.points.T
+    w = mesh.areas[:, None] * QUADRATURE_WEIGHTS
+    at_points = u.values[mesh.triangles] @ QUADRATURE_POINTS.T
     for p in (2, 4):
-        assert lp_norm(u, p, quad) == pytest.approx(
+        assert lp_norm(u, p) == pytest.approx(
             np.sum(w * np.abs(at_points) ** p) ** (1 / p), rel=1e-13)
 
 

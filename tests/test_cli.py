@@ -1,5 +1,8 @@
+import argparse
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ count = 3
 
 [solver]
 newton_abs_tol = 1e-10
-quad_degree = 5
 
 [output]
 out_dir = {out}
@@ -107,6 +109,14 @@ def test_check_mesh_json(tmp_path, capsys):
     assert len(payload["levels"]) == 3
 
 
+def test_json_flag_belongs_to_check_mesh_only(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, MANUFACTURED_CFG)
+    with pytest.raises(SystemExit) as exit_:
+        main(["converge", "--config", cfg, "--json"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
+
+
 def test_unaligned_interface_is_config_error(tmp_path, capsys):
     bad = POWER11_CFG.replace("coarsest_n = 8", "coarsest_n = 6")
     cfg = write_cfg(tmp_path, bad)
@@ -147,10 +157,17 @@ def test_missing_config_file():
 
 
 @pytest.mark.parametrize("key, old, new", [
-    pytest.param("newton_max_iters", "quad_degree = 5",
-                 "quad_degree = 5\nnewton_max_iters = 0",
+    pytest.param("newton_max_iters", "newton_abs_tol = 1e-10",
+                 "newton_abs_tol = 1e-10\nnewton_max_iters = 0",
                  id="newton_max_iters"),
-    pytest.param("quad_degree", "quad_degree = 5", "quad_degree = -3",
+    pytest.param("newton_abs_tol", "newton_abs_tol = 1e-10",
+                 "newton_abs_tol = nan", id="nan-newton_abs_tol"),
+    pytest.param("newton_rel_tol", "newton_abs_tol = 1e-10",
+                 "newton_abs_tol = 1e-10\nnewton_rel_tol = nan",
+                 id="nan-newton_rel_tol"),
+    # the volume rule is fixed: the key it had is an unknown key now
+    pytest.param("quad_degree", "newton_abs_tol = 1e-10",
+                 "newton_abs_tol = 1e-10\nquad_degree = 5",
                  id="quad_degree"),
     pytest.param("coarsest_n", "coarsest_n = 4", "coarsest_n = 1",
                  id="coarsest_n"),
@@ -295,13 +312,34 @@ def test_point_load_location_from_config(tmp_path):
     assert tuple(mesh.vertices[values.argmax()]) == (0.25, 0.0)
 
 
-def test_quad_degree_override_runs(tmp_path):
-    cfg = write_cfg(tmp_path, MANUFACTURED_CFG)
-    assert main(["converge", "--config", cfg, "--levels", "2",
-                 "--quad-degree", "7"]) == 0
-
-
 def test_bad_snap_flag_rejected(tmp_path, capsys):
     cfg = write_cfg(tmp_path, POWER11_CFG.replace("snap = up",
                                                   "snap = sideways"))
     assert main(["twogrid", "--config", cfg]) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_shows_every_config_key_and_flag():
+    text = README.read_text()
+    block = re.search(r"```ini\n(.*?)```", text, re.S).group(1)
+    shown, section = set(), None
+    for line in block.splitlines():
+        line = line.split(";")[0].strip()
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif "=" in line:
+            shown.add((section, line.split("=")[0].strip()))
+    assert set(cli.SETTINGS) <= shown
+    assert {key for key in shown if key[0] != "problem"} <= set(cli.SETTINGS)
+    assert int(re.search(r"(\d+) keys", text).group(1)) == len(cli.SETTINGS)
+
+    flags = text[text.index("Flags:"):text.index("Exit codes:")]
+    parser = cli._parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {option for command in commands.choices.values()
+               for action in command._actions if action.dest != "help"
+               for option in action.option_strings}
+    assert set(re.findall(r"`(--[\w-]+)", flags)) == options

@@ -125,8 +125,9 @@ def test_nonlinearity_validation():
 
 def test_problem_rejects_nonpositive_diffusion():
     nl = builtin_problem("zero_reaction").nonlinearity
-    with pytest.raises(ValueError):
-        Problem(diffusion={1: 0.0, 2: 1.0}, nonlinearity=nl)
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            Problem(diffusion={1: bad, 2: 1.0}, nonlinearity=nl)
 
 
 def test_barriers_cube_with_constant_source():

@@ -28,7 +28,6 @@ from twogridfem import (
     newton_step,
     pcg_solve,
     refine_uniform,
-    triangle_rule,
 )
 
 from conftest import cube_problem
@@ -303,14 +302,21 @@ def test_newton_does_not_ask_pcg_below_roundoff(caplog):
                 if rec.levelno >= logging.WARNING]
 
 
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+def test_newton_options_refuse_a_nan_tolerance(field):
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match=f"{field} must be finite and positive"):
+            NewtonOptions(**{field: bad})
+
+
 def newton_step_at(mesh, problem, values):
     """Arguments of a Newton step at ``values`` on ``mesh``."""
-    quad = triangle_rule(5)
     stiffness = assemble_stiffness(mesh, problem.diffusion)
     state = FemFunction(mesh, values)
-    residual = assemble_semilinear_residual(state, problem, quad,
+    residual = assemble_semilinear_residual(state, problem,
                                             stiffness=stiffness)
-    return problem, state, residual, stiffness, quad
+    return problem, state, residual, stiffness
 
 
 def test_newton_step_scatters_the_correction_onto_the_free_vertices():
@@ -322,9 +328,9 @@ def test_newton_step_scatters_the_correction_onto_the_free_vertices():
     assert delta.shape == (mesh.n_vertices,)
     assert np.all(delta[mesh.boundary_vertices] == 0.0)
     # the interior values solve the Jacobian's interior block
-    _, state, residual, stiffness, quad = args
+    _, state, residual, stiffness = args
     jac = stiffness + assemble_reaction_jacobian(
-        state, problem.nonlinearity.d1, quad)
+        state, problem.nonlinearity.d1)
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
     gap = jac.toarray()[np.ix_(free, free)] @ delta[free] + residual[free]
     assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(residual)
