@@ -66,11 +66,15 @@ class Mesh:
     vertices : (N, 2) float array
     triangles : (M, 3) int array, counterclockwise vertex triples
     regions : (M,) int array with values in {1, 2}
-    boundary_vertices : sorted int array, vertices on the outer boundary
-    h : maximum element diameter
     parent : coarser mesh this one refines, or None
     midpoint_edges : (N - N_parent, 2) int array mapping each new vertex
         of a refined mesh to the parent edge it bisects, or None
+    edges : ``(lo, hi, edge_of)``, the unique edges (lo, hi), lo < hi, in
+        lexicographic order and the indices of every triangle's edges
+        01, 12 and 02, in the index dtype of ``csr_pattern``
+    boundary_vertices : sorted int array, the vertices of the edges used
+        by one triangle
+    h : maximum element diameter
     areas : (M,) signed element areas (positive for counterclockwise)
     gradients : (M, 3, 2) gradients of the barycentric basis functions
     prolongation : (N, N_parent) sparse P1 embedding of the parent's
@@ -85,17 +89,14 @@ class Mesh:
         CSR, or None without a parent
     csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
 
-    All arrays are read-only.  ``interface_edges``, ``interior_vertices``,
-    ``areas``, ``gradients``, the prolongations, the restriction and
-    ``csr_pattern`` are computed once, on first use; two threads racing on
-    that first use compute the same values, so meshes are safe to share.
+    All arrays are read-only.  The attributes after ``midpoint_edges`` are
+    derived, once and on first use; two threads racing on that first use
+    compute the same values, so meshes are safe to share.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     regions: np.ndarray
-    boundary_vertices: np.ndarray
-    h: float
     parent: "Mesh | None" = None
     midpoint_edges: np.ndarray | None = field(default=None, repr=False)
 
@@ -103,11 +104,9 @@ class Mesh:
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.regions = np.ascontiguousarray(self.regions, dtype=np.int64)
-        self.boundary_vertices = np.ascontiguousarray(
-            self.boundary_vertices, dtype=np.int64
-        )
-        _freeze(self.vertices, self.triangles, self.regions,
-                self.boundary_vertices)
+        _freeze(self.vertices, self.triangles, self.regions)
+        if self.midpoint_edges is not None:
+            _freeze(self.midpoint_edges)
 
     @property
     def n_vertices(self):
@@ -118,14 +117,50 @@ class Mesh:
         return self.triangles.shape[0]
 
     @cached_property
+    def edges(self):
+        """The unique edges and each triangle's edge indices."""
+        edges = _unique_edges(self.triangles, self.n_vertices)
+        _freeze(*edges)
+        return edges
+
+    @cached_property
+    def boundary_vertices(self):
+        """The vertices of the edges used by one triangle, in increasing
+        order."""
+        if self.parent is None:
+            lo, hi, edge_of = self.edges
+            once = np.bincount(edge_of.ravel()) == 1
+            boundary = np.union1d(lo[once], hi[once]).astype(np.int64)
+        else:
+            # red refinement makes the midpoint of an edge used by one
+            # triangle a corner of 3 children, that of any other edge of 6
+            n_old = self.parent.n_vertices
+            corners = np.bincount(self.triangles.ravel(),
+                                  minlength=self.n_vertices)
+            boundary = np.concatenate([
+                self.parent.boundary_vertices,
+                n_old + np.flatnonzero(corners[n_old:] == 3)])
+        _freeze(boundary)
+        return boundary
+
+    @cached_property
+    def h(self):
+        """The maximum element diameter; refinement halves it exactly."""
+        if self.parent is not None:
+            return self.parent.h / 2.0
+        p = self.triangle_coords()
+        sides = p[:, [1, 2, 0]] - p
+        return float(np.hypot(sides[..., 0], sides[..., 1]).max())
+
+    @cached_property
     def interface_edges(self):
         """The edges used by two triangles of different regions."""
-        lo, hi, edge_of = _unique_edges(self.triangles, self.n_vertices)
+        lo, hi, edge_of = self.edges
         uses = np.bincount(edge_of.ravel())
         inside = np.bincount(edge_of[self.regions == 1].ravel(),
                              minlength=lo.size)
         on = (uses == 2) & (inside == 1)
-        edges = np.column_stack([lo[on], hi[on]])
+        edges = np.column_stack([lo[on], hi[on]]).astype(np.int64)
         _freeze(edges)
         return edges
 
@@ -194,7 +229,7 @@ class Mesh:
     def csr_pattern(self):
         """Built from the unique edges; scipy's conversion to CSR places
         every entry."""
-        pattern = _csr_pattern(self.triangles, self.n_vertices)
+        pattern = _csr_pattern(self.triangles, self.n_vertices, self.edges)
         _freeze(*pattern)
         return pattern
 
@@ -225,19 +260,22 @@ def _freeze(*arrays):
 def _unique_edges(triangles, n):
     """The unique edges (lo, hi), lo < hi, of a triangulation of n
     vertices, ordered by (lo, hi), and the index of the edges 01, 12 and
-    02 of every triangle, shape (M, 3)."""
+    02 of every triangle, shape (M, 3), in the CSR pattern's index dtype."""
     a, b = triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]]
     keys, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                               return_inverse=True)
     lo, hi = np.divmod(keys, n)
-    return lo, hi, edge_of.reshape(-1, 3)
+    # the pattern numbers n diagonal and 2 entries per edge
+    dtype = np.int32 if n + 2 * keys.size < 2 ** 31 else np.int64
+    return (lo.astype(dtype), hi.astype(dtype),
+            edge_of.reshape(-1, 3).astype(dtype))
 
 
-def _csr_pattern(triangles, n):
-    lo, hi, edge_of = _unique_edges(triangles, n)
+def _csr_pattern(triangles, n, edges):
+    lo, hi, edge_of = edges
     n_edges = lo.size
     size = n + 2 * n_edges
-    index_dtype = np.int32 if size < 2 ** 31 else np.int64
+    index_dtype = lo.dtype
     # number the diagonal, upper (lo, hi) and lower (hi, lo) entries
     # 1 ... size (no number is an explicit zero); the conversion to CSR
     # sorts the numbers into the entries' positions
@@ -245,7 +283,7 @@ def _csr_pattern(triangles, n):
     cols = np.concatenate([np.arange(n), hi, lo])
     a = sp.csr_matrix((np.arange(1, size + 1, dtype=index_dtype),
                        (rows, cols)), shape=(n, n))
-    del rows, cols, lo, hi
+    del rows, cols
     position = np.empty(size, dtype=index_dtype)
     position[a.data - 1] = np.arange(size, dtype=index_dtype)
     diagonal, upper, lower = np.split(position, [n, n + n_edges])
@@ -276,11 +314,6 @@ def triangle_geometry(p):
     with np.errstate(divide="ignore", invalid="ignore"):
         gradients /= twice_area[:, None, None]
     return 0.5 * twice_area, gradients
-
-
-def _max_diameter(vertices, triangles):
-    edges = vertices[triangles[:, [1, 2, 0]]] - vertices[triangles]
-    return float(np.hypot(edges[..., 0], edges[..., 1]).max())
 
 
 def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
@@ -338,29 +371,18 @@ def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
     triangles = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
     inside = (ix0 <= ix) & (ix < ix1) & (iy0 <= iy) & (iy < iy1)
     regions = np.repeat(np.where(inside, 1, 2), 2)
-
-    on_boundary = np.zeros((n + 1, n + 1), dtype=bool)
-    on_boundary[[0, n], :] = True
-    on_boundary[:, [0, n]] = True
-    boundary_vertices = np.flatnonzero(on_boundary)
-
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        regions=regions,
-        boundary_vertices=boundary_vertices,
-        h=_max_diameter(vertices, triangles),
-    )
+    return Mesh(vertices, triangles, regions)
 
 
 def refine_uniform(mesh):
     """Red refinement: split every triangle into 4 via edge midpoints.
 
-    Region tags are inherited, the child records the parent mesh and
-    the edge bisected by every new vertex, and h halves exactly.
+    Region tags are inherited, and the child records the parent mesh and
+    the parent edge bisected by every new vertex, from which it derives
+    its boundary and h without an edge pass of its own.
     """
     n_old = mesh.n_vertices
-    lo, hi, edge_of = _unique_edges(mesh.triangles, n_old)
+    lo, hi, edge_of = mesh.edges
     # number the midpoints in the order a triangle-by-triangle walk meets
     # their edges
     first = np.full(lo.size, edge_of.size)
@@ -379,31 +401,20 @@ def refine_uniform(mesh):
         0.5 * (mesh.vertices[midpoint_edges[:, 0]]
                + mesh.vertices[midpoint_edges[:, 1]]),
     ])
-    # an edge used by one triangle lies on the boundary
-    boundary_vertices = np.union1d(mesh.boundary_vertices,
-                                   midpoint[np.bincount(edge_of.ravel()) == 1])
-
-    return Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        regions=np.repeat(mesh.regions, 4),
-        boundary_vertices=boundary_vertices,
-        h=mesh.h / 2.0,
-        parent=mesh,
-        midpoint_edges=midpoint_edges,
-    )
+    return Mesh(vertices, triangles, np.repeat(mesh.regions, 4),
+                parent=mesh, midpoint_edges=midpoint_edges)
 
 
 def validate_mesh(mesh):
-    """Raise ValidationError if the mesh breaks a structural invariant."""
+    """Raise ValidationError if the mesh breaks a structural invariant.
+
+    The vertex indices are checked first: the edges, the areas and h are
+    computed from them."""
     n = mesh.n_vertices
-    if mesh.triangles.size and (
-            mesh.triangles.min() < 0 or mesh.triangles.max() >= n):
+    if mesh.n_triangles == 0:
+        raise ValidationError("mesh has no triangles")
+    if mesh.triangles.min() < 0 or mesh.triangles.max() >= n:
         raise ValidationError("triangle references a vertex index out of range")
-    if mesh.boundary_vertices.size and (
-            mesh.boundary_vertices.min() < 0
-            or mesh.boundary_vertices.max() >= n):
-        raise ValidationError("boundary vertex index out of range")
     # an unused vertex would be an unknown with an empty stiffness row
     corners = np.bincount(mesh.triangles.ravel(), minlength=n)
     if np.any(corners == 0):
@@ -417,9 +428,9 @@ def validate_mesh(mesh):
             f"triangle {bad} has non-positive signed area {areas[bad]:g}")
     if not np.all(np.isin(mesh.regions, (1, 2))):
         raise ValidationError("region tags must be 1 or 2")
-    lo, hi, edge_of = _unique_edges(mesh.triangles, n)
+    lo, hi, edge_of = mesh.edges
     counts = np.bincount(edge_of.ravel())
-    if counts.size and counts.max() > 2:
+    if counts.max() > 2:
         bad = int(np.argmax(counts))
         raise ValidationError(
             f"edge ({lo[bad]}, {hi[bad]}) shared by {counts[bad]} "
@@ -459,10 +470,11 @@ def _parse_rows(bodies, dtype):
 def load_mesh(text):
     """Parse the plain-text mesh format and validate the result.
 
-    The boundary vertices are the vertices of the edges used by one
-    triangle.  The format holds no refinement links, so the loaded mesh
-    has ``parent`` and ``midpoint_edges`` set to None and cannot take part
-    in prolongation or a two-grid solve.
+    The mesh derives its boundary, h and interface from the triangles, as
+    any :class:`Mesh` without a parent does, from the one edge table that
+    validation builds.  The format holds no refinement links, so the
+    loaded mesh has ``parent`` and ``midpoint_edges`` set to None and
+    cannot take part in prolongation or a two-grid solve.
 
     Raises ParseError (with the 1-based line number) on malformed input
     and ValidationError on structurally invalid meshes.
@@ -527,17 +539,4 @@ def load_mesh(text):
     triangles = np.column_stack(corners)
     if pos != len(bodies):
         raise ParseError("trailing content", numbers[pos])
-
-    # bounds must hold before any vertex-indexed computation (edges, h)
-    if nt and (triangles.min() < 0 or triangles.max() >= nv):
-        raise ValidationError("triangle references a vertex index out of range")
-    lo, hi, edge_of = _unique_edges(triangles, nv)
-    once = np.bincount(edge_of.ravel()) == 1
-    mesh = Mesh(
-        vertices=vertices,
-        triangles=triangles,
-        regions=regions,
-        boundary_vertices=np.union1d(lo[once], hi[once]),
-        h=_max_diameter(vertices, triangles) if nt else 0.0,
-    )
-    return validate_mesh(mesh)
+    return validate_mesh(Mesh(vertices, triangles, regions))

@@ -13,8 +13,6 @@ def unit_square_pair():
         vertices=vertices,
         triangles=triangles,
         regions=np.array([1, 1]),
-        boundary_vertices=np.array([0, 1, 2, 3]),
-        h=np.sqrt(2.0),
     )
 
 
@@ -94,6 +92,4 @@ def relabelled(mesh, seed=0):
         vertices=vertices,
         triangles=triangles,
         regions=mesh.regions[order],
-        boundary_vertices=np.sort(label[mesh.boundary_vertices]),
-        h=mesh.h,
     )

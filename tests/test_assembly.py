@@ -97,8 +97,6 @@ def test_assemble_stiffness_rejects_clockwise_triangle(unit_square_pair):
         vertices=unit_square_pair.vertices,
         triangles=np.array([[0, 1, 3], [0, 2, 3]]),  # second is clockwise
         regions=unit_square_pair.regions,
-        boundary_vertices=unit_square_pair.boundary_vertices,
-        h=unit_square_pair.h,
     )
     with pytest.raises(DegenerateTriangle, match="triangle 1"):
         assemble_stiffness(mesh, D_UNIT)
@@ -174,8 +172,6 @@ def test_reaction_jacobian_single_triangle_mass(unit_square_pair):
         vertices=UNIT_RIGHT,
         triangles=np.array([[0, 1, 2]]),
         regions=np.array([1]),
-        boundary_vertices=np.array([0, 1, 2]),
-        h=np.sqrt(2.0),
     )
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
@@ -273,8 +269,6 @@ def test_interface_flux_constant(unit_square_pair):
         vertices=unit_square_pair.vertices,
         triangles=unit_square_pair.triangles,
         regions=np.array([1, 2]),
-        boundary_vertices=unit_square_pair.boundary_vertices,
-        h=unit_square_pair.h,
     )
     loaded = load_mesh("vertices 4\n0 0\n1 0\n0 1\n1 1\n"
                        "triangles 2\n0 1 3 1\n0 3 2 2\n")
@@ -297,8 +291,6 @@ def test_interface_flux_linear_exact(unit_square_pair):
         vertices=unit_square_pair.vertices,
         triangles=unit_square_pair.triangles,
         regions=np.array([1, 2]),
-        boundary_vertices=unit_square_pair.boundary_vertices,
-        h=unit_square_pair.h,
     )
     # g(x, y) = x is linear along the diagonal (0,0)-(1,1)
     load = assemble_interface_flux(mesh, lambda x: x[..., 0])

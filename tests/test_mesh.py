@@ -260,8 +260,6 @@ def test_angle_condition_obtuse_triangle_fails():
         vertices=np.array([[0.0, 0.0], [4.0, 0.0], [3.9, 0.2]]),
         triangles=np.array([[0, 1, 2]]),
         regions=np.array([1]),
-        boundary_vertices=np.array([0, 1, 2]),
-        h=4.0,
     )
     report = check_angle_condition(mesh, {1: 1.0})
     assert not report.passes
@@ -301,6 +299,24 @@ def test_load_accepts_comments_and_blank_lines():
     assert list(mesh.boundary_vertices) == [0, 1, 2]
 
 
+def test_validate_rejects_a_mesh_without_triangles():
+    # such a mesh once loaded, and a solve on it then failed inside numpy
+    # ("zero-size array to reduction operation maximum")
+    with pytest.raises(ValidationError, match="no triangles"):
+        load_mesh("vertices 0\ntriangles 0\n")
+    empty = Mesh(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0))
+    with pytest.raises(ValidationError, match="no triangles"):
+        validate_mesh(empty)
+
+
+def test_boundary_and_h_are_derived_not_given():
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    for given in ({"boundary_vertices": [0, 1, 2], "h": 1.0},
+                  {"boundary_vertices": [0, 1, 2]}, {"h": 1.0}):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            Mesh(coords, [[0, 1, 2]], [1], **given)
+
+
 def test_load_rejects_out_of_range_index():
     text = (
         "vertices 3\n0 0\n1 0\n0 1\n"
@@ -316,8 +332,6 @@ def test_validate_rejects_edge_shared_by_three_triangles():
                            [0.5, -1.0], [0.5, 2.0]]),
         triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
         regions=np.array([1, 1, 1]),
-        boundary_vertices=np.array([0, 1, 2, 3, 4]),
-        h=2.0,
     )
     with pytest.raises(ValidationError, match=r"edge \(0, 1\) shared by 3"):
         validate_mesh(mesh)
@@ -400,8 +414,6 @@ def test_save_mesh_text_format():
         vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 1.0 / 3.0]]),
         triangles=np.array([[0, 1, 2]]),
         regions=np.array([2]),
-        boundary_vertices=np.array([0, 2]),
-        h=1.0,
     )
     assert save_mesh(mesh) == (
         "vertices 3\n0.0 0.0\n1.0 0.0\n0.1 0.3333333333333333\n"
@@ -441,6 +453,29 @@ def test_save_reproduces_the_loaded_text():
     assert save_mesh(load_mesh(SQUARE)) == SQUARE
 
 
+def test_one_edge_pass_per_mesh(monkeypatch):
+    import twogridfem.mesh as mesh_module
+    passes = []
+    unique_edges = mesh_module._unique_edges
+
+    def counted(triangles, n):
+        passes.append(n)
+        return unique_edges(triangles, n)
+
+    monkeypatch.setattr(mesh_module, "_unique_edges", counted)
+    loaded = load_mesh(SQUARE)
+    loaded.boundary_vertices, loaded.interface_edges, loaded.csr_pattern
+    assert len(passes) == 1
+
+    passes.clear()
+    coarse = generate_interface_mesh(64)
+    fine = refine_uniform(coarse)
+    for mesh in (coarse, fine):
+        mesh.csr_pattern, mesh.boundary_vertices, mesh.interface_edges
+    # the refined boundary comes from the parent's, without an edge pass
+    assert passes == [coarse.n_vertices, fine.n_vertices]
+
+
 def test_refined_loaded_mesh_has_the_outer_boundary_as_boundary():
     mesh = load_mesh(SQUARE)
     for _ in range(2):
@@ -467,13 +502,19 @@ def test_parse_error_on_bad_header():
 
 
 def test_mesh_arrays_are_read_only():
-    mesh = generate_interface_mesh(4)
+    root = generate_interface_mesh(4)
+    fine = refine_uniform(root)
+    # a refined mesh derives its boundary from its parent's
+    for mesh in (root, fine):
+        assert mesh.boundary_vertices is mesh.boundary_vertices
+        assert mesh.edges is mesh.edges
+        for arr in (mesh.vertices, mesh.areas, mesh.gradients,
+                    mesh.boundary_vertices, *mesh.edges):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 99
+    # the prolongation reads it on first use
     with pytest.raises(ValueError):
-        mesh.vertices[0, 0] = 99.0
-    with pytest.raises(ValueError):
-        mesh.areas[0] = 99.0
-    with pytest.raises(ValueError):
-        mesh.gradients[0, 0, 0] = 99.0
+        fine.midpoint_edges[0, 0] = 0
 
 
 def test_geometry_is_computed_once():
