@@ -155,8 +155,9 @@ def assemble_stiffness(mesh, diffusion):
     grads = mesh.gradients
     local = np.empty((mesh.n_triangles, 3, 3))
     for block in _block_slices(mesh):
-        # einsum's ``out`` takes a slower path than the assignment
-        local[block] = np.einsum("mid,mjd->mij", grads[block], grads[block])
+        gx, gy = grads[block, :, 0], grads[block, :, 1]
+        local[block] = (gx[:, :, None] * gx[:, None, :]
+                        + gy[:, :, None] * gy[:, None, :])
         local[block] *= scale[block, None, None]
     return _scatter(mesh, local)
 

@@ -5,9 +5,12 @@ of shape (..., 2) and state arrays of shape (...) and return arrays of
 shape (...).  All problem data is immutable and the callbacks must be pure
 and pointwise: assembly calls them, and the error norms call a
 manufactured solution's ``exact`` and ``exact_grad``, on one block of
-points at a time.
+points at a time.  Callbacks should write integer powers as products:
+numpy's ``**`` with an integer exponent calls libm ``pow``, which is about
+20x slower on a negative base.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,17 +224,35 @@ def compute_barriers(problem):
     return min(alpha_t, g_lo), max(beta_t, g_hi)
 
 
+def _integer_power(xi, k):
+    """xi ** k for an integer k >= 0, by repeated squaring; xi itself for
+    k = 1."""
+    if k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    result = None
+    while True:
+        if k & 1:
+            result = xi if result is None else result * xi
+        k >>= 1
+        if not k:
+            return np.ones_like(xi) if result is None else result
+        xi = xi * xi
+
+
 def _power_nonlinearity(exponent):
+    """b(xi) = xi^p for an integer p >= 2, with its two derivatives."""
+    if not isinstance(exponent, numbers.Integral) or exponent < 2:
+        raise ValueError(f"exponent must be an integer >= 2, got {exponent!r}")
     p = int(exponent)
 
     def b(x, xi):
-        return xi ** p
+        return _integer_power(xi, p)
 
     def d1(x, xi):
-        return p * xi ** (p - 1)
+        return p * _integer_power(xi, p - 1)
 
     def d2(x, xi):
-        return p * (p - 1) * xi ** (p - 2)
+        return p * (p - 1) * _integer_power(xi, p - 2)
 
     return Nonlinearity(b, d1, d2, 0.0, 0.0)
 
@@ -389,12 +410,15 @@ def manufactured_interface_problem(d_inside, d_outside):
             f"manufactured construction failed: [u]={cont:g}, "
             f"[D du/dn]={flux_jump:g}")
 
-    def w_any(x):
-        return np.where(x < 0.0, w(x, True), w(x, False))
+    def w_any(x, sin_x):
+        """w at any x, given sin(pi x)."""
+        left = x < 0.0
+        return (np.where(left, 1.0 + x, 1.0 - x)
+                + np.where(left, a_l, a_r) * sin_x)
 
     def exact(points):
         x, y = points[..., 0], points[..., 1]
-        return w_any(x) * np.sin(pi * y)
+        return w_any(x, np.sin(pi * x)) * np.sin(pi * y)
 
     def exact_grad(points, region):
         x, y = points[..., 0], points[..., 1]
@@ -409,9 +433,10 @@ def manufactured_interface_problem(d_inside, d_outside):
         x, y = points[..., 0], points[..., 1]
         dv = np.where(x < 0.0, d1, d2)
         av = np.where(x < 0.0, a_l, a_r)
-        u = w_any(x) * np.sin(pi * y)
-        return (dv * pi ** 2 * (av * np.sin(pi * x) + w_any(x))
-                * np.sin(pi * y) + u ** 3)
+        sin_x, sin_y = np.sin(pi * x), np.sin(pi * y)
+        wx = w_any(x, sin_x)
+        u = wx * sin_y
+        return dv * pi ** 2 * (av * sin_x + wx) * sin_y + u * u * u
 
     # sup-norm estimate of f on a dense grid (metadata for barrier checks)
     gx = np.linspace(-1.0, 1.0, 201)

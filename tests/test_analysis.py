@@ -224,6 +224,8 @@ def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
     # lp_norm of a FemFunction, block by block too
     w = mesh.areas[:, None] * QUADRATURE_WEIGHTS
     at_points = u.values[mesh.triangles] @ QUADRATURE_POINTS.T
+    # both signs: the L4 integrands, squares of squares, see negative values
+    assert np.any(at_points < 0) and np.any(at_points > 0)
     for p in (2, 4):
         assert lp_norm(u, p) == pytest.approx(
             np.sum(w * np.abs(at_points) ** p) ** (1 / p), rel=1e-13)

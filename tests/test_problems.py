@@ -12,8 +12,12 @@ from twogridfem import (
     compute_barriers,
     manufactured_interface_problem,
 )
+from twogridfem.problems import _integer_power, _power_nonlinearity
 
 from conftest import cube_problem
+
+
+EPS = np.finfo(float).eps
 
 
 def sample_points(rng, count):
@@ -56,6 +60,51 @@ def test_builtin_monotonicity_between_barriers():
         x = sample_points(rng, 100)
         xi = rng.uniform(nl.barrier_alpha - 1.0, nl.barrier_beta + 1.0, 100)
         assert np.all(nl.d1(x, xi) >= -1e-12)
+
+
+@pytest.mark.parametrize("k", range(12))
+def test_integer_power_matches_pow(k):
+    rng = np.random.default_rng(k)
+    magnitude = np.exp(rng.uniform(np.log(1e-20), np.log(1e25), 2000))
+    xi = np.concatenate([rng.uniform(-3.0, 3.0, 2000), magnitude,
+                         -magnitude, [0.0, -0.0]])
+    got, ref = _integer_power(xi, k), xi ** k
+    # each of the k - 1 products rounds by up to eps / 2, pow by up to eps
+    rtol = max(4.0, (k + 1) / 2) * EPS
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=0)
+    # odd powers keep the sign of a negative base, even ones drop it
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(ref))
+
+
+def test_integer_power_propagates_nan_and_inf():
+    xi = np.array([np.nan, np.inf, -np.inf])
+    for k in range(12):
+        np.testing.assert_array_equal(_integer_power(xi, k), xi ** k)
+
+
+def test_integer_power_refuses_negative_exponent():
+    with pytest.raises(ValueError, match="nonnegative"):
+        _integer_power(np.ones(3), -1)
+
+
+@pytest.mark.parametrize("exponent", [2.5, 3.0, "3", 1, 0, -1])
+def test_power_nonlinearity_refuses_exponent_below_two_or_not_integer(
+        exponent):
+    # 2.5 used to be truncated to 2, and p = 1 made d2 NaN at xi = 0
+    with pytest.raises(ValueError, match="integer >= 2"):
+        _power_nonlinearity(exponent)
+
+
+@pytest.mark.parametrize("exponent", [2, 3, np.int64(11)])
+def test_power_nonlinearity_values_and_derivatives(exponent):
+    nl = _power_nonlinearity(exponent)
+    p = int(exponent)
+    xi = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
+    # powers of two: every product is exact
+    np.testing.assert_array_equal(nl.eval(None, xi), xi ** p)
+    np.testing.assert_array_equal(nl.d1(None, xi), p * xi ** (p - 1))
+    np.testing.assert_array_equal(nl.d2(None, xi),
+                                  p * (p - 1) * xi ** (p - 2))
 
 
 def test_power11_configuration():
@@ -251,6 +300,33 @@ def test_manufactured_gradient_matches_finite_differences():
         g = exact.exact_grad(p, region)[0]
         assert gx[0] == pytest.approx(g[0], rel=1e-8)
         assert gy[0] == pytest.approx(g[1], rel=1e-8)
+
+
+@pytest.mark.parametrize("d_in, d_out", [(1000.0, 1.0), (2.0, 80.0)])
+def test_manufactured_fields_match_closed_form(d_in, d_out):
+    # the closed form written out term by term, with libm pow for u^3
+    problem, exact = manufactured_interface_problem(d_in, d_out)
+    pi = np.pi
+    a_l = (1.0 / d_in - 1.0) / pi
+    a_r = (1.0 / d_out + 1.0) / pi
+
+    def w(x):
+        return np.where(x < 0.0, (1.0 + x) + a_l * np.sin(pi * x),
+                        (1.0 - x) + a_r * np.sin(pi * x))
+
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (500, 7, 2))
+    x, y = points[..., 0], points[..., 1]
+    u = w(x) * np.sin(pi * y)
+    assert np.array_equal(exact.exact(points), u)
+    # sin(pi / 2) is exactly 1, so on y = 1/2 exact is w itself
+    on_half = np.stack([x, np.full_like(x, 0.5)], axis=-1)
+    assert np.array_equal(exact.exact(on_half), w(x))
+    dv = np.where(x < 0.0, d_in, d_out)
+    av = np.where(x < 0.0, a_l, a_r)
+    f = (dv * pi ** 2 * (av * np.sin(pi * x) + w(x)) * np.sin(pi * y)
+         + u ** 3)
+    np.testing.assert_allclose(problem.source(points), f, rtol=1e-15,
+                               atol=0)
 
 
 def test_manufactured_rejects_bad_diffusion():
