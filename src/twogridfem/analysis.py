@@ -10,6 +10,7 @@ from .assembly import (
     QUADRATURE_WEIGHTS,
     FemFunction,
     _block_slices,
+    _diffusion_by_region,
     assemble_stiffness,
     quadrature_blocks,
 )
@@ -132,6 +133,7 @@ def lp_norm(v, p):
 
 def _manufactured_errors(diffusion, u_h, exact):
     mesh = u_h.mesh
+    diffusion = _diffusion_by_region(mesh, diffusion)
     e2 = e4 = een = 0.0
     for block, points, uh_q in quadrature_blocks(mesh, u_h):
         w = mesh.areas[block, None] * QUADRATURE_WEIGHTS

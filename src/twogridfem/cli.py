@@ -56,7 +56,6 @@ class StudyConfig:
     newton_max_iters: int = 40
     s: float = 2.0
     tau: float = 2.0
-    snap: str = "up"
     out_dir: str = "out"
 
     def __post_init__(self):
@@ -74,9 +73,9 @@ class StudyConfig:
             raise ConfigError(f"unknown problem {self.problem_name!r}; "
                               f"choose from {', '.join(names)}")
         try:
-            # checks s, tau and snap; any h serves
-            select_coarse_size(1.0, self.s, self.tau, snap=self.snap)
-        except (InvalidRegularity, ValueError) as exc:
+            # checks s and tau; any h serves
+            select_coarse_size(1.0, self.s, self.tau)
+        except InvalidRegularity as exc:
             raise ConfigError(str(exc)) from None
 
     def newton_options(self):
@@ -114,7 +113,6 @@ SETTINGS = {
     ("solver", "newton_max_iters"): ("newton_max_iters", int),
     ("twogrid", "s"): ("s", float),
     ("twogrid", "tau"): ("tau", float),
-    ("twogrid", "snap"): ("snap", str),
     ("output", "out_dir"): ("out_dir", str),
 }
 
@@ -308,7 +306,7 @@ def cmd_twogrid(cfg, args):
             continue  # the coarsest level has no coarser partner
         coarse_sizes = sizes[:idx]
         h_sel = select_coarse_size(sizes[idx], cfg.s, cfg.tau, d=2,
-                                   snap=cfg.snap, levels=coarse_sizes)
+                                   levels=coarse_sizes)
         coarse = meshes[coarse_sizes.index(h_sel)]
 
         # cold, like the two-grid solve: wall_ms_direct compares like with
@@ -377,8 +375,6 @@ def _parser():
                            help="machine-readable output")
         p.add_argument("--levels", type=int, default=None,
                        help="override the number of refinement levels")
-        p.add_argument("--snap", choices=("up", "nearest"), default=None,
-                       help="coarse-size snapping mode")
         p.add_argument("--seed", type=int, default=None,
                        help="fix run metadata (zeroes timing columns) so "
                             "identical configs give byte-identical output")
@@ -390,10 +386,8 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        overrides = {"level_count": args.levels, "snap": args.snap}
-        cfg = dataclasses.replace(cfg, **{
-            name: value for name, value in overrides.items()
-            if value is not None})
+        if args.levels is not None:
+            cfg = dataclasses.replace(cfg, level_count=args.levels)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -295,15 +295,13 @@ def pcg_solve(a, rhs, tol=1e-10, max_iters=None, preconditioner=None):
 
 
 def make_initial_guess(mesh, problem, values=None):
-    """``values`` (default zero) with the Dirichlet data imposed on the
-    boundary."""
+    """A copy of ``values`` (default zero) with the Dirichlet data imposed
+    on the boundary: g, or zero when the problem has none."""
     values = (np.zeros(mesh.n_vertices) if values is None
               else np.array(values, dtype=float))
-    if problem.dirichlet is not None:
-        values[mesh.boundary_vertices] = np.broadcast_to(
-            np.asarray(problem.dirichlet(
-                mesh.vertices[mesh.boundary_vertices]), dtype=float),
-            (len(mesh.boundary_vertices),))
+    boundary = mesh.boundary_vertices
+    values[boundary] = (0.0 if problem.dirichlet is None else np.asarray(
+        problem.dirichlet(mesh.vertices[boundary]), dtype=float))
     return FemFunction(mesh, values)
 
 
@@ -350,9 +348,10 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     :func:`newton_step` at the current state with the inexact-Newton
     forcing tolerance, falls back to PCG's best iterate when the step's
     solve stops early, and accepts the first step-halving candidate that
-    does not increase the residual sup-norm.  Dirichlet rows are held
-    exactly: ``initial`` must carry the boundary data (the default initial
-    guess does).
+    does not increase the residual sup-norm.  The iteration starts from
+    ``initial`` (default zero) with the Dirichlet data imposed on the
+    boundary (:func:`make_initial_guess`), and every step holds those rows
+    exactly.
 
     The forcing never asks PCG for a linear residual below a tenth of the
     Newton target (``TARGET_SHARE``).  A step that cuts the residual
@@ -368,10 +367,10 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     """
     start = time.perf_counter()
     opts = opts or NewtonOptions()
-    if initial is None:
-        initial = make_initial_guess(mesh, problem)
-    if initial.mesh is not mesh:
+    if initial is not None and initial.mesh is not mesh:
         raise ValueError("initial guess lives on a different mesh")
+    initial = make_initial_guess(
+        mesh, problem, None if initial is None else initial.values)
 
     load = assemble_load(mesh, problem)
     stiffness = assemble_stiffness(mesh, problem.diffusion)
@@ -380,7 +379,7 @@ def newton_solve(mesh, problem, initial=None, opts=None):
         return assemble_semilinear_residual(
             FemFunction(mesh, values), problem, stiffness=stiffness, load=load)
 
-    u = initial.values.copy()
+    u = initial.values
     r = residual(u)
     rsup = float(np.abs(r).max())
     history = [rsup]

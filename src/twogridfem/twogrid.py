@@ -2,10 +2,10 @@
 
 The coarse problem is solved with damped Newton to tight tolerance, the
 solution is prolongated to the fine mesh (exact P1 nodal interpolation on
-nested meshes) and takes the fine Dirichlet data on the boundary, and a
-single Newton correction on the fine mesh, the same
+nested meshes), and a single Newton correction on the fine mesh, the same
 :func:`~twogridfem.solvers.newton_step` that every Newton iteration takes,
-produces the two-grid approximation.
+produces the two-grid approximation.  Every solve imposes its mesh's
+Dirichlet data on the state it starts from.
 """
 
 import math
@@ -99,22 +99,15 @@ def prolongate(u_coarse, t_h):
     return FemFunction(t_h, values)
 
 
-def _prolonged_base(u_coarse, t_h, problem):
-    """``u_coarse`` prolongated to ``t_h``, with the fine Dirichlet data
-    imposed on the boundary: on non-affine data the prolongation of the
-    coarse boundary values misses the fine interpolant."""
-    return make_initial_guess(t_h, problem,
-                              prolongate(u_coarse, t_h).values)
-
-
 def linearized_solve(problem, u_base):
     """One Newton step from ``u_base`` on its (fine) mesh.
 
-    Returns u_base + delta, where delta solves J delta = -r(u_base) with
+    ``u_base`` first takes the Dirichlet data on the boundary
+    (:func:`~twogridfem.solvers.make_initial_guess`).  Returns
+    u_base + delta, where delta solves J delta = -r(u_base) with
     homogeneous Dirichlet rows, r is the semilinear residual and
     J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base
-    (:func:`~twogridfem.solvers.newton_step`).  ``u_base`` carries the
-    Dirichlet data, so the result does too.
+    (:func:`~twogridfem.solvers.newton_step`).
 
     PCG runs to FINE_PCG_TOL relative to ||r(u_base)||, preconditioned by
     the V-cycle on the mesh's refinement chain.  Returns (solution,
@@ -123,6 +116,7 @@ def linearized_solve(problem, u_base):
     """
     start = time.perf_counter()
     t_h = u_base.mesh
+    u_base = make_initial_guess(t_h, problem, u_base.values)
     nl = problem.nonlinearity
     d1_nodal = np.asarray(nl.d1(t_h.vertices, u_base.values), dtype=float)
     if np.any(d1_nodal < 0):
@@ -149,8 +143,8 @@ def two_grid_solve(t_coarse, t_fine, problem):
     """
     u_coarse, coarse_report = newton_solve(
         t_coarse, problem, None, COARSE_NEWTON_OPTS)
-    u_base = _prolonged_base(u_coarse, t_fine, problem)
-    u_fine, fine_report = linearized_solve(problem, u_base)
+    u_fine, fine_report = linearized_solve(problem,
+                                           prolongate(u_coarse, t_fine))
     return TwoGridResult(
         coarse_solution=u_coarse,
         fine_solution=u_fine,
@@ -164,15 +158,13 @@ def newton_levels(meshes, problem, opts=None):
 
     ``meshes`` is a coarse-to-fine refinement chain.  The first level's
     Newton solve starts from the default initial guess, every later one
-    from the prolongated solution of the level before (with the level's
-    Dirichlet data imposed on its boundary), which keeps
+    from the prolongated solution of the level before, which keeps
     iteration counts flat across levels.  Yields (solution, SolveReport)
     per level, as each level is solved.
     """
     solution = None
     for mesh in meshes:
-        initial = (None if solution is None
-                   else _prolonged_base(solution, mesh, problem))
+        initial = None if solution is None else prolongate(solution, mesh)
         solution, report = newton_solve(mesh, problem, initial, opts)
         yield solution, report
 
@@ -190,35 +182,33 @@ def nested_newton_solve(meshes, problem, opts=None):
     return solution, reports
 
 
-def select_coarse_size(h, s, tau, d=2, snap="up", levels=None):
+def select_coarse_size(h, s, tau, d=2, levels=None):
     """Coarse mesh size matching the two-grid accuracy balance.
 
     With solution regularity s and dual regularity tau (t = min(s, tau) - 1),
     the fine-grid error h^(s-1) is preserved when
-    H = h^((s-1)/(t + 2(s-1))) in 2D or H = h^((s-1)/(t/2 + 2(s-1))) in 3D.
-    The formula value is snapped to a level of the dyadic hierarchy
-    {h * 2^k}: ``snap="up"`` picks the finest-or-equal level not exceeding
-    the formula value (preserving H <= h^exponent), ``snap="nearest"`` the
-    geometrically closest one.  Passing ``levels`` restricts candidates to
-    an explicit list of available coarse sizes.
+    H <= h^((s-1)/(t + 2(s-1))) in 2D or H <= h^((s-1)/(t/2 + 2(s-1))) in
+    3D.  Returns the coarsest candidate not above that bound, or the finest
+    candidate when all are above it.  The candidates are ``levels``, the
+    available coarse sizes, or by default the dyadic sizes h * 2^k up to
+    the bound.
     """
-    for name, value in (("s", s), ("tau", tau)):
-        if not value > 1:
-            raise InvalidRegularity(f"{name} must exceed 1, got {value:g}")
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"h must be positive and finite, got {h:g}")
+    if not (math.isfinite(s) and s > 1):
+        raise InvalidRegularity(f"s must be finite and exceed 1, got {s:g}")
+    if not tau > 1:
+        raise InvalidRegularity(f"tau must exceed 1, got {tau:g}")
     if d not in (2, 3):
         raise InvalidRegularity(f"dimension must be 2 or 3, got {d}")
-    if snap not in ("up", "nearest"):
-        raise ValueError(f"snap must be 'up' or 'nearest', got {snap!r}")
     t = min(s, tau) - 1.0
     denom = t + 2.0 * (s - 1.0) if d == 2 else t / 2.0 + 2.0 * (s - 1.0)
     target = h ** ((s - 1.0) / denom)
 
     if levels is None:
-        k = math.log2(target / h)
-        k = math.floor(k + 1e-9) if snap == "up" else round(k)
-        return h * 2.0 ** max(k, 0)
-
+        top = max(math.floor(math.log2(target / h) + 1e-9), 0)
+        levels = [h * 2 ** k for k in range(top + 1)]
+    elif len(levels) == 0:
+        raise ValueError("levels is empty: no coarse size to choose from")
     below = [lv for lv in levels if lv <= target * (1.0 + 1e-9)]
-    if snap == "up" and below:
-        return max(below)
-    return min(levels, key=lambda lv: abs(math.log(lv) - math.log(target)))
+    return max(below) if below else min(levels)

@@ -154,6 +154,20 @@ def test_error_norms_interpolant_positive_and_halving():
     assert rec2.err_energy == pytest.approx(rec1.err_energy / 2.0, rel=0.2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -5.0],
+                         ids=["nan", "inf", "negative"])
+def test_error_norms_refuses_a_bad_diffusion(bad):
+    # the manufactured path gave a NaN or infinite err_energy, or a bare
+    # "math domain error", where the reference path names the region
+    problem, exact = manufactured_interface_problem(10.0, 1.0)
+    mesh = generate_interface_mesh(8, problem.domain, problem.interface_box)
+    u = FemFunction(mesh, exact.exact(mesh.vertices))
+    for reference in (exact, u):
+        with pytest.raises(ValueError,
+                           match="region 1 must be finite and positive"):
+            error_norms({1: bad, 2: 1.0}, u, reference)
+
+
 def test_error_norms_against_reference_solution():
     problem = builtin_problem("sinh_pbe")
     coarse = generate_interface_mesh(4)

@@ -44,7 +44,6 @@ count = 3
 [twogrid]
 s = 2
 tau = 2
-snap = up
 
 [output]
 out_dir = {out}
@@ -172,6 +171,12 @@ def test_missing_config_file():
     pytest.param("coarsest_n", "coarsest_n = 4", "coarsest_n = 1",
                  id="coarsest_n"),
     pytest.param("s", "[output]", "[twogrid]\ns = 1\n\n[output]", id="s"),
+    # s = inf passed as 1.0 ** nan and exited 0
+    pytest.param("s", "[output]", "[twogrid]\ns = inf\n\n[output]",
+                 id="inf-s"),
+    # the coarse size is always snapped up: the key it had is unknown now
+    pytest.param("snap is not a key of [twogrid]", "[output]",
+                 "[twogrid]\nsnap = up\n\n[output]", id="snap"),
     pytest.param("tau", "[output]", "[twogrid]\ntau = 0.5\n\n[output]",
                  id="tau"),
     pytest.param("d_inside", "d_inside = 10", "d_inside = 0",
@@ -310,12 +315,6 @@ def test_point_load_location_from_config(tmp_path):
     values = np.array([float(line) for line in lines[1:]])
     mesh = generate_interface_mesh(8)
     assert tuple(mesh.vertices[values.argmax()]) == (0.25, 0.0)
-
-
-def test_bad_snap_flag_rejected(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, POWER11_CFG.replace("snap = up",
-                                                  "snap = sideways"))
-    assert main(["twogrid", "--config", cfg]) == 2
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

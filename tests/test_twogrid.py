@@ -1,4 +1,6 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -224,18 +226,51 @@ def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
         assert np.abs(result.fine_solution.values - u_h.values).max() <= 1e-9
 
 
+def nonaffine_dirichlet_problem():
+    """linear_reaction with g = sin(3x) + y^2 on the boundary."""
+    return dataclasses.replace(
+        builtin_problem("linear_reaction"),
+        dirichlet=lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2)
+
+
 def test_prolonged_bases_take_the_fine_dirichlet_data():
     # g is not affine: the prolonged coarse boundary values miss the fine
     # interpolant of g by 6.6e-2 unless the fine data are imposed
-    problem = dataclasses.replace(
-        builtin_problem("linear_reaction"),
-        dirichlet=lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2)
+    problem = nonaffine_dirichlet_problem()
     meshes = hierarchy(8, 3)  # n = 8 ... 64
     u_h, _ = newton_solve(meshes[-1], problem, None, TIGHT)
     nested, _ = nested_newton_solve(meshes, problem, TIGHT)
     result = two_grid_solve(meshes[0], meshes[-1], problem)
     for u in (nested, result.fine_solution):
         assert np.abs(u.values - u_h.values).max() <= 1e-8
+
+
+def test_newton_imposes_zero_boundary_data_on_any_start():
+    # a start of ones used to "converge" with 1.0 on the boundary
+    problem = builtin_problem("linear_reaction")
+    mesh = generate_interface_mesh(8)
+    u, report = newton_solve(mesh, problem,
+                             FemFunction(mesh, np.ones(mesh.n_vertices)))
+    assert report.converged
+    assert np.all(u.values[mesh.boundary_vertices] == 0.0)
+    direct, _ = newton_solve(mesh, problem)
+    assert np.abs(u.values - direct.values).max() <= 1e-9
+
+
+def test_solves_from_zero_impose_the_dirichlet_data():
+    # from zeros both solves used to keep 0 on the boundary, up to 1.997
+    # off g
+    problem = nonaffine_dirichlet_problem()
+    fine = hierarchy(8, 1)[-1]
+    b = fine.boundary_vertices
+    g = problem.dirichlet(fine.vertices[b])
+    u_h, report = newton_solve(fine, problem, FemFunction.zeros(fine), TIGHT)
+    assert report.converged
+    assert np.array_equal(u_h.values[b], g)
+    # the problem is affine: one Newton step from zeros solves it
+    u_lin, _ = linearized_solve(problem, FemFunction.zeros(fine))
+    assert np.array_equal(u_lin.values[b], g)
+    assert np.abs(u_lin.values - u_h.values).max() <= 1e-9
 
 
 def test_nested_newton_matches_direct():
@@ -277,25 +312,30 @@ def test_select_coarse_size_validation():
         select_coarse_size(0.1, 2.0, 0.5)
     with pytest.raises(InvalidRegularity):
         select_coarse_size(0.1, 2.0, 2.0, d=4)
-    with pytest.raises(ValueError):
-        select_coarse_size(0.1, 2.0, 2.0, snap="sideways")
-
-
-def test_select_coarse_size_snap_modes():
-    # s=2, tau=1.2: t=0.2, exponent 1/2.2; target = 2^(-5/2.2) ~ 0.2069
-    h = 1.0 / 32.0
-    up = select_coarse_size(h, 2.0, 1.2, d=2, snap="up")
-    nearest = select_coarse_size(h, 2.0, 1.2, d=2, snap="nearest")
-    assert up == 0.125        # coarser level would exceed the formula value
-    assert nearest == 0.25    # geometrically closer on the log scale
+    # s = inf made the exponent NaN, and h ** nan picked the first level
+    with pytest.raises(InvalidRegularity, match="s must be finite"):
+        select_coarse_size(0.1, math.inf, 2.0)
+    for h in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="h must be positive"):
+            select_coarse_size(h, 2.0, 2.0)
+    with pytest.raises(ValueError, match="levels is empty"):
+        select_coarse_size(0.1, 2.0, 2.0, levels=[])
 
 
 def test_select_coarse_size_explicit_levels():
+    # s=2, tau=1.2: t=0.2, exponent 1/2.2; target = 2^(-5/2.2) ~ 0.2069
     levels = [0.5, 0.25, 0.125]
-    assert select_coarse_size(1.0 / 32.0, 2.0, 1.2, d=2, snap="up",
+    assert select_coarse_size(1.0 / 32.0, 2.0, 1.2, d=2,
                               levels=levels) == 0.125
-    assert select_coarse_size(1.0 / 32.0, 2.0, 1.2, d=2, snap="nearest",
-                              levels=levels) == 0.25
     # nothing at or below the target: fall back to the finest available
-    assert select_coarse_size(1.0 / 32.0, 2.0, 1.2, d=2, snap="up",
+    assert select_coarse_size(1.0 / 32.0, 2.0, 1.2, d=2,
                               levels=[0.5]) == 0.5
+
+
+def test_select_coarse_size_default_levels_are_the_dyadic_sizes():
+    for h, s, tau, d in itertools.product(
+            (1.0, 0.3, 1.0 / 64.0, 1e-3, 2.0 ** -20),
+            (1.1, 2.0, 3.5), (1.05, 2.0, math.inf), (2, 3)):
+        dyadic = [h * 2 ** k for k in range(40)]
+        assert (select_coarse_size(h, s, tau, d=d)
+                == select_coarse_size(h, s, tau, d=d, levels=dyadic))
