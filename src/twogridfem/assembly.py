@@ -106,22 +106,15 @@ class FemFunction:
         return FemFunction(self.mesh, self.values - other.values)
 
 
-def _diffusion_by_region(mesh, diffusion):
-    """{tag: diffusion} for the mesh's region tags; ValueError unless every
-    one is finite and positive."""
-    values = {}
+def _diffusion_per_triangle(mesh, diffusion):
+    """Each triangle's diffusion from {tag: value}; ValueError unless the
+    value of every region tag of the mesh is finite and positive."""
+    d = np.empty(mesh.n_triangles)
     for tag in np.unique(mesh.regions):
         val = float(diffusion[int(tag)])
         if not (np.isfinite(val) and val > 0):
             raise ValueError(f"diffusion in region {tag} must be finite and "
                              f"positive, got {val:g}")
-        values[int(tag)] = val
-    return values
-
-
-def _diffusion_per_triangle(mesh, diffusion):
-    d = np.empty(mesh.n_triangles)
-    for tag, val in _diffusion_by_region(mesh, diffusion).items():
         d[mesh.regions == tag] = val
     return d
 

@@ -80,20 +80,22 @@ class Problem:
     """Full problem data for -div(D grad u) + b(x, u) = loads.
 
     diffusion maps region tags {1, 2} to positive scalars.  The volume
-    source is a callback with caller-supplied sup-norm bound; a point
-    source is a separate nodal descriptor (delta loads have no L-infinity
-    bound, so barrier statements do not apply to them).  ``domain`` and
-    ``interface_box`` record the geometry the callbacks were built for.
+    source is a pointwise callback; a point source is a separate nodal
+    descriptor (delta loads have no L-infinity bound, so barrier
+    statements do not apply to them).  ``dirichlet_bounds`` = (inf g,
+    sup g) is read by ``compute_barriers`` only, and only when
+    ``dirichlet`` is set; without ``dirichlet`` the data is 0.
+    ``domain`` and ``interface_box`` record the geometry the callbacks
+    were built for.
     """
 
     diffusion: dict
     nonlinearity: Nonlinearity
     source: callable = None
-    source_bound: float = 0.0
     point_source: PointSource = None
     interface_flux: callable = None
     dirichlet: callable = None
-    dirichlet_bounds: tuple = (0.0, 0.0)
+    dirichlet_bounds: tuple = None
     domain: tuple = DEFAULT_DOMAIN
     interface_box: tuple = DEFAULT_BOX
     name: str = ""
@@ -110,12 +112,13 @@ class Problem:
 class ManufacturedSolution:
     """Closed-form solution used by convergence studies.
 
-    ``exact(points)`` evaluates u and ``exact_grad(points, region)`` the
-    per-region gradient (the gradient jumps across the interface); the
-    volume load that makes u solve the PDE is the problem's ``source``.
-    Both must be pointwise: ``error_norms`` passes one block of quadrature
-    points (B, 7, 2) at a time, and ``exact_grad`` only the points of the
-    block's triangles in that region.
+    ``exact(points)`` evaluates u and ``exact_grad(points)`` its gradient;
+    the volume load that makes u solve the PDE is the problem's
+    ``source``.  Both must be pointwise: ``error_norms`` passes one block
+    of quadrature points (B, 7, 2) at a time.  The gradient jumps across
+    the interface, and every quadrature point lies strictly inside a
+    triangle of a mesh that resolves the interface, so ``exact_grad``
+    picks the side from the point alone.
     """
 
     exact: callable
@@ -191,33 +194,37 @@ def compute_barriers(problem):
 
     The volume source is folded into the nonlinearity
     (b~(x, xi) = b(x, xi) - f(x)) before locating its sign-change
-    constants; the Dirichlet bounds then enter through
-    upper = max(beta~, sup g) and lower = min(alpha~, inf g).
-    Interface-flux loads are not folded (the bound statements do not
-    cover them), and point sources have no finite fold at all.
+    constants, sampled at ``BARRIER_SAMPLES`` points; without a source
+    they are the nonlinearity's own.  The Dirichlet bounds then enter
+    through upper = max(beta~, sup g) and lower = min(alpha~, inf g): a
+    problem with ``dirichlet`` data must declare ``dirichlet_bounds``,
+    and one without has g = 0.  Interface-flux loads are not folded (the
+    bound statements do not cover them), and point sources have no finite
+    fold at all.
     """
     nl = problem.nonlinearity
     if problem.point_source is not None:
         raise NoFiniteBarrier(
             "point sources are not essentially bounded; no finite barriers")
-    g_lo, g_hi = problem.dirichlet_bounds
+    if problem.dirichlet is None:
+        g_lo = g_hi = 0.0
+    elif problem.dirichlet_bounds is None:
+        raise ProblemError("dirichlet_bounds (inf g, sup g) must be given "
+                           "with dirichlet data")
+    else:
+        g_lo, g_hi = problem.dirichlet_bounds
 
-    if problem.source is None and not problem.source_bound:
+    if problem.source is None:
         alpha_t, beta_t = nl.barrier_alpha, nl.barrier_beta
     else:
         x = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
-        if problem.source is not None:
-            fvals = np.asarray(problem.source(x), dtype=float)
-            lo_shift, hi_shift = fvals, fvals
-        else:
-            bound = float(problem.source_bound)
-            lo_shift, hi_shift = -bound, bound
+        fvals = np.asarray(problem.source(x), dtype=float)
 
         def folded_min(xi):
-            return float(np.min(nl.eval(x, np.full(len(x), xi)) - hi_shift))
+            return float(np.min(nl.eval(x, np.full(len(x), xi)) - fvals))
 
         def folded_max(xi):
-            return float(np.max(nl.eval(x, np.full(len(x), xi)) - lo_shift))
+            return float(np.max(nl.eval(x, np.full(len(x), xi)) - fvals))
 
         beta_t = _smallest_nonneg_point(folded_min, nl.barrier_beta)
         alpha_t = _largest_nonpos_point(folded_max, nl.barrier_alpha, beta_t)
@@ -338,7 +345,6 @@ def builtin_problem(name, **params):
             diffusion={1: d_in, 2: d_out},
             nonlinearity=nl,
             source=lambda x: np.full(x.shape[:-1], f),
-            source_bound=abs(f),
             domain=domain, interface_box=box, name=name,
         )
 
@@ -393,61 +399,50 @@ def manufactured_interface_problem(d_inside, d_outside):
     a_l = (flux / d1 - 1.0) / pi
     a_r = (flux / d2 + 1.0) / pi
 
-    def w(x, left):
-        if left:
-            return (1.0 + x) + a_l * np.sin(pi * x)
-        return (1.0 - x) + a_r * np.sin(pi * x)
+    def w(x, sin_x, left):
+        """w on the side ``left`` of x = 0, given sin(pi x)."""
+        return (np.where(left, 1.0 + x, 1.0 - x)
+                + np.where(left, a_l, a_r) * sin_x)
 
-    def w_prime(x, left):
-        if left:
-            return 1.0 + a_l * pi * np.cos(pi * x)
-        return -1.0 + a_r * pi * np.cos(pi * x)
+    def w_prime(cos_x, left):
+        """w' on the side ``left`` of x = 0, given cos(pi x)."""
+        return (np.where(left, 1.0, -1.0)
+                + np.where(left, a_l, a_r) * pi * cos_x)
 
-    cont = abs(w(0.0, True) - w(0.0, False))
-    flux_jump = abs(d1 * w_prime(0.0, True) - d2 * w_prime(0.0, False))
+    cont = abs(w(0.0, 0.0, True) - w(0.0, 0.0, False))
+    flux_jump = abs(d1 * w_prime(1.0, True) - d2 * w_prime(1.0, False))
     if cont > 1e-12 or flux_jump > 1e-12:
         raise RuntimeError(
             f"manufactured construction failed: [u]={cont:g}, "
             f"[D du/dn]={flux_jump:g}")
 
-    def w_any(x, sin_x):
-        """w at any x, given sin(pi x)."""
-        left = x < 0.0
-        return (np.where(left, 1.0 + x, 1.0 - x)
-                + np.where(left, a_l, a_r) * sin_x)
-
     def exact(points):
         x, y = points[..., 0], points[..., 1]
-        return w_any(x, np.sin(pi * x)) * np.sin(pi * y)
+        return w(x, np.sin(pi * x), x < 0.0) * np.sin(pi * y)
 
-    def exact_grad(points, region):
+    def exact_grad(points):
         x, y = points[..., 0], points[..., 1]
-        left = region == 1
-        gx = w_prime(x, left) * np.sin(pi * y)
-        gy = pi * w(x, left) * np.cos(pi * y)
+        left = x < 0.0
+        gx = w_prime(np.cos(pi * x), left) * np.sin(pi * y)
+        gy = pi * w(x, np.sin(pi * x), left) * np.cos(pi * y)
         return np.stack([gx, gy], axis=-1)
 
     nl = _power_nonlinearity(3)
 
     def source(points):
         x, y = points[..., 0], points[..., 1]
-        dv = np.where(x < 0.0, d1, d2)
-        av = np.where(x < 0.0, a_l, a_r)
+        left = x < 0.0
+        dv = np.where(left, d1, d2)
+        av = np.where(left, a_l, a_r)
         sin_x, sin_y = np.sin(pi * x), np.sin(pi * y)
-        wx = w_any(x, sin_x)
+        wx = w(x, sin_x, left)
         u = wx * sin_y
         return dv * pi ** 2 * (av * sin_x + wx) * sin_y + u * u * u
-
-    # sup-norm estimate of f on a dense grid (metadata for barrier checks)
-    gx = np.linspace(-1.0, 1.0, 201)
-    gpts = np.stack(np.meshgrid(gx, gx, indexing="xy"), axis=-1)
-    f_bound = float(np.max(np.abs(source(gpts)))) * 1.01
 
     problem = Problem(
         diffusion={1: d1, 2: d2},
         nonlinearity=nl,
         source=source,
-        source_bound=f_bound,
         domain=(-1.0, 1.0, -1.0, 1.0),
         interface_box=(-1.0, 0.0, -1.0, 1.0),
         name="manufactured",

@@ -210,5 +210,7 @@ def select_coarse_size(h, s, tau, d=2, levels=None):
         levels = [h * 2 ** k for k in range(top + 1)]
     elif len(levels) == 0:
         raise ValueError("levels is empty: no coarse size to choose from")
+    elif not all(math.isfinite(lv) and lv > 0 for lv in levels):
+        raise ValueError(f"levels must be positive and finite, got {levels}")
     below = [lv for lv in levels if lv <= target * (1.0 + 1e-9)]
     return max(below) if below else min(levels)

@@ -28,7 +28,6 @@ def cube_problem(d_inside=1000.0, d_outside=1.0, f=8.0):
             barrier_beta=0.0,
         ),
         source=lambda x: np.full(x.shape[:-1], f),
-        source_bound=abs(f),
     )
 
 

@@ -193,7 +193,7 @@ def whole_mesh_errors(mesh, diffusion, u, exact):
     energy = 0.0
     for region in (1, 2):
         m = mesh.regions == region
-        gdiff = exact.exact_grad(points[m], region) - grad[m][:, None, :]
+        gdiff = exact.exact_grad(points[m]) - grad[m][:, None, :]
         energy += diffusion[region] * np.sum(
             w[m] * np.sum(gdiff ** 2, axis=-1))
     return [math.sqrt(energy), math.sqrt(np.sum(w * diff ** 2)),
@@ -278,6 +278,22 @@ def test_estimate_eoc_errors():
         estimate_eoc([0.25, 0.5], [0.1, 0.2])
 
 
+@pytest.mark.parametrize("hs, errors, match", [
+    ([0.5, 0.25], [math.nan, 1.0], r"error\[0\]"),
+    ([0.5, 0.25], [2.0, math.inf], r"error\[1\]"),
+    ([0.5, 0.25], [-1.0, 1.0], r"error\[0\]"),
+    ([0.5, math.nan], [2.0, 1.0], r"h\[1\]"),
+    ([math.inf, 0.5], [2.0, 1.0], r"h\[0\]"),
+    ([0.5, 0.0], [2.0, 1.0], r"h\[1\]"),
+    ([0.5, -0.25], [2.0, 1.0], r"h\[1\]"),
+], ids=["nan-error", "inf-error", "negative-error", "nan-h", "inf-h",
+        "zero-h", "negative-h"])
+def test_estimate_eoc_refuses_invalid_numbers(hs, errors, match):
+    # NaN used to give a NaN order, a negative error "math domain error"
+    with pytest.raises(ValueError, match=match):
+        estimate_eoc(hs, errors)
+
+
 def test_convergence_report_single_record_empty_eoc():
     rec = ErrorRecord(h=0.5, n_dof=9, err_energy=1.0, err_l2=0.1,
                       err_l4=0.1, err_linf_nodal=0.05)
@@ -296,6 +312,16 @@ def test_linf_check_pass_and_fail():
     assert not bad.passes
     assert bad.violations == [7]
     assert bad.max_value == 3.0
+
+
+def test_linf_check_flags_nan():
+    # a NaN fails both comparisons with the barriers and used to pass
+    mesh = generate_interface_mesh(4)
+    values = np.zeros(mesh.n_vertices)
+    values[5] = np.nan
+    report = linf_check(FemFunction(mesh, values), (0.0, 2.0))
+    assert not report.passes
+    assert report.violations == [5]
 
 
 def test_ladyzhenskaya_zero_function():

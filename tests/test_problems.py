@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,16 @@ from twogridfem import (
     UnknownProblem,
     builtin_problem,
     compute_barriers,
+    generate_interface_mesh,
+    linf_check,
     manufactured_interface_problem,
+    newton_solve,
 )
-from twogridfem.problems import _integer_power, _power_nonlinearity
+from twogridfem.problems import (
+    ProblemError,
+    _integer_power,
+    _power_nonlinearity,
+)
 
 from conftest import cube_problem
 
@@ -190,16 +199,6 @@ def test_barriers_sinh_no_source():
     assert (lower, upper) == (0.0, 0.0)
 
 
-def test_barriers_power11_with_sup_bound_only():
-    nl11 = builtin_problem("power11").nonlinearity
-    p = Problem(diffusion={1: 1.0, 2: 1.0}, nonlinearity=nl11,
-                source_bound=1000.0)
-    lower, upper = compute_barriers(p)
-    expected = 1000.0 ** (1.0 / 11.0)
-    assert upper == pytest.approx(expected, abs=1e-9)
-    assert lower == pytest.approx(-expected, abs=1e-9)
-
-
 def test_barriers_bracket_folded_nonlinearity():
     problem = cube_problem()
     lower, upper = compute_barriers(problem)
@@ -225,7 +224,7 @@ def test_barriers_point_source_rejected():
 def test_barriers_include_dirichlet_bounds():
     p = cube_problem()
     p2 = Problem(diffusion=p.diffusion, nonlinearity=p.nonlinearity,
-                 source=p.source, source_bound=p.source_bound,
+                 source=p.source,
                  dirichlet=lambda x: np.full(x.shape[:-1], 3.0),
                  dirichlet_bounds=(3.0, 3.0))
     lower, upper = compute_barriers(p2)
@@ -233,13 +232,29 @@ def test_barriers_include_dirichlet_bounds():
     assert lower == pytest.approx(2.0, abs=1e-9)  # min(alpha~, inf g)
 
 
+def test_barriers_of_dirichlet_data_need_its_declared_bounds():
+    # with g = 3 and no declared bounds the barriers used to be those of
+    # g = 0, (0, 1), which flagged 81 vertices of the correct solution
+    p = dataclasses.replace(builtin_problem("linear_reaction"),
+                            dirichlet=lambda x: np.full(x.shape[:-1], 3.0))
+    with pytest.raises(ProblemError, match="dirichlet_bounds"):
+        compute_barriers(p)
+    p = dataclasses.replace(p, dirichlet_bounds=(3.0, 3.0))
+    lower, upper = compute_barriers(p)
+    assert upper == pytest.approx(3.0)  # sup g beats beta~ = f / c = 1
+    assert lower == pytest.approx(1.0)  # alpha~ = 1, below inf g
+    u, report = newton_solve(generate_interface_mesh(8), p)
+    assert report.converged
+    assert linf_check(u, (lower, upper)).passes
+
+
 def test_manufactured_no_contrast_reduces_smoothly():
     problem, exact = manufactured_interface_problem(1.0, 1.0)
     # flux jump vanishes identically when D1 == D2
     y = np.linspace(-0.9, 0.9, 100)
-    pts = np.column_stack([np.zeros(100), y])
-    g1 = exact.exact_grad(pts, 1)
-    g2 = exact.exact_grad(pts, 2)
+    eps = 1e-13
+    g1 = exact.exact_grad(np.column_stack([np.full(100, -eps), y]))
+    g2 = exact.exact_grad(np.column_stack([np.full(100, eps), y]))
     np.testing.assert_allclose(1.0 * g1[:, 0], 1.0 * g2[:, 0], atol=1e-12)
 
 
@@ -253,9 +268,8 @@ def test_manufactured_jump_conditions_on_interface():
     # [u] = 0: one-sided values agree to 1e-12
     assert np.max(np.abs(exact.exact(left) - exact.exact(right))) <= 1e-12
     # [D du/dn] = 0: conormal fluxes agree to 1e-12
-    pts = np.column_stack([np.zeros(100), y])
-    flux_left = 1000.0 * exact.exact_grad(pts, 1)[:, 0]
-    flux_right = 1.0 * exact.exact_grad(pts, 2)[:, 0]
+    flux_left = 1000.0 * exact.exact_grad(left)[:, 0]
+    flux_right = 1.0 * exact.exact_grad(right)[:, 0]
     assert np.max(np.abs(flux_left - flux_right)) <= 1e-12
 
 
@@ -293,13 +307,11 @@ def test_manufactured_gradient_matches_finite_differences():
     problem, exact = manufactured_interface_problem(1000.0, 1.0)
     pts = np.array([[-0.5, 0.3], [0.4, -0.7]])
     h = 1e-6
-    for region, row in ((1, 0), (2, 1)):
-        p = pts[row:row + 1]
-        gx = (exact.exact(p + [h, 0]) - exact.exact(p - [h, 0])) / (2 * h)
-        gy = (exact.exact(p + [0, h]) - exact.exact(p - [0, h])) / (2 * h)
-        g = exact.exact_grad(p, region)[0]
-        assert gx[0] == pytest.approx(g[0], rel=1e-8)
-        assert gy[0] == pytest.approx(g[1], rel=1e-8)
+    gx = (exact.exact(pts + [h, 0]) - exact.exact(pts - [h, 0])) / (2 * h)
+    gy = (exact.exact(pts + [0, h]) - exact.exact(pts - [0, h])) / (2 * h)
+    g = exact.exact_grad(pts)
+    np.testing.assert_allclose(gx, g[:, 0], rtol=1e-8)
+    np.testing.assert_allclose(gy, g[:, 1], rtol=1e-8)
 
 
 @pytest.mark.parametrize("d_in, d_out", [(1000.0, 1.0), (2.0, 80.0)])

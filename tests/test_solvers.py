@@ -493,7 +493,6 @@ def test_newton_line_search_stall_on_inconsistent_derivative():
             d2=lambda x, xi: np.zeros(np.shape(xi)),
             barrier_alpha=0.0, barrier_beta=0.0),
         source=lambda x: np.ones(x.shape[:-1]),
-        source_bound=1.0,
     )
     mesh = generate_interface_mesh(4)
     with pytest.raises(LineSearchStall):

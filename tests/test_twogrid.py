@@ -320,6 +320,10 @@ def test_select_coarse_size_validation():
             select_coarse_size(h, 2.0, 2.0)
     with pytest.raises(ValueError, match="levels is empty"):
         select_coarse_size(0.1, 2.0, 2.0, levels=[])
+    # entries that are not positive and finite used to be returned as H
+    for levels in ([-1.0], [math.nan, 0.5], [math.inf], [0.0]):
+        with pytest.raises(ValueError, match="levels must be positive"):
+            select_coarse_size(0.1, 2.0, 2.0, levels=levels)
 
 
 def test_select_coarse_size_explicit_levels():
