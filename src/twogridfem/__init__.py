@@ -5,12 +5,9 @@ from .mesh import (
     InvalidSubdivision,
     Mesh,
     MeshError,
-    ParseError,
     ValidationError,
     generate_interface_mesh,
-    load_mesh,
     refine_uniform,
-    save_mesh,
     validate_mesh,
 )
 from .assembly import (
@@ -24,7 +21,6 @@ from .assembly import (
     assemble_reaction_jacobian,
     assemble_semilinear_residual,
     assemble_stiffness,
-    local_stiffness,
 )
 from .problems import (
     BUILTIN_PROBLEMS,

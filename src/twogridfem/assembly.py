@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, free_vertices, triangle_geometry
+from .mesh import Mesh, free_vertices
 
 __all__ = [
     "QUADRATURE_POINTS",
@@ -26,7 +26,6 @@ __all__ = [
     "DegenerateTriangle",
     "NotAVertex",
     "quadrature_blocks",
-    "local_stiffness",
     "assemble_stiffness",
     "assemble_reaction_jacobian",
     "assemble_semilinear_residual",
@@ -120,21 +119,14 @@ def _diffusion_per_triangle(mesh, diffusion):
 
 
 def _positive_areas(mesh):
-    """The mesh's element areas; DegenerateTriangle unless all positive."""
+    """The mesh's element areas; DegenerateTriangle unless all positive
+    (a NaN area is not)."""
     areas = mesh.areas
-    if np.any(areas <= 0):
-        bad = int(np.argmax(areas <= 0))
+    if not np.all(areas > 0):
+        bad = int(np.argmin(areas > 0))
         raise DegenerateTriangle(
             f"triangle {bad} has non-positive area {areas[bad]:g}")
     return areas
-
-
-def local_stiffness(coords, d):
-    """Element stiffness D * area * grad(lam_i) . grad(lam_j), shape (3,3)."""
-    areas, grads = triangle_geometry(np.asarray(coords, dtype=float)[None])
-    if areas[0] <= 0:
-        raise DegenerateTriangle(f"non-positive area {areas[0]:g}")
-    return d * areas[0] * (grads[0] @ grads[0].T)
 
 
 def _scatter(mesh, local):

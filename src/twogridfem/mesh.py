@@ -8,7 +8,6 @@ construction.  Uniform (red) refinement keeps meshes nested, which the
 two-grid machinery relies on.
 """
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -22,13 +21,10 @@ __all__ = [
     "MeshError",
     "InvalidSubdivision",
     "InterfaceNotResolved",
-    "ParseError",
     "ValidationError",
     "generate_interface_mesh",
     "refine_uniform",
     "validate_mesh",
-    "save_mesh",
-    "load_mesh",
 ]
 
 
@@ -46,12 +42,6 @@ class InterfaceNotResolved(MeshError):
 
 class ValidationError(MeshError):
     pass
-
-
-class ParseError(MeshError):
-    def __init__(self, message, line_number):
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 @dataclass(eq=False)
@@ -408,8 +398,8 @@ def refine_uniform(mesh):
 def validate_mesh(mesh):
     """Raise ValidationError if the mesh breaks a structural invariant.
 
-    The vertex indices are checked first: the edges, the areas and h are
-    computed from them."""
+    The vertex indices and then the coordinates are checked first: the
+    edges, the areas and h are computed from them."""
     n = mesh.n_vertices
     if mesh.n_triangles == 0:
         raise ValidationError("mesh has no triangles")
@@ -421,9 +411,13 @@ def validate_mesh(mesh):
         raise ValidationError(
             f"vertex {int(np.argmin(corners))} is not a corner of any "
             f"triangle")
+    finite = np.isfinite(mesh.vertices).all(axis=1)
+    if not finite.all():
+        raise ValidationError(
+            f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     areas = mesh.areas
-    if np.any(areas <= 0):
-        bad = int(np.argmax(areas <= 0))
+    if not np.all(areas > 0):
+        bad = int(np.argmin(areas > 0))
         raise ValidationError(
             f"triangle {bad} has non-positive signed area {areas[bad]:g}")
     if not np.all(np.isin(mesh.regions, (1, 2))):
@@ -436,107 +430,3 @@ def validate_mesh(mesh):
             f"edge ({lo[bad]}, {hi[bad]}) shared by {counts[bad]} "
             f"triangles (non-conforming)")
     return mesh
-
-
-def save_mesh(mesh):
-    """Serialize to the plain-text mesh format (full float precision).
-
-    The format holds the vertices and the tagged triangles; the boundary
-    and the interface follow from them."""
-    lines = [f"vertices {mesh.n_vertices}"]
-    # by column: a list per row would cost a garbage-tracked object each
-    lines += [f"{x!r} {y!r}" for x, y in zip(*mesh.vertices.T.tolist())]
-    lines.append(f"triangles {mesh.n_triangles}")
-    lines += [f"{a} {b} {c} {r}" for a, b, c, r
-              in zip(*mesh.triangles.T.tolist(), mesh.regions.tolist())]
-    return "\n".join(lines) + "\n"
-
-
-def _parse_rows(bodies, dtype):
-    """Lines of whitespace-separated numbers as a structured array with
-    one field per column, or None unless every line parses.  Some numpy
-    versions truncate a float in an integer column with only a
-    DeprecationWarning; here that fails under any warning filters."""
-    if not bodies:
-        return np.zeros(0, dtype)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            return np.loadtxt(bodies, dtype=dtype, comments=None, ndmin=1)
-    except (ValueError, DeprecationWarning):
-        return None
-
-
-def load_mesh(text):
-    """Parse the plain-text mesh format and validate the result.
-
-    The mesh derives its boundary, h and interface from the triangles, as
-    any :class:`Mesh` without a parent does, from the one edge table that
-    validation builds.  The format holds no refinement links, so the
-    loaded mesh has ``parent`` and ``midpoint_edges`` set to None and
-    cannot take part in prolongation or a two-grid solve.
-
-    Raises ParseError (with the 1-based line number) on malformed input
-    and ValidationError on structurally invalid meshes.
-    """
-    lines = [raw.partition("#")[0].strip() for raw in text.splitlines()]
-    numbers = [i for i, body in enumerate(lines, start=1) if body]
-    bodies = [body for body in lines if body]
-    pos = 0
-
-    def end_of_input():
-        return ParseError("unexpected end of input",
-                          numbers[-1] if numbers else 1)
-
-    def section(keyword):
-        nonlocal pos
-        if pos >= len(bodies):
-            raise end_of_input()
-        lineno, tokens = numbers[pos], bodies[pos].split()
-        pos += 1
-        if len(tokens) != 2 or tokens[0] != keyword:
-            raise ParseError(f"expected '{keyword} <count>'", lineno)
-        try:
-            count = int(tokens[1])
-        except ValueError:
-            raise ParseError(f"bad count {tokens[1]!r}", lineno) from None
-        if count < 0:
-            raise ParseError("negative count", lineno)
-        return count
-
-    def table(count, columns, shape_message, value_message,
-              allowed=None, range_message=None):
-        """The next ``count`` lines, one array per column of the dtypes
-        ``columns``; the last column may take only the ``allowed`` values,
-        if given."""
-        nonlocal pos
-        block = bodies[pos:pos + count]
-        dtype = np.dtype([(f"c{i}", kind) for i, kind in enumerate(columns)])
-        values = _parse_rows(block, dtype) if len(block) == count else None
-        if values is None or (allowed is not None and not np.isin(
-                values[dtype.names[-1]], allowed).all()):
-            # the first bad line, as a line-by-line parse meets it
-            for lineno, body in zip(numbers[pos:], block):
-                if len(body.split()) != len(columns):
-                    raise ParseError(shape_message, lineno)
-                row = _parse_rows([body], dtype)
-                if row is None:
-                    raise ParseError(value_message, lineno)
-                if allowed is not None and row[0][-1] not in allowed:
-                    raise ParseError(range_message, lineno)
-            raise end_of_input()
-        pos += count
-        return [values[name] for name in dtype.names]
-
-    nv = section("vertices")
-    vertices = np.column_stack(table(nv, (float, float), "expected 'x y'",
-                                     "bad vertex line"))
-    nt = section("triangles")
-    *corners, regions = table(nt, (np.int64,) * 4,
-                              "expected 'v0 v1 v2 region'",
-                              "bad triangle line",
-                              (1, 2), "region must be 1 or 2")
-    triangles = np.column_stack(corners)
-    if pos != len(bodies):
-        raise ParseError("trailing content", numbers[pos])
-    return validate_mesh(Mesh(vertices, triangles, regions))

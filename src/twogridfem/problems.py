@@ -65,6 +65,8 @@ class Nonlinearity:
     barrier_beta: float
 
     def __post_init__(self):
+        if np.isnan(self.barrier_alpha) or np.isnan(self.barrier_beta):
+            raise ValueError("barrier_alpha and barrier_beta must not be NaN")
         if self.barrier_alpha > self.barrier_beta:
             raise ValueError("barrier_alpha must not exceed barrier_beta")
 

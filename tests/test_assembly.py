@@ -21,12 +21,9 @@ from twogridfem import (
     check_angle_condition,
     energy_norm,
     generate_interface_mesh,
-    load_mesh,
-    local_stiffness,
     manufactured_interface_problem,
     newton_solve,
     refine_uniform,
-    save_mesh,
 )
 from twogridfem import assembly
 from twogridfem.assembly import QUADRATURE_POINTS, QUADRATURE_WEIGHTS, \
@@ -64,32 +61,41 @@ def test_quadrature_degree_recorded():
     assert len(QUADRATURE_WEIGHTS) == 7
 
 
-def test_local_stiffness_unit_right_triangle():
+def one_triangle_stiffness(coords, d):
+    """The stiffness matrix of the mesh of the one triangle ``coords``."""
+    return assemble_stiffness(Mesh(coords, [[0, 1, 2]], [1]),
+                              {1: d}).toarray()
+
+
+def test_stiffness_of_unit_right_triangle():
     expected = np.array([
         [1.0, -0.5, -0.5],
         [-0.5, 0.5, 0.0],
         [-0.5, 0.0, 0.5],
     ])
-    np.testing.assert_allclose(local_stiffness(UNIT_RIGHT, 1.0), expected,
-                               atol=1e-15)
+    np.testing.assert_allclose(one_triangle_stiffness(UNIT_RIGHT, 1.0),
+                               expected, atol=1e-15)
 
 
-def test_local_stiffness_row_sums_and_scaling():
+def test_stiffness_row_sums_and_scaling():
     rng = np.random.default_rng(7)
     tri = rng.uniform(-1, 1, (3, 2))
     if np.linalg.det(tri[1:] - tri[0]) < 0:
         tri = tri[[0, 2, 1]]
-    k1 = local_stiffness(tri, 1.0)
+    k1 = one_triangle_stiffness(tri, 1.0)
     np.testing.assert_allclose(k1.sum(axis=1), 0.0, atol=1e-13)
-    np.testing.assert_allclose(local_stiffness(tri, 1000.0), 1000.0 * k1,
-                               atol=1e-12)
+    np.testing.assert_allclose(one_triangle_stiffness(tri, 1000.0),
+                               1000.0 * k1, atol=1e-12)
 
 
-def test_local_stiffness_rejects_degenerate():
-    with pytest.raises(DegenerateTriangle):
-        local_stiffness(UNIT_RIGHT[[0, 2, 1]], 1.0)  # clockwise
-    with pytest.raises(DegenerateTriangle):
-        local_stiffness(np.array([[0, 0], [1, 0], [2, 0]]), 1.0)
+@pytest.mark.parametrize("coords", [
+    pytest.param([[0, 0], [1, 0], [2, 0]], id="collinear"),
+    # a NaN area once passed the check, and the matrix came out all NaN
+    pytest.param([[0, 0], [1, 0], [np.nan, 1]], id="nan"),
+])
+def test_assemble_stiffness_rejects_degenerate_triangle(coords):
+    with pytest.raises(DegenerateTriangle, match="triangle 0"):
+        one_triangle_stiffness(coords, 1.0)
 
 
 def test_assemble_stiffness_rejects_clockwise_triangle(unit_square_pair):
@@ -262,21 +268,18 @@ def test_point_load_not_a_vertex():
 
 
 def test_interface_flux_constant(unit_square_pair):
-    # regions 1 and 2 meet on the diagonal, the interface edge, which the
-    # loaded copy also counts once
+    # regions 1 and 2 meet on the diagonal, the interface edge, which
+    # counts once
     from twogridfem import Mesh
     mesh = Mesh(
         vertices=unit_square_pair.vertices,
         triangles=unit_square_pair.triangles,
         regions=np.array([1, 2]),
     )
-    loaded = load_mesh("vertices 4\n0 0\n1 0\n0 1\n1 1\n"
-                       "triangles 2\n0 1 3 1\n0 3 2 2\n")
     length = np.sqrt(2.0)
-    for m in (mesh, loaded):
-        load = assemble_interface_flux(m, lambda x: np.ones(x.shape[:-1]))
-        np.testing.assert_allclose(load, [length / 2, 0.0, 0.0, length / 2],
-                                   atol=1e-14)
+    load = assemble_interface_flux(mesh, lambda x: np.ones(x.shape[:-1]))
+    np.testing.assert_allclose(load, [length / 2, 0.0, 0.0, length / 2],
+                               atol=1e-14)
 
 
 def test_interface_flux_zero():
@@ -358,13 +361,13 @@ def assert_same_csr(a, oracle):
     np.testing.assert_array_equal(resorted.indices, a.indices)
 
 
-@pytest.mark.parametrize("loaded", [False, True, "relabelled"])
-def test_assembly_matches_coo_oracle(loaded):
+@pytest.mark.parametrize("root", [False, True, "relabelled"])
+def test_assembly_matches_coo_oracle(root):
     mesh = refine_uniform(generate_interface_mesh(4))
-    if loaded == "relabelled":
+    if root == "relabelled":
         mesh = relabelled(mesh)  # not numbered row by row
-    if loaded:
-        mesh = load_mesh(save_mesh(mesh))  # no parent
+    if root:
+        mesh = Mesh(mesh.vertices, mesh.triangles, mesh.regions)  # no parent
     d = np.where(mesh.regions == 1, D_JUMP[1], D_JUMP[2])
     g = mesh.gradients
     assert_same_csr(

@@ -5,13 +5,10 @@ from twogridfem import (
     InterfaceNotResolved,
     InvalidSubdivision,
     Mesh,
-    ParseError,
     ValidationError,
     check_angle_condition,
     generate_interface_mesh,
-    load_mesh,
     refine_uniform,
-    save_mesh,
     validate_mesh,
 )
 
@@ -19,6 +16,8 @@ from conftest import relabelled
 
 D_UNIT = {1: 1.0, 2: 1.0}
 D_JUMP = {1: 1000.0, 2: 1.0}
+
+UNIT_RIGHT = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def test_generate_counts_default_geometry():
@@ -141,7 +140,8 @@ def refine_oracle(mesh):
 
 def test_refine_matches_triangle_walk_oracle():
     coarse = generate_interface_mesh(4, (0, 2, 0, 1), (0.5, 1.5, 0.25, 0.75))
-    # generated meshes number vertices row by row, a loaded one in any order
+    # generated meshes number vertices row by row, a hand-built one in any
+    # order
     for mesh in (coarse, relabelled(coarse)):
         for _ in range(2):
             fine = refine_uniform(mesh)
@@ -226,8 +226,9 @@ def test_interface_and_boundary_match_a_triangle_walk(domain, box):
     mesh = generate_interface_mesh(4, domain, box)
     for _ in range(4):
         interface, boundary = interface_and_boundary_oracle(mesh)
-        loaded = load_mesh(save_mesh(mesh))
-        for m in (mesh, loaded):
+        # a copy without a parent derives its boundary from its own edges
+        root = Mesh(mesh.vertices, mesh.triangles, mesh.regions)
+        for m in (mesh, root):
             assert m.interface_edges.tolist() == interface
             assert m.interface_edges.shape == (len(interface), 2)
             assert m.interface_edges.dtype == np.int64
@@ -272,43 +273,6 @@ def test_angle_report_passes_iff_no_violations():
     assert good.passes == (len(good.violating_pairs) == 0)
 
 
-def test_save_load_round_trip():
-    mesh = refine_uniform(generate_interface_mesh(4))
-    text = save_mesh(mesh)
-    back = load_mesh(text)
-    assert np.array_equal(back.vertices, mesh.vertices)
-    assert np.array_equal(back.triangles, mesh.triangles)
-    assert np.array_equal(back.regions, mesh.regions)
-    assert np.array_equal(back.boundary_vertices, mesh.boundary_vertices)
-    assert np.array_equal(back.interface_edges, mesh.interface_edges)
-    assert back.h == pytest.approx(mesh.h, rel=1e-15)
-
-
-def test_load_accepts_comments_and_blank_lines():
-    text = (
-        "# a tiny one-triangle mesh\n\n"
-        "vertices 3\n"
-        "0.0 0.0\n"
-        "1.0 0.0  # inline comment\n"
-        "0.0 1.0\n"
-        "triangles 1\n"
-        "0 1 2 1\n"
-    )
-    mesh = load_mesh(text)
-    assert mesh.n_triangles == 1
-    assert list(mesh.boundary_vertices) == [0, 1, 2]
-
-
-def test_validate_rejects_a_mesh_without_triangles():
-    # such a mesh once loaded, and a solve on it then failed inside numpy
-    # ("zero-size array to reduction operation maximum")
-    with pytest.raises(ValidationError, match="no triangles"):
-        load_mesh("vertices 0\ntriangles 0\n")
-    empty = Mesh(np.zeros((0, 2)), np.zeros((0, 3)), np.zeros(0))
-    with pytest.raises(ValidationError, match="no triangles"):
-        validate_mesh(empty)
-
-
 def test_boundary_and_h_are_derived_not_given():
     coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     for given in ({"boundary_vertices": [0, 1, 2], "h": 1.0},
@@ -317,140 +281,49 @@ def test_boundary_and_h_are_derived_not_given():
             Mesh(coords, [[0, 1, 2]], [1], **given)
 
 
-def test_load_rejects_out_of_range_index():
-    text = (
-        "vertices 3\n0 0\n1 0\n0 1\n"
-        "triangles 1\n0 1 3 1\n"
-    )
-    with pytest.raises(ValidationError):
-        load_mesh(text)
-
-
-def test_validate_rejects_edge_shared_by_three_triangles():
-    mesh = Mesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0],
-                           [0.5, -1.0], [0.5, 2.0]]),
-        triangles=np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]]),
-        regions=np.array([1, 1, 1]),
-    )
-    with pytest.raises(ValidationError, match=r"edge \(0, 1\) shared by 3"):
-        validate_mesh(mesh)
-
-
-def test_load_rejects_negative_area():
-    text = (
-        "vertices 3\n0 0\n1 0\n0 1\n"
-        "triangles 1\n0 2 1 1\n"  # clockwise
-    )
-    with pytest.raises(ValidationError):
-        load_mesh(text)
-
-
-def test_load_rejects_a_vertex_no_triangle_uses():
-    # as a free unknown with an empty stiffness row, the extra vertex
+@pytest.mark.parametrize("vertices, triangles, regions, message", [
+    pytest.param(np.zeros((0, 2)), np.zeros((0, 3)), [], "no triangles",
+                 id="no-triangles"),
+    pytest.param(UNIT_RIGHT, [[0, 1, 3]], [1], "vertex index out of range",
+                 id="index-out-of-range"),
+    # as a free unknown with an empty stiffness row, an unused vertex
     # would fail a solve far from the cause ("non-positive diagonal")
-    mesh = generate_interface_mesh(4)
-    head, tail = save_mesh(mesh).split("triangles")
-    text = (head.replace(f"vertices {mesh.n_vertices}",
-                         f"vertices {mesh.n_vertices + 1}")
-            + "0.3 0.3\ntriangles" + tail)
-    with pytest.raises(ValidationError,
-                       match=rf"vertex {mesh.n_vertices} is not a corner"):
-        load_mesh(text)
-
-
-def test_parse_error_carries_line_number():
-    text = "vertices 2\n0 0\noops\ntriangles 0\n"
-    with pytest.raises(ParseError) as err:
-        load_mesh(text)
-    assert err.value.line_number == 3
-
-
-VERTICES = "vertices 3\n0 0\n1 0\n0 1\n"
-TRIANGLE = "triangles 1\n0 1 2 1\n"
-
-
-@pytest.mark.parametrize("text, line, message", [
-    pytest.param("vertices 3\n0 0\n1 x\n0 1\n", 3,
-                 "bad vertex line", id="vertex-value"),
-    pytest.param("vertices 3\n0 0 1\n1 0 1\n0 1 1\n", 2,
-                 "expected 'x y'", id="old-boundary-flag-column"),
-    # a header has two tokens, like a vertex line, but not two numbers
-    pytest.param("vertices 3\n0 0\n1 0\ntriangles 0\n", 4,
-                 "bad vertex line", id="header-as-vertex"),
-    pytest.param("vertices 3\n0 0\n\n1 0 # two of three\n", 4,
-                 "unexpected end of input", id="end-inside-section"),
-    pytest.param(VERTICES + "triangles 1\n0 1 2 3\n", 6,
-                 "region must be 1 or 2", id="region"),
-    pytest.param(VERTICES + "triangles 1\n0 1 99999999999999999999 1\n",
-                 6, "bad triangle line", id="index-overflows-int64"),
-    pytest.param(VERTICES + TRIANGLE + "interface_edges 0\n", 7,
-                 "trailing content", id="trailing"),
+    pytest.param([*UNIT_RIGHT, [0.3, 0.3]], [[0, 1, 2]], [1],
+                 "vertex 3 is not a corner of any triangle", id="unused"),
+    pytest.param(UNIT_RIGHT, [[0, 2, 1]], [1],
+                 "triangle 0 has non-positive signed area -0.5",
+                 id="clockwise"),
+    # a NaN area once passed the area check
+    pytest.param([[0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]], [1],
+                 "vertex 2 has a non-finite coordinate", id="nan"),
+    pytest.param([[0, 0], [np.inf, 0], [0, 1]], [[0, 1, 2]], [1],
+                 "vertex 1 has a non-finite coordinate", id="inf"),
+    pytest.param(UNIT_RIGHT, [[0, 1, 2]], [3], "region tags must be 1 or 2",
+                 id="region"),
+    pytest.param([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]],
+                 [[0, 1, 2], [1, 0, 3], [0, 1, 4]], [1, 1, 1],
+                 r"edge \(0, 1\) shared by 3 triangles", id="three-triangles"),
 ])
-def test_parse_error_names_the_first_bad_line(text, line, message):
-    with pytest.raises(ParseError) as err:
-        load_mesh(text)
-    assert err.value.line_number == line
-    assert str(err.value) == f"line {line}: {message}"
+def test_validate_mesh_refuses(vertices, triangles, regions, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_mesh(Mesh(vertices, triangles, regions))
 
 
-# Production code runs with the default warning filters, not the test
-# suite's DeprecationWarning-as-error setting.
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
-@pytest.mark.parametrize("text, line, message", [
-    pytest.param(VERTICES + "triangles 1\n0 1 2.9 1\n", 6,
-                 "bad triangle line", id="float-corner"),
-    pytest.param(VERTICES + "triangles 1\n0 1 2 1.0\n", 6,
-                 "bad triangle line", id="float-region"),
-])
-def test_float_in_an_integer_column_is_a_parse_error(text, line, message):
-    with pytest.raises(ParseError) as err:
-        load_mesh(text)
-    assert str(err.value) == f"line {line}: {message}"
-
-
-def test_save_mesh_text_format():
-    mesh = Mesh(
-        vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 1.0 / 3.0]]),
-        triangles=np.array([[0, 1, 2]]),
-        regions=np.array([2]),
-    )
-    assert save_mesh(mesh) == (
-        "vertices 3\n0.0 0.0\n1.0 0.0\n0.1 0.3333333333333333\n"
-        "triangles 1\n0 1 2 2\n")
-
-
-# the unit square in 2 x 2 cells: region 1 left of x = 0.5, region 2 right
-SQUARE = """vertices 9
-0.0 0.0
-0.5 0.0
-1.0 0.0
-0.0 0.5
-0.5 0.5
-1.0 0.5
-0.0 1.0
-0.5 1.0
-1.0 1.0
-triangles 8
-0 1 4 1
-0 4 3 1
-1 2 5 2
-1 5 4 2
-3 4 7 1
-3 7 6 1
-4 5 8 2
-4 8 7 2
-"""
+def square():
+    """The unit square in 2 x 2 cells, built without a parent: region 1
+    left of x = 0.5, region 2 right."""
+    vertices = [[0.0, 0.0], [0.5, 0.0], [1.0, 0.0],
+                [0.0, 0.5], [0.5, 0.5], [1.0, 0.5],
+                [0.0, 1.0], [0.5, 1.0], [1.0, 1.0]]
+    triangles = [[0, 1, 4], [0, 4, 3], [1, 2, 5], [1, 5, 4],
+                 [3, 4, 7], [3, 7, 6], [4, 5, 8], [4, 8, 7]]
+    return Mesh(vertices, triangles, [1, 1, 2, 2, 1, 1, 2, 2])
 
 
 def test_load_derives_boundary_and_interface():
-    mesh = load_mesh(SQUARE)
+    mesh = square()
     assert mesh.boundary_vertices.tolist() == [0, 1, 2, 3, 5, 6, 7, 8]
     assert mesh.interface_edges.tolist() == [[1, 4], [4, 7]]
-
-
-def test_save_reproduces_the_loaded_text():
-    assert save_mesh(load_mesh(SQUARE)) == SQUARE
 
 
 def test_one_edge_pass_per_mesh(monkeypatch):
@@ -463,8 +336,8 @@ def test_one_edge_pass_per_mesh(monkeypatch):
         return unique_edges(triangles, n)
 
     monkeypatch.setattr(mesh_module, "_unique_edges", counted)
-    loaded = load_mesh(SQUARE)
-    loaded.boundary_vertices, loaded.interface_edges, loaded.csr_pattern
+    root = validate_mesh(square())
+    root.boundary_vertices, root.interface_edges, root.csr_pattern
     assert len(passes) == 1
 
     passes.clear()
@@ -477,7 +350,7 @@ def test_one_edge_pass_per_mesh(monkeypatch):
 
 
 def test_refined_loaded_mesh_has_the_outer_boundary_as_boundary():
-    mesh = load_mesh(SQUARE)
+    mesh = square()
     for _ in range(2):
         mesh = refine_uniform(mesh)
         x, y = mesh.vertices.T
@@ -490,15 +363,11 @@ def test_refined_loaded_mesh_has_the_outer_boundary_as_boundary():
 @pytest.mark.parametrize("regions, interface", [
     ((1, 2), [[0, 3]]), ((2, 1), [[0, 3]]), ((1, 1), []), ((2, 2), []),
 ])
-def test_loaded_interface_is_where_the_region_changes(regions, interface):
-    text = ("vertices 4\n0 0\n1 0\n0 1\n1 1\ntriangles 2\n"
-            f"0 1 3 {regions[0]}\n0 3 2 {regions[1]}\n")
-    assert load_mesh(text).interface_edges.tolist() == interface
-
-
-def test_parse_error_on_bad_header():
-    with pytest.raises(ParseError):
-        load_mesh("points 3\n")
+def test_loaded_interface_is_where_the_region_changes(
+        unit_square_pair, regions, interface):
+    mesh = Mesh(unit_square_pair.vertices, unit_square_pair.triangles,
+                regions)
+    assert mesh.interface_edges.tolist() == interface
 
 
 def test_mesh_arrays_are_read_only():

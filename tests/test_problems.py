@@ -176,9 +176,18 @@ def test_builtin_rejects_bad_values():
 
 
 def test_nonlinearity_validation():
-    with pytest.raises(ValueError):
-        Nonlinearity(lambda x, xi: xi, lambda x, xi: 1.0, lambda x, xi: 0.0,
-                     barrier_alpha=1.0, barrier_beta=0.0)
+    def nonlinearity(alpha, beta):
+        return Nonlinearity(lambda x, xi: xi, lambda x, xi: 1.0,
+                            lambda x, xi: 0.0, alpha, beta)
+
+    with pytest.raises(ValueError, match="must not exceed"):
+        nonlinearity(1.0, 0.0)
+    # a NaN constant once built, and its barriers then flagged every vertex
+    nan = float("nan")
+    for alpha, beta in ((nan, 0.0), (0.0, nan), (nan, nan)):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            nonlinearity(alpha, beta)
+    nonlinearity(-np.inf, np.inf)  # no finite barrier: still allowed
 
 
 def test_problem_rejects_nonpositive_diffusion():
