@@ -6,13 +6,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import (
-    QUADRATURE_POINTS,
     QUADRATURE_WEIGHTS,
     FemFunction,
-    _block_slices,
     _diffusion_per_triangle,
     assemble_stiffness,
     quadrature_blocks,
+    state_blocks,
 )
 from .problems import ManufacturedSolution
 from .twogrid import prolongate
@@ -121,8 +120,7 @@ def lp_norm(v, p):
         raise ValueError(f"p must be 2 or 4, got {p}")
     mesh = v.mesh
     total = 0.0
-    for block in _block_slices(mesh):
-        values = v.values[mesh.triangles[block]] @ QUADRATURE_POINTS.T
+    for block, _, values in state_blocks(v):
         power = values * values
         if p == 4:
             power *= power
@@ -135,7 +133,8 @@ def _manufactured_errors(diffusion, u_h, exact):
     mesh = u_h.mesh
     d = _diffusion_per_triangle(mesh, diffusion)
     e2 = e4 = een = 0.0
-    for block, points, uh_q in quadrature_blocks(mesh, u_h):
+    for (block, points), (_, _, uh_q) in zip(quadrature_blocks(mesh),
+                                             state_blocks(u_h)):
         w = mesh.areas[block, None] * QUADRATURE_WEIGHTS
         diff = exact.exact(points) - uh_q
         diff2 = diff * diff

@@ -8,7 +8,10 @@ Jacobians are symmetric by construction.  Volume integrals use one rule,
 
 Quadrature-point work runs over blocks of ``_BLOCK_TRIANGLES`` triangles,
 so that its temporaries stay in cache; problem callbacks therefore receive
-one block of points at a time and must be pointwise.
+one block at a time and must be pointwise.  A pass over a state
+(:func:`state_blocks`) interpolates the state only: the reaction callbacks
+get the block's region tags in place of coordinates, which only the volume
+source and the manufactured fields read (:func:`quadrature_blocks`).
 """
 
 from dataclasses import dataclass
@@ -26,6 +29,7 @@ __all__ = [
     "DegenerateTriangle",
     "NotAVertex",
     "quadrature_blocks",
+    "state_blocks",
     "assemble_stiffness",
     "assemble_reaction_jacobian",
     "assemble_semilinear_residual",
@@ -119,13 +123,15 @@ def _diffusion_per_triangle(mesh, diffusion):
 
 
 def _positive_areas(mesh):
-    """The mesh's element areas; DegenerateTriangle unless all positive
-    (a NaN area is not)."""
+    """The mesh's element areas; DegenerateTriangle unless all finite and
+    positive (a NaN or an overflowing area is not)."""
     areas = mesh.areas
-    if not np.all(areas > 0):
-        bad = int(np.argmin(areas > 0))
+    good = np.isfinite(areas) & (areas > 0)
+    if not good.all():
+        bad = int(np.argmin(good))
         raise DegenerateTriangle(
-            f"triangle {bad} has non-positive area {areas[bad]:g}")
+            f"triangle {bad} has area {areas[bad]:g}, not finite and "
+            f"positive")
     return areas
 
 
@@ -161,10 +167,9 @@ def _block_slices(mesh):
         yield slice(start, start + _BLOCK_TRIANGLES)
 
 
-def quadrature_blocks(mesh, state=None):
-    """Per block of at most ``_BLOCK_TRIANGLES`` triangles: its slice, the
-    coordinates of its quadrature points (B, 7, 2) and, with a ``state``,
-    the state's values there (B, 7), else None."""
+def quadrature_blocks(mesh):
+    """Per block of at most ``_BLOCK_TRIANGLES`` triangles: its slice and
+    the coordinates of its quadrature points (B, 7, 2)."""
     for block in _block_slices(mesh):
         triangles = mesh.triangles[block]
         points = np.empty((len(triangles), len(QUADRATURE_WEIGHTS), 2))
@@ -172,34 +177,44 @@ def quadrature_blocks(mesh, state=None):
             # a column view first: ``vertices[triangles, axis]`` gathers slower
             np.matmul(mesh.vertices[:, axis][triangles], QUADRATURE_POINTS.T,
                       out=points[..., axis])
-        values = (None if state is None
-                  else state.values[triangles] @ QUADRATURE_POINTS.T)
-        yield block, points, values
+        yield block, points
+
+
+def state_blocks(state):
+    """Per block of at most ``_BLOCK_TRIANGLES`` triangles of the state's
+    mesh: its slice, its region tags (B, 1) and the state's values at its
+    quadrature points (B, 7)."""
+    mesh = state.mesh
+    for block in _block_slices(mesh):
+        yield (block, mesh.regions[block, None],
+               state.values[mesh.triangles[block]] @ QUADRATURE_POINTS.T)
 
 
 def assemble_reaction_jacobian(state, d1):
-    """Weighted mass matrix M_ij = int d1(x, u) phi_j phi_i by quadrature."""
+    """Weighted mass matrix M_ij = int d1(region, u) phi_j phi_i by
+    quadrature."""
     mesh = state.mesh
     areas = _positive_areas(mesh)
     lam = QUADRATURE_POINTS
     weighted_products = (QUADRATURE_WEIGHTS[:, None, None] * lam[:, :, None]
                          * lam[:, None, :]).reshape(-1, 9)
     local = np.empty((mesh.n_triangles, 9))
-    for block, points, values in quadrature_blocks(mesh, state):
-        np.matmul(d1(points, values), weighted_products, out=local[block])
+    for block, tags, values in state_blocks(state):
+        np.matmul(d1(tags, values), weighted_products, out=local[block])
         local[block] *= areas[block, None]
     return _scatter(mesh, local)
 
 
 def _moment_vector(mesh, f, state=None):
-    """Vector v_i = sum_T area_T sum_q w_q f(x_q, u(x_q)) phi_i(x_q) for
-    the callback ``f`` and the ``state`` u; without a state, ``f`` gets
-    None in place of u(x_q)."""
+    """Vector v_i = sum_T area_T sum_q w_q g_q phi_i(x_q) for the callback
+    ``f``: g_q = f(x_q) without a ``state`` and g_q = f(region, u(x_q))
+    for the state u, ``region`` being the triangle's tag."""
     areas = _positive_areas(mesh)
     weighted_basis = QUADRATURE_WEIGHTS[:, None] * QUADRATURE_POINTS
     local = np.empty((mesh.n_triangles, 3))
-    for block, points, values in quadrature_blocks(mesh, state):
-        np.matmul(f(points, values), weighted_basis, out=local[block])
+    blocks = quadrature_blocks(mesh) if state is None else state_blocks(state)
+    for block, *args in blocks:
+        np.matmul(f(*args), weighted_basis, out=local[block])
         local[block] *= areas[block, None]
     return np.bincount(
         mesh.triangles.ravel(), weights=local.ravel(),
@@ -239,7 +254,7 @@ def assemble_load(mesh, problem):
     """Total load vector: volume source, point source and interface flux."""
     load = np.zeros(mesh.n_vertices)
     if problem.source is not None:
-        load += _moment_vector(mesh, lambda x, _: problem.source(x))
+        load += _moment_vector(mesh, problem.source)
     if problem.point_source is not None:
         load += assemble_point_load(mesh, problem.point_source.location,
                                     problem.point_source.magnitude)

@@ -294,14 +294,15 @@ def triangle_geometry(p):
 
     The gradient of barycentric coordinate i is the edge opposite vertex i
     rotated by -90 degrees over twice the signed area; it is inf or nan
-    where the area is zero.
+    where the area is zero.  An area that overflows is inf or nan, without
+    a warning: the callers that need finite areas check them.
     """
-    # edges[:, i] runs from vertex i+1 to vertex i+2 (indices mod 3)
-    edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
-    twice_area = (edges[:, 1, 0] * edges[:, 2, 1]
-                  - edges[:, 1, 1] * edges[:, 2, 0])
-    gradients = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # edges[:, i] runs from vertex i+1 to vertex i+2 (indices mod 3)
+        edges = p[:, [2, 0, 1]] - p[:, [1, 2, 0]]
+        twice_area = (edges[:, 1, 0] * edges[:, 2, 1]
+                      - edges[:, 1, 1] * edges[:, 2, 0])
+        gradients = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)
         gradients /= twice_area[:, None, None]
     return 0.5 * twice_area, gradients
 
@@ -398,9 +399,20 @@ def refine_uniform(mesh):
 def validate_mesh(mesh):
     """Raise ValidationError if the mesh breaks a structural invariant.
 
-    The vertex indices and then the coordinates are checked first: the
-    edges, the areas and h are computed from them."""
+    The array shapes, the vertex indices and then the coordinates are
+    checked first: the edges, the areas and h are computed from them, and
+    the region tags select each triangle's diffusion and reaction."""
     n = mesh.n_vertices
+    if mesh.vertices.ndim != 2 or mesh.vertices.shape[1] != 2:
+        raise ValidationError(
+            f"vertices must have shape (N, 2), got {mesh.vertices.shape}")
+    if mesh.triangles.ndim != 2 or mesh.triangles.shape[1] != 3:
+        raise ValidationError(
+            f"triangles must have shape (M, 3), got {mesh.triangles.shape}")
+    if mesh.regions.shape != (mesh.n_triangles,):
+        raise ValidationError(
+            f"regions must have one tag per triangle, shape "
+            f"({mesh.n_triangles},), got {mesh.regions.shape}")
     if mesh.n_triangles == 0:
         raise ValidationError("mesh has no triangles")
     if mesh.triangles.min() < 0 or mesh.triangles.max() >= n:
@@ -416,10 +428,12 @@ def validate_mesh(mesh):
         raise ValidationError(
             f"vertex {int(np.argmin(finite))} has a non-finite coordinate")
     areas = mesh.areas
-    if not np.all(areas > 0):
-        bad = int(np.argmin(areas > 0))
+    good = np.isfinite(areas) & (areas > 0)
+    if not good.all():
+        bad = int(np.argmin(good))
+        kind = "non-positive" if areas[bad] <= 0 else "non-finite"
         raise ValidationError(
-            f"triangle {bad} has non-positive signed area {areas[bad]:g}")
+            f"triangle {bad} has {kind} signed area {areas[bad]:g}")
     if not np.all(np.isin(mesh.regions, (1, 2))):
         raise ValidationError("region tags must be 1 or 2")
     lo, hi, edge_of = mesh.edges

@@ -1,11 +1,17 @@
 """PDE data: diffusion, nonlinearities, sources, built-in problem instances.
 
-Nonlinearity callbacks are numpy-vectorized: they accept coordinate arrays
-of shape (..., 2) and state arrays of shape (...) and return arrays of
-shape (...).  All problem data is immutable and the callbacks must be pure
-and pointwise: assembly calls them, and the error norms call a
-manufactured solution's ``exact`` and ``exact_grad``, on one block of
-points at a time.  Callbacks should write integer powers as products:
+The reaction b(x, xi) of the paper depends on x here only through the
+region, 1 or 2, of the triangle x lies in: b is one function of xi per
+region, which covers a coefficient that jumps across the interface.  Its
+callbacks ``eval``, ``d1`` and ``d2`` accept integer region tags and state
+values that broadcast together, in assembly tags of shape (B, 1) and
+values of shape (B, 7), and return an array of the values' shape.  The
+volume source, the interface flux, the Dirichlet data and a manufactured
+solution's ``exact`` and ``exact_grad`` take coordinate arrays of shape
+(..., 2) and return shape (...) (the gradient (..., 2)).  All problem data
+is immutable and the callbacks must be pure and pointwise: assembly calls
+them, and the error norms call ``exact`` and ``exact_grad``, on one block
+of points at a time.  Callbacks should write integer powers as products:
 numpy's ``**`` with an integer exponent calls libm ``pow``, which is about
 20x slower on a negative base.
 """
@@ -51,11 +57,18 @@ class UnknownProblem(ProblemError):
 
 @dataclass(eq=False)
 class Nonlinearity:
-    """Reaction term b(x, xi) with derivatives and sign-change constants.
+    """Reaction term b(region, xi) with derivatives and sign-change
+    constants.
 
-    ``barrier_alpha <= barrier_beta`` are constants with b(x, xi) >= 0 for
-    xi >= barrier_beta and b(x, xi) <= 0 for xi <= barrier_alpha, for a.e.
-    x.
+    b is one function of xi per region tag: ``eval(tags, xi)``,
+    ``d1(tags, xi)`` and ``d2(tags, xi)`` take integer tags that broadcast
+    against the states xi, shape (B, 1) against (B, 7) in assembly.  This
+    narrows the paper's b(x, xi) to coefficients that are constant in x on
+    each side of the interface, as every built-in b is.
+
+    ``barrier_alpha <= barrier_beta`` are constants with b(r, xi) >= 0 for
+    xi >= barrier_beta and b(r, xi) <= 0 for xi <= barrier_alpha, in both
+    regions r.
     """
 
     eval: callable
@@ -79,7 +92,7 @@ class PointSource:
 
 @dataclass(eq=False)
 class Problem:
-    """Full problem data for -div(D grad u) + b(x, u) = loads.
+    """Full problem data for -div(D grad u) + b(region, u) = loads.
 
     diffusion maps region tags {1, 2} to positive scalars.  The volume
     source is a pointwise callback; a point source is a separate nodal
@@ -128,7 +141,9 @@ class ManufacturedSolution:
 
 
 def _sample_points(problem, count, seed):
-    """Deterministic x-samples covering both regions of the domain."""
+    """Deterministic x-samples covering both regions of the domain, and the
+    region tag a generated mesh gives each: 1 inside the interface box, 2
+    outside."""
     xmin, xmax, ymin, ymax = problem.domain
     rng = np.random.default_rng(seed)
     pts = np.column_stack([
@@ -140,7 +155,12 @@ def _sample_points(problem, count, seed):
     if problem.interface_box is not None:
         bx0, bx1, by0, by1 = problem.interface_box
         extra.append(((bx0 + bx1) / 2, (by0 + by1) / 2))
-    return np.vstack([pts, np.asarray(extra)])
+    pts = np.vstack([pts, np.asarray(extra)])
+    if problem.interface_box is None:
+        return pts, np.full(len(pts), 2)
+    x, y = pts[:, 0], pts[:, 1]
+    inside = (x >= bx0) & (x <= bx1) & (y >= by0) & (y <= by1)
+    return pts, np.where(inside, 1, 2)
 
 
 _SEARCH_LIMIT = 1e9
@@ -195,8 +215,9 @@ def compute_barriers(problem):
     """Solution bounds (lower, upper) from the sign structure of b.
 
     The volume source is folded into the nonlinearity
-    (b~(x, xi) = b(x, xi) - f(x)) before locating its sign-change
-    constants, sampled at ``BARRIER_SAMPLES`` points; without a source
+    (b~(x, xi) = b(r(x), xi) - f(x), r(x) the region of x by the problem's
+    interface box) before locating its sign-change constants, sampled at
+    ``BARRIER_SAMPLES`` points; without a source
     they are the nonlinearity's own.  The Dirichlet bounds then enter
     through upper = max(beta~, sup g) and lower = min(alpha~, inf g): a
     problem with ``dirichlet`` data must declare ``dirichlet_bounds``,
@@ -219,14 +240,14 @@ def compute_barriers(problem):
     if problem.source is None:
         alpha_t, beta_t = nl.barrier_alpha, nl.barrier_beta
     else:
-        x = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
+        x, tags = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
         fvals = np.asarray(problem.source(x), dtype=float)
 
         def folded_min(xi):
-            return float(np.min(nl.eval(x, np.full(len(x), xi)) - fvals))
+            return float(np.min(nl.eval(tags, np.full(len(x), xi)) - fvals))
 
         def folded_max(xi):
-            return float(np.max(nl.eval(x, np.full(len(x), xi)) - fvals))
+            return float(np.max(nl.eval(tags, np.full(len(x), xi)) - fvals))
 
         beta_t = _smallest_nonneg_point(folded_min, nl.barrier_beta)
         alpha_t = _largest_nonpos_point(folded_max, nl.barrier_alpha, beta_t)
@@ -254,26 +275,16 @@ def _power_nonlinearity(exponent):
         raise ValueError(f"exponent must be an integer >= 2, got {exponent!r}")
     p = int(exponent)
 
-    def b(x, xi):
+    def b(tags, xi):
         return _integer_power(xi, p)
 
-    def d1(x, xi):
+    def d1(tags, xi):
         return p * _integer_power(xi, p - 1)
 
-    def d2(x, xi):
+    def d2(tags, xi):
         return p * (p - 1) * _integer_power(xi, p - 2)
 
     return Nonlinearity(b, d1, d2, 0.0, 0.0)
-
-
-def _inside_box(box):
-    bx0, bx1, by0, by1 = box
-
-    def inside(x):
-        return ((x[..., 0] >= bx0) & (x[..., 0] <= bx1)
-                & (x[..., 1] >= by0) & (x[..., 1] <= by1))
-
-    return inside
 
 
 def builtin_problem(name, **params):
@@ -281,8 +292,8 @@ def builtin_problem(name, **params):
 
     power11: D = (1000 inside, 1 outside), point load 1000 at the origin,
         b(xi) = xi^11.
-    sinh_pbe: b(x, xi) = kappa2(x) sinh(xi) with kappa2 = 0 inside the box,
-        constant interface-flux load.
+    sinh_pbe: b(r, xi) = kappa2(r) sinh(xi) with kappa2 = 0 in region 1,
+        the box, constant interface-flux load.
     linear_reaction: b(xi) = c xi with c >= 0, constant volume source.
     zero_reaction: pure diffusion with a constant volume source.
     """
@@ -310,15 +321,14 @@ def builtin_problem(name, **params):
         _reject_extra(name, params)
         if kappa2 < 0:
             raise ValueError("kappa2 must be nonnegative")
-        inside = _inside_box(box)
 
-        def kap(x):
-            return np.where(inside(x), 0.0, kappa2)
+        def kap(tags):
+            return np.where(tags == 1, 0.0, kappa2)
 
         nl = Nonlinearity(
-            eval=lambda x, xi: kap(x) * np.sinh(xi),
-            d1=lambda x, xi: kap(x) * np.cosh(xi),
-            d2=lambda x, xi: kap(x) * np.sinh(xi),
+            eval=lambda tags, xi: kap(tags) * np.sinh(xi),
+            d1=lambda tags, xi: kap(tags) * np.cosh(xi),
+            d2=lambda tags, xi: kap(tags) * np.sinh(xi),
             barrier_alpha=0.0, barrier_beta=0.0,
         )
         return Problem(
@@ -338,9 +348,9 @@ def builtin_problem(name, **params):
         if c < 0:
             raise ValueError("reaction coefficient c must be nonnegative")
         nl = Nonlinearity(
-            eval=lambda x, xi: c * xi,
-            d1=lambda x, xi: np.full(np.shape(xi), c),
-            d2=lambda x, xi: np.zeros(np.shape(xi)),
+            eval=lambda tags, xi: c * xi,
+            d1=lambda tags, xi: np.full(np.shape(xi), c),
+            d2=lambda tags, xi: np.zeros(np.shape(xi)),
             barrier_alpha=0.0, barrier_beta=0.0,
         )
         return Problem(

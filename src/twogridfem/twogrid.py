@@ -17,6 +17,7 @@ import numpy as np
 
 from .assembly import (
     FemFunction,
+    _block_slices,
     assemble_semilinear_residual,
     assemble_stiffness,
 )
@@ -107,7 +108,8 @@ def linearized_solve(problem, u_base):
     u_base + delta, where delta solves J delta = -r(u_base) with
     homogeneous Dirichlet rows, r is the semilinear residual and
     J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base
-    (:func:`~twogridfem.solvers.newton_step`).
+    (:func:`~twogridfem.solvers.newton_step`).  Warns when b'(u_base),
+    evaluated with each triangle's region at its corners, is negative.
 
     PCG runs to FINE_PCG_TOL relative to ||r(u_base)||, preconditioned by
     the V-cycle on the mesh's refinement chain.  Returns (solution,
@@ -117,12 +119,16 @@ def linearized_solve(problem, u_base):
     start = time.perf_counter()
     t_h = u_base.mesh
     u_base = make_initial_guess(t_h, problem, u_base.values)
-    nl = problem.nonlinearity
-    d1_nodal = np.asarray(nl.d1(t_h.vertices, u_base.values), dtype=float)
-    if np.any(d1_nodal < 0):
+    # a vertex has no single region: check b' at every triangle corner,
+    # one block of triangles at a time, as assembly does, so that the
+    # temporaries stay in cache
+    d1 = problem.nonlinearity.d1
+    if any(np.any(d1(t_h.regions[block, None],
+                     u_base.values[t_h.triangles[block]]) < 0)
+           for block in _block_slices(t_h)):
         warnings.warn(
-            "b'(u_base) is negative at some vertices; the linearized system "
-            "may be indefinite (local monotonicity violated)",
+            "b'(u_base) is negative at some triangle corners; the linearized "
+            "system may be indefinite (local monotonicity violated)",
             stacklevel=2)
 
     stiffness = assemble_stiffness(t_h, problem.diffusion)

@@ -21,9 +21,9 @@ def cube_problem(d_inside=1000.0, d_outside=1.0, f=8.0):
     return Problem(
         diffusion={1: d_inside, 2: d_outside},
         nonlinearity=Nonlinearity(
-            eval=lambda x, xi: xi ** 3,
-            d1=lambda x, xi: 3.0 * xi ** 2,
-            d2=lambda x, xi: 6.0 * xi,
+            eval=lambda tags, xi: xi ** 3,
+            d1=lambda tags, xi: 3.0 * xi ** 2,
+            d2=lambda tags, xi: 6.0 * xi,
             barrier_alpha=0.0,
             barrier_beta=0.0,
         ),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -27,7 +28,7 @@ from twogridfem import (
 )
 from twogridfem import assembly
 from twogridfem.assembly import QUADRATURE_POINTS, QUADRATURE_WEIGHTS, \
-    _moment_vector, quadrature_blocks
+    _moment_vector, quadrature_blocks, state_blocks
 
 from conftest import dense_stiffness_oracle, grad_l2_squared_oracle, \
     relabelled
@@ -92,6 +93,8 @@ def test_stiffness_row_sums_and_scaling():
     pytest.param([[0, 0], [1, 0], [2, 0]], id="collinear"),
     # a NaN area once passed the check, and the matrix came out all NaN
     pytest.param([[0, 0], [1, 0], [np.nan, 1]], id="nan"),
+    # finite coordinates whose area overflows to inf once passed it too
+    pytest.param([[0, 0], [1e200, 0], [0, 1e200]], id="overflow"),
 ])
 def test_assemble_stiffness_rejects_degenerate_triangle(coords):
     with pytest.raises(DegenerateTriangle, match="triangle 0"):
@@ -181,7 +184,7 @@ def test_reaction_jacobian_single_triangle_mass(unit_square_pair):
     )
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
-        state, lambda x, xi: np.ones(np.shape(xi)))
+        state, lambda tags, xi: np.ones(np.shape(xi)))
     expected = np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]) / 24.0
     np.testing.assert_allclose(m.toarray(), expected, atol=1e-15)
 
@@ -190,7 +193,7 @@ def test_reaction_jacobian_partition_of_unity():
     mesh = generate_interface_mesh(8, (-1, 1, -1, 1))
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
-        state, lambda x, xi: np.ones(np.shape(xi)))
+        state, lambda tags, xi: np.ones(np.shape(xi)))
     assert m.sum() == pytest.approx(4.0, abs=1e-12)
 
 
@@ -198,7 +201,7 @@ def test_reaction_jacobian_zero_weight():
     mesh = generate_interface_mesh(4)
     state = FemFunction.zeros(mesh)
     m = assemble_reaction_jacobian(
-        state, lambda x, xi: np.zeros(np.shape(xi)))
+        state, lambda tags, xi: np.zeros(np.shape(xi)))
     assert abs(m).max() == 0.0
 
 
@@ -207,7 +210,7 @@ def test_reaction_jacobian_nonnegative_and_symmetric():
     rng = np.random.default_rng(3)
     state = FemFunction(mesh, rng.uniform(-1, 1, mesh.n_vertices))
     m = assemble_reaction_jacobian(
-        state, lambda x, xi: 3.0 * xi ** 2)
+        state, lambda tags, xi: 3.0 * xi ** 2)
     assert m.data.min() >= 0.0
     assert abs(m - m.T).max() <= 1e-15
 
@@ -231,7 +234,7 @@ def test_residual_matches_matrix_form_for_linear_reaction():
     a = assemble_stiffness(mesh, problem.diffusion)
     m = assemble_reaction_jacobian(
         FemFunction.zeros(mesh),
-        lambda x, xi: np.ones(np.shape(xi)))
+        lambda tags, xi: np.ones(np.shape(xi)))
     load = assemble_load(mesh, problem)
     expected = a @ u + c * (m @ u) - load
     expected[mesh.boundary_vertices] = 0.0
@@ -326,7 +329,7 @@ def test_constrained_operator_is_spd():
     a = assemble_stiffness(mesh, D_JUMP)
     state = FemFunction(mesh, np.random.default_rng(0).uniform(
         0, 1, mesh.n_vertices))
-    m = assemble_reaction_jacobian(state, lambda x, xi: 3 * xi ** 2)
+    m = assemble_reaction_jacobian(state, lambda tags, xi: 3 * xi ** 2)
     ac, _ = apply_dirichlet(a + m, np.zeros(mesh.n_vertices),
                             mesh.boundary_vertices)
     eigs = np.linalg.eigvalsh(ac.toarray())
@@ -335,7 +338,7 @@ def test_constrained_operator_is_spd():
 
 def test_moment_vector_integrates_linear_exactly():
     mesh = generate_interface_mesh(4, (-1, 1, -1, 1))
-    mom = _moment_vector(mesh, lambda x, _: x[..., 0] + 2.0)
+    mom = _moment_vector(mesh, lambda x: x[..., 0] + 2.0)
     # sum of moments = integral of (x + 2) over the domain = 8
     assert mom.sum() == pytest.approx(8.0, abs=1e-13)
 
@@ -381,7 +384,7 @@ def test_assembly_matches_coo_oracle(root):
     w = 3.0 * xq ** 2 * QUADRATURE_WEIGHTS * mesh.areas[:, None]
     lam = QUADRATURE_POINTS
     assert_same_csr(
-        assemble_reaction_jacobian(state, lambda x, xi: 3.0 * xi ** 2),
+        assemble_reaction_jacobian(state, lambda tags, xi: 3.0 * xi ** 2),
         coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam)))
 
 
@@ -448,23 +451,24 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
     points = np.matmul(QUADRATURE_POINTS, mesh.triangle_coords())
     lam = QUADRATURE_POINTS
 
-    # x-dependent reaction: kappa^2(x) vanishes inside the interface box
+    # region-dependent reaction: kappa^2 vanishes in region 1, the box
     sinh_pbe = builtin_problem("sinh_pbe")
     nl = sinh_pbe.nonlinearity
     state = FemFunction(mesh, np.random.default_rng(4).uniform(
         -1, 1, mesh.n_vertices))
     uq = state.values[mesh.triangles] @ QUADRATURE_POINTS.T
+    tags = mesh.regions[:, None]
     stiffness = assemble_stiffness(mesh, sinh_pbe.diffusion)
     load = assemble_load(mesh, sinh_pbe)
     oracle = (stiffness @ state.values
-              + unblocked_moments(mesh, nl.eval(points, uq)) - load)
+              + unblocked_moments(mesh, nl.eval(tags, uq)) - load)
     oracle[mesh.boundary_vertices] = 0.0
     assert_close_to(
         assemble_semilinear_residual(state, sinh_pbe,
                                      stiffness=stiffness, load=load),
         oracle)
 
-    w = nl.d1(points, uq) * QUADRATURE_WEIGHTS * mesh.areas[:, None]
+    w = nl.d1(tags, uq) * QUADRATURE_WEIGHTS * mesh.areas[:, None]
     jacobian = coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam))
     jacobian.sum_duplicates()
     assert_close_to(
@@ -491,24 +495,97 @@ def test_quadrature_points_match_the_broadcast_product(monkeypatch):
     monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", block)
     state = FemFunction(mesh, np.random.default_rng(5).uniform(
         -1, 1, mesh.n_vertices))
-    slices, points, values = zip(*quadrature_blocks(mesh, state))
-    assert [s.indices(mesh.n_triangles) for s in slices] == [
-        (start, min(start + block, mesh.n_triangles), 1)
-        for start in range(0, mesh.n_triangles, block)]
+    slices, points = zip(*quadrature_blocks(mesh))
+    expected_slices = [(start, min(start + block, mesh.n_triangles), 1)
+                       for start in range(0, mesh.n_triangles, block)]
+    assert [s.indices(mesh.n_triangles) for s in slices] == expected_slices
     np.testing.assert_array_max_ulp(
         np.concatenate(points),
         np.matmul(QUADRATURE_POINTS, mesh.triangle_coords()), maxulp=1)
+    slices, tags, values = zip(*state_blocks(state))
+    assert [s.indices(mesh.n_triangles) for s in slices] == expected_slices
+    np.testing.assert_array_equal(np.concatenate(tags),
+                                  mesh.regions[:, None])
     np.testing.assert_allclose(
         np.concatenate(values),
         state.values[mesh.triangles] @ QUADRATURE_POINTS.T, rtol=0,
         atol=1e-15)
 
 
+def test_reaction_callbacks_get_region_tags_not_coordinates(monkeypatch):
+    mesh = refine_uniform(generate_interface_mesh(4))
+    block = 7
+    assert mesh.n_triangles % block != 0  # a short last block
+    monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", block)
+    calls = []
+
+    def spy(fn):
+        def callback(tags, xi):
+            calls.append((tags, xi))
+            return fn(tags, xi)
+        return callback
+
+    problem = builtin_problem("sinh_pbe")
+    nl = problem.nonlinearity
+    spied = dataclasses.replace(
+        problem, nonlinearity=dataclasses.replace(
+            nl, eval=spy(nl.eval), d1=spy(nl.d1)))
+    state = FemFunction(mesh, np.random.default_rng(6).uniform(
+        -1, 1, mesh.n_vertices))
+    assemble_semilinear_residual(state, spied)
+    assemble_reaction_jacobian(state, spied.nonlinearity.d1)
+
+    starts = range(0, mesh.n_triangles, block)
+    assert len(calls) == 2 * len(starts)
+    for (tags, xi), start in zip(calls, [*starts, *starts]):
+        assert np.issubdtype(tags.dtype, np.integer)
+        assert tags.shape == (len(xi), 1)
+        assert xi.shape == (len(xi), len(QUADRATURE_WEIGHTS))
+        np.testing.assert_array_equal(
+            tags, mesh.regions[start:start + block, None])
+
+
+def box_test_callback(mesh, kappa2, fn):
+    """kappa^2 fn(xi) with kappa^2 = 0 inside the default interface box,
+    decided at the quadrature points of each block in turn: sinh_pbe's b
+    or b' before its callbacks took region tags.  One assembly's worth of
+    calls."""
+    blocks = quadrature_blocks(mesh)
+
+    def callback(tags, xi):
+        _, x = next(blocks)
+        inside = ((x[..., 0] >= -0.5) & (x[..., 0] <= 0.5)
+                  & (x[..., 1] >= -0.5) & (x[..., 1] <= 0.5))
+        return np.where(inside, 0.0, kappa2) * fn(xi)
+
+    return callback
+
+
+def test_sinh_pbe_region_tags_match_the_box_test_bit_for_bit(monkeypatch):
+    mesh = refine_uniform(refine_uniform(generate_interface_mesh(8)))
+    monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", 300)
+    problem = builtin_problem("sinh_pbe", kappa2=2.5)
+    state = FemFunction(mesh, np.random.default_rng(7).uniform(
+        -2, 2, mesh.n_vertices))
+    oracle = dataclasses.replace(
+        problem, nonlinearity=dataclasses.replace(
+            problem.nonlinearity,
+            eval=box_test_callback(mesh, 2.5, np.sinh)))
+    np.testing.assert_array_equal(
+        assemble_semilinear_residual(state, problem),
+        assemble_semilinear_residual(state, oracle))
+    jacobian = assemble_reaction_jacobian(state, problem.nonlinearity.d1)
+    expected = assemble_reaction_jacobian(
+        state, box_test_callback(mesh, 2.5, np.cosh))
+    np.testing.assert_array_equal(jacobian.data, expected.data)
+    np.testing.assert_array_equal(jacobian.indices, expected.indices)
+
+
 def test_apply_dirichlet_matches_dense_oracle():
     mesh = refine_uniform(refine_uniform(generate_interface_mesh(4)))
     state = FemFunction(mesh, np.random.default_rng(2).uniform(
         0, 1, mesh.n_vertices))
-    jac = assemble_reaction_jacobian(state, lambda x, xi: 3 * xi ** 2)
+    jac = assemble_reaction_jacobian(state, lambda tags, xi: 3 * xi ** 2)
     jac.data += assemble_stiffness(mesh, D_JUMP).data
     b = mesh.boundary_vertices
     rhs = np.random.default_rng(3).standard_normal(mesh.n_vertices)

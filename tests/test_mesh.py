@@ -298,8 +298,25 @@ def test_boundary_and_h_are_derived_not_given():
                  "vertex 2 has a non-finite coordinate", id="nan"),
     pytest.param([[0, 0], [np.inf, 0], [0, 1]], [[0, 1, 2]], [1],
                  "vertex 1 has a non-finite coordinate", id="inf"),
+    # finite coordinates whose area overflows to inf once passed
+    pytest.param([[0, 0], [1e200, 0], [0, 1e200]], [[0, 1, 2]], [1],
+                 "triangle 0 has non-finite signed area inf", id="overflow"),
     pytest.param(UNIT_RIGHT, [[0, 1, 2]], [3], "region tags must be 1 or 2",
                  id="region"),
+    # the tags select each triangle's diffusion and reaction: a length
+    # other than the triangle count once passed and misaligned them
+    pytest.param(UNIT_RIGHT, [[0, 1, 2]], [1, 2],
+                 r"one tag per triangle, shape \(1,\), got \(2,\)",
+                 id="region-count"),
+    pytest.param(UNIT_RIGHT, [[0, 1, 2]], [[1]],
+                 r"one tag per triangle, shape \(1,\), got \(1, 1\)",
+                 id="region-shape"),
+    pytest.param([[0, 0, 0], [1, 0, 0], [0, 1, 0]], [[0, 1, 2]], [1],
+                 r"vertices must have shape \(N, 2\), got \(3, 3\)",
+                 id="vertex-shape"),
+    pytest.param(UNIT_RIGHT, [0, 1, 2], [1],
+                 r"triangles must have shape \(M, 3\), got \(3,\)",
+                 id="triangle-shape"),
     pytest.param([[0, 0], [1, 0], [0.5, 1], [0.5, -1], [0.5, 2]],
                  [[0, 1, 2], [1, 0, 3], [0, 1, 4]], [1, 1, 1],
                  r"edge \(0, 1\) shared by 3 triangles", id="three-triangles"),

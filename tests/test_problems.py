@@ -34,18 +34,29 @@ def sample_points(rng, count):
                             rng.uniform(-1, 1, count)])
 
 
+def box_tags(x):
+    """Region tags of points x: 1 inside the default interface box
+    (-0.5, 0.5)^2, 2 outside."""
+    return np.where(np.all(np.abs(x) <= 0.5, axis=-1), 1, 2)
+
+
+def sample_tags(rng, count):
+    """Region tags of uniform samples of (-1, 1)^2: both regions occur."""
+    return box_tags(sample_points(rng, count))
+
+
 @pytest.mark.parametrize("name", BUILTIN_PROBLEMS)
 def test_builtin_derivatives_match_finite_differences(name):
     nl = builtin_problem(name).nonlinearity
     rng = np.random.default_rng(42)
-    x = sample_points(rng, 1000)
+    tags = sample_tags(rng, 1000)
     xi = rng.uniform(-3.0, 3.0, 1000)
     h = 1e-5 * np.maximum(1.0, np.abs(xi))
-    fd1 = (nl.eval(x, xi + h) - nl.eval(x, xi - h)) / (2 * h)
-    d1 = nl.d1(x, xi)
+    fd1 = (nl.eval(tags, xi + h) - nl.eval(tags, xi - h)) / (2 * h)
+    d1 = nl.d1(tags, xi)
     assert np.all(np.abs(fd1 - d1) <= 1e-6 * (1.0 + np.abs(d1)))
-    fd2 = (nl.d1(x, xi + h) - nl.d1(x, xi - h)) / (2 * h)
-    d2 = nl.d2(x, xi)
+    fd2 = (nl.d1(tags, xi + h) - nl.d1(tags, xi - h)) / (2 * h)
+    d2 = nl.d2(tags, xi)
     assert np.all(np.abs(fd2 - d2) <= 1e-6 * (1.0 + np.abs(d2)))
 
 
@@ -53,11 +64,11 @@ def test_builtin_derivatives_match_finite_differences(name):
 def test_builtin_sign_conditions_by_sampling(name):
     nl = builtin_problem(name).nonlinearity
     rng = np.random.default_rng(1)
-    x = sample_points(rng, 200)
+    tags = sample_tags(rng, 200)
     above = nl.barrier_beta + rng.uniform(0.0, 5.0, 200)
     below = nl.barrier_alpha - rng.uniform(0.0, 5.0, 200)
-    assert np.all(nl.eval(x, above) >= -1e-12)
-    assert np.all(nl.eval(x, below) <= 1e-12)
+    assert np.all(nl.eval(tags, above) >= -1e-12)
+    assert np.all(nl.eval(tags, below) <= 1e-12)
 
 
 def test_builtin_monotonicity_between_barriers():
@@ -66,9 +77,9 @@ def test_builtin_monotonicity_between_barriers():
     for name in BUILTIN_PROBLEMS:
         problem = builtin_problem(name)
         nl = problem.nonlinearity
-        x = sample_points(rng, 100)
+        tags = sample_tags(rng, 100)
         xi = rng.uniform(nl.barrier_alpha - 1.0, nl.barrier_beta + 1.0, 100)
-        assert np.all(nl.d1(x, xi) >= -1e-12)
+        assert np.all(nl.d1(tags, xi) >= -1e-12)
 
 
 @pytest.mark.parametrize("k", range(12))
@@ -121,15 +132,14 @@ def test_power11_configuration():
     assert p.diffusion == {1: 1000.0, 2: 1.0}
     assert p.point_source == PointSource((0.0, 0.0), 1000.0)
     assert p.source is None
-    x = np.zeros((4, 2))
-    np.testing.assert_allclose(p.nonlinearity.eval(x, np.full(4, 2.0)),
+    tags = np.array([1, 1, 2, 2])
+    np.testing.assert_allclose(p.nonlinearity.eval(tags, np.full(4, 2.0)),
                                2048.0)
 
 
 def test_sinh_pbe_kappa_vanishes_inside():
     p = builtin_problem("sinh_pbe", kappa2=1.0)
-    inside = np.array([[0.0, 0.0], [0.25, -0.25]])
-    outside = np.array([[0.75, 0.75], [-0.9, 0.0]])
+    inside, outside = np.array([1, 1]), np.array([2, 2])  # region tags
     xi = np.array([1.3, -0.7])
     assert np.all(p.nonlinearity.eval(inside, xi) == 0.0)
     np.testing.assert_allclose(p.nonlinearity.eval(outside, xi), np.sinh(xi))
@@ -139,8 +149,9 @@ def test_sinh_pbe_kappa_vanishes_inside():
 
 def test_linear_reaction_zero_c_is_pure_diffusion():
     p = builtin_problem("linear_reaction", c=0.0, f=1.0)
-    x = np.zeros((3, 2))
-    assert np.all(p.nonlinearity.eval(x, np.array([1.0, -2.0, 5.0])) == 0.0)
+    tags = np.array([1, 2, 2])
+    assert np.all(p.nonlinearity.eval(tags, np.array([1.0, -2.0, 5.0]))
+                  == 0.0)
 
 
 @pytest.mark.parametrize("name", BUILTIN_PROBLEMS)
@@ -177,8 +188,8 @@ def test_builtin_rejects_bad_values():
 
 def test_nonlinearity_validation():
     def nonlinearity(alpha, beta):
-        return Nonlinearity(lambda x, xi: xi, lambda x, xi: 1.0,
-                            lambda x, xi: 0.0, alpha, beta)
+        return Nonlinearity(lambda tags, xi: xi, lambda tags, xi: 1.0,
+                            lambda tags, xi: 0.0, alpha, beta)
 
     with pytest.raises(ValueError, match="must not exceed"):
         nonlinearity(1.0, 0.0)
@@ -214,10 +225,32 @@ def test_barriers_bracket_folded_nonlinearity():
     rng = np.random.default_rng(9)
     x = np.column_stack([rng.uniform(-1, 1, 50), rng.uniform(-1, 1, 50)])
     nl = problem.nonlinearity
-    folded_at_upper = nl.eval(x, np.full(50, upper)) - problem.source(x)
-    folded_at_lower = nl.eval(x, np.full(50, lower)) - problem.source(x)
+    tags = box_tags(x)
+    folded_at_upper = nl.eval(tags, np.full(50, upper)) - problem.source(x)
+    folded_at_lower = nl.eval(tags, np.full(50, lower)) - problem.source(x)
     assert np.all(folded_at_upper >= -1e-9)
     assert np.all(folded_at_lower <= 1e-9)
+
+
+def test_barriers_fold_each_region_with_its_own_reaction():
+    # b = 2 xi in region 1 and xi in region 2 against f = 1: the folded
+    # sign changes at 1/2 and 1; the samples take their tags from the box
+    def problem(box):
+        return Problem(
+            diffusion={1: 1.0, 2: 1.0},
+            nonlinearity=Nonlinearity(
+                eval=lambda tags, xi: np.where(tags == 1, 2.0, 1.0) * xi,
+                d1=lambda tags, xi: np.where(tags == 1, 2.0, 1.0)
+                * np.ones_like(xi),
+                d2=lambda tags, xi: np.zeros_like(xi),
+                barrier_alpha=0.0, barrier_beta=0.0),
+            source=lambda x: np.ones(x.shape[:-1]),
+            interface_box=box)
+
+    lower, upper = compute_barriers(problem((-0.5, 0.5, -0.5, 0.5)))
+    assert lower == 0.0 and upper == pytest.approx(1.0, abs=1e-12)
+    lower, upper = compute_barriers(problem((-1.0, 1.0, -1.0, 1.0)))
+    assert lower == 0.0 and upper == pytest.approx(0.5, abs=1e-12)
 
 
 def test_barriers_no_finite_barrier_for_zero_reaction_with_source():

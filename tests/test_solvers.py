@@ -488,9 +488,9 @@ def test_newton_line_search_stall_on_inconsistent_derivative():
     lying = Problem(
         diffusion={1: 1.0, 2: 1.0},
         nonlinearity=Nonlinearity(
-            eval=lambda x, xi: 1e8 * xi,
-            d1=lambda x, xi: np.zeros(np.shape(xi)),
-            d2=lambda x, xi: np.zeros(np.shape(xi)),
+            eval=lambda tags, xi: 1e8 * xi,
+            d1=lambda tags, xi: np.zeros(np.shape(xi)),
+            d2=lambda tags, xi: np.zeros(np.shape(xi)),
             barrier_alpha=0.0, barrier_beta=0.0),
         source=lambda x: np.ones(x.shape[:-1]),
     )

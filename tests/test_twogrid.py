@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -131,15 +132,41 @@ def test_linearized_solve_warns_on_negative_slope():
     problem = Problem(
         diffusion={1: 1.0, 2: 1.0},
         nonlinearity=Nonlinearity(
-            eval=lambda x, xi: xi ** 3 - 0.1 * xi,
-            d1=lambda x, xi: 3 * xi ** 2 - 0.1,
-            d2=lambda x, xi: 6 * xi,
+            eval=lambda tags, xi: xi ** 3 - 0.1 * xi,
+            d1=lambda tags, xi: 3 * xi ** 2 - 0.1,
+            d2=lambda tags, xi: 6 * xi,
             barrier_alpha=-1.0, barrier_beta=1.0),
         source=lambda x: np.zeros(x.shape[:-1]),
     )
     mesh = generate_interface_mesh(4)
     with pytest.warns(UserWarning, match="negative"):
         linearized_solve(problem, FemFunction.zeros(mesh))
+
+
+@pytest.mark.parametrize("slope_inside, warns", [(-0.1, True), (0.0, False)])
+def test_linearized_solve_checks_the_slope_in_each_region(slope_inside,
+                                                          warns):
+    # b' = slope_inside in region 1 and 1 in region 2
+    def slope(tags, xi):
+        return np.where(tags == 1, slope_inside, 1.0) * np.ones_like(xi)
+
+    problem = Problem(
+        diffusion={1: 1.0, 2: 1.0},
+        nonlinearity=Nonlinearity(
+            eval=lambda tags, xi: slope(tags, xi) * xi, d1=slope,
+            d2=lambda tags, xi: np.zeros_like(xi),
+            barrier_alpha=0.0, barrier_beta=0.0),
+        source=lambda x: np.ones(x.shape[:-1]),
+    )
+    mesh = generate_interface_mesh(4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        linearized_solve(problem, FemFunction.zeros(mesh))
+    messages = [str(w.message) for w in caught]
+    if warns:
+        assert any("negative" in m for m in messages)
+    else:
+        assert messages == []
 
 
 def test_two_grid_strict_improvement_on_power11():
@@ -205,8 +232,8 @@ def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
     problem = Problem(
         diffusion={1: 1.0, 2: 1.0},
         nonlinearity=Nonlinearity(
-            eval=lambda x, xi: xi ** power,
-            d1=lambda x, xi: power * xi ** (power - 1),
+            eval=lambda tags, xi: xi ** power,
+            d1=lambda tags, xi: power * xi ** (power - 1),
             d2=None, barrier_alpha=0.0, barrier_beta=0.0),
         source=lambda x: np.full(x.shape[:-1], 8.0),
         dirichlet=lambda x: 1.0 + 0.5 * x[..., 0] - 0.25 * x[..., 1],
