@@ -8,7 +8,9 @@ import numpy as np
 from .assembly import (
     QUADRATURE_WEIGHTS,
     FemFunction,
+    _block_slices,
     _diffusion_per_triangle,
+    _positive_areas,
     assemble_stiffness,
     quadrature_blocks,
     state_blocks,
@@ -99,14 +101,20 @@ class AngleReport:
 
 
 def energy_norm(mesh, diffusion, v):
-    """|||v||| = sqrt(v^T A v) with the unconstrained stiffness matrix.
+    """|||v||| = sqrt(v^T A v) with the unconstrained stiffness matrix A.
 
-    Exact for P1 functions (piecewise-constant gradients).
+    Summed element by element as int D |grad v|^2, exact for P1
+    functions (piecewise-constant gradients); no matrix is assembled.
     """
     if v.mesh is not mesh:
         raise ValueError("v lives on a different mesh than the one given")
-    a = assemble_stiffness(mesh, diffusion)
-    return math.sqrt(max(float(v.values @ (a @ v.values)), 0.0))
+    scale = _diffusion_per_triangle(mesh, diffusion) * _positive_areas(mesh)
+    total = 0.0
+    for block in _block_slices(mesh):
+        grad = np.einsum("mi,mid->md", v.values[mesh.triangles[block]],
+                         mesh.gradients[block])
+        total += float(scale[block] @ np.einsum("md,md->m", grad, grad))
+    return math.sqrt(total)
 
 
 def grad_l2_norm(v):

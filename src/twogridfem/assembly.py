@@ -1,7 +1,14 @@
 """P1 finite element operators on triangular meshes.
 
 Global matrices are scipy CSR with sorted indices; stiffness and reaction
-Jacobians are symmetric by construction.  Volume integrals use one rule,
+Jacobians are symmetric by construction.  The public assemblers build them
+on every vertex, in ``Mesh.csr_pattern``.  The Newton systems of the
+solvers live on the free vertices, ``Mesh.interior_vertices``: their
+element matrices are scattered straight into ``Mesh.free_pattern``, and
+the stiffness's free block is built once per mesh and diffusion.  The
+semilinear residual is assembled on the free rows from that block, with
+the stiffness's coupling to the boundary values moved into the load.
+Volume integrals use one rule,
 ``QUADRATURE_POINTS`` in barycentric coordinates with
 ``QUADRATURE_WEIGHTS`` summing to one, so element integrals are
 ``area * sum(w_q * f(x_q))``.
@@ -14,12 +21,13 @@ get the block's region tags in place of coordinates, which only the volume
 source and the manufactured fields read (:func:`quadrature_blocks`).
 """
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, free_vertices
+from .mesh import Mesh, _freeze, free_vertices
 
 __all__ = [
     "QUADRATURE_POINTS",
@@ -135,22 +143,20 @@ def _positive_areas(mesh):
     return areas
 
 
-def _scatter(mesh, local):
-    """Sum (M,3,3) or row-major (M,9) element matrices into the mesh's CSR
-    pattern; entries that sum to zero stay stored."""
-    pattern = mesh.csr_pattern
+def _scatter(pattern, local):
+    """Sum (M,3,3) or row-major (M,9) element matrices into a mesh's
+    :class:`~twogridfem.mesh.CsrPattern`; the entries its dump position
+    collects are dropped, and entries that sum to zero stay stored."""
+    nnz = pattern.indices.size
     data = np.bincount(pattern.slots.ravel(), weights=local.ravel(),
-                       minlength=pattern.indices.size)
+                       minlength=nnz + 1)[:nnz]
+    n = pattern.indptr.size - 1
     return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(mesh.n_vertices, mesh.n_vertices))
+                         shape=(n, n))
 
 
-def assemble_stiffness(mesh, diffusion):
-    """Global stiffness for the bilinear form int D grad(u).grad(v).
-
-    ``diffusion`` maps region tags to positive scalars, e.g. {1: 1000, 2: 1}.
-    Before boundary conditions every row sums to zero.
-    """
+def _element_stiffness(mesh, diffusion):
+    """Element stiffness matrices (M, 3, 3)."""
     scale = _diffusion_per_triangle(mesh, diffusion) * _positive_areas(mesh)
     grads = mesh.gradients
     local = np.empty((mesh.n_triangles, 3, 3))
@@ -159,7 +165,36 @@ def assemble_stiffness(mesh, diffusion):
         local[block] = (gx[:, :, None] * gx[:, None, :]
                         + gy[:, :, None] * gy[:, None, :])
         local[block] *= scale[block, None, None]
-    return _scatter(mesh, local)
+    return local
+
+
+def assemble_stiffness(mesh, diffusion):
+    """Global stiffness for the bilinear form int D grad(u).grad(v).
+
+    ``diffusion`` maps region tags to positive scalars, e.g. {1: 1000, 2: 1}.
+    Before boundary conditions every row sums to zero.
+    """
+    return _scatter(mesh.csr_pattern, _element_stiffness(mesh, diffusion))
+
+
+# Each mesh's stiffness on its free vertices, for the diffusion it was
+# last asked for: (key, read-only CSR matrix).  The entry dies with the
+# mesh.  It pays only when a mesh is solved on more than once, as each
+# level of the ``twogrid`` study is (a direct solve, then the two-grid step).
+_FREE_STIFFNESS = weakref.WeakKeyDictionary()
+
+
+def _free_stiffness(mesh, diffusion):
+    """The stiffness's block K_ff on ``mesh.interior_vertices``, in
+    ``mesh.free_pattern``; assembled once per mesh and diffusion values."""
+    key = tuple(sorted(diffusion.items()))
+    cached = _FREE_STIFFNESS.get(mesh)
+    if cached is None or cached[0] != key:
+        matrix = _scatter(mesh.free_pattern,
+                          _element_stiffness(mesh, diffusion))
+        _freeze(matrix.data, matrix.indices, matrix.indptr)
+        cached = _FREE_STIFFNESS[mesh] = (key, matrix)
+    return cached[1]
 
 
 def _block_slices(mesh):
@@ -190,9 +225,9 @@ def state_blocks(state):
                state.values[mesh.triangles[block]] @ QUADRATURE_POINTS.T)
 
 
-def assemble_reaction_jacobian(state, d1):
-    """Weighted mass matrix M_ij = int d1(region, u) phi_j phi_i by
-    quadrature."""
+def _reaction_elements(state, d1):
+    """Row-major element matrices (M, 9) of the weighted mass matrix
+    int d1(region, u) phi_j phi_i."""
     mesh = state.mesh
     areas = _positive_areas(mesh)
     lam = QUADRATURE_POINTS
@@ -202,7 +237,24 @@ def assemble_reaction_jacobian(state, d1):
     for block, tags, values in state_blocks(state):
         np.matmul(d1(tags, values), weighted_products, out=local[block])
         local[block] *= areas[block, None]
-    return _scatter(mesh, local)
+    return local
+
+
+def assemble_reaction_jacobian(state, d1):
+    """Weighted mass matrix M_ij = int d1(region, u) phi_j phi_i by
+    quadrature."""
+    return _scatter(state.mesh.csr_pattern, _reaction_elements(state, d1))
+
+
+def _free_jacobian(state, problem):
+    """The Newton matrix K + R(state) of the semilinear residual on the
+    free vertices: the reaction Jacobian scattered straight into
+    ``Mesh.free_pattern``, plus the cached free block of the stiffness."""
+    mesh = state.mesh
+    jac = _scatter(mesh.free_pattern,
+                   _reaction_elements(state, problem.nonlinearity.d1))
+    jac.data += _free_stiffness(mesh, problem.diffusion).data
+    return jac
 
 
 def _moment_vector(mesh, f, state=None):
@@ -263,24 +315,48 @@ def assemble_load(mesh, problem):
     return load
 
 
-def assemble_semilinear_residual(state, problem, stiffness=None, load=None):
+def _free_load(state, problem):
+    """The part of the residual's free rows that the state's interior
+    values leave alone: the loads, less the stiffness's coupling K_fb u_b
+    to the state's boundary values u_b (the Dirichlet lift), which is
+    skipped when those values are zero."""
+    mesh = state.mesh
+    free = mesh.interior_vertices
+    load = assemble_load(mesh, problem)[free]
+    g = np.zeros(mesh.n_vertices)
+    g[mesh.boundary_vertices] = state.values[mesh.boundary_vertices]
+    if g.any():
+        lift = np.matmul(_element_stiffness(mesh, problem.diffusion),
+                         g[mesh.triangles, None])
+        load -= np.bincount(mesh.triangles.ravel(), weights=lift.ravel(),
+                            minlength=mesh.n_vertices)[free]
+    return load
+
+
+def _free_residual(state, problem, load):
+    """:func:`assemble_semilinear_residual` with ``load`` from
+    :func:`_free_load` of a state with the same boundary values, so that
+    the iterates of one solve share it."""
+    mesh = state.mesh
+    free = mesh.interior_vertices
+    r_free = _free_stiffness(mesh, problem.diffusion) @ state.values[free]
+    r_free += _moment_vector(mesh, problem.nonlinearity.eval, state)[free]
+    r_free -= load
+    r = np.zeros(mesh.n_vertices)
+    r[free] = r_free
+    return r
+
+
+def assemble_semilinear_residual(state, problem):
     """Discrete residual r_i = a(u,phi_i) + (b(u),phi_i) - <loads,phi_i>.
 
-    Dirichlet rows are zeroed, so the residual vanishes exactly at a
+    Dirichlet rows are zero, so the residual vanishes exactly at a
     discrete solution whose boundary values match the Dirichlet data.
-    The optional ``stiffness``/``load`` arguments reuse state-independent
-    pieces across Newton iterations.
+    The free rows are K_ff u_f + b(u)_f - (loads_f - K_fb u_b), from the
+    stiffness's free block K_ff (built once per mesh and diffusion) and
+    its coupling K_fb to the state's boundary values u_b.
     """
-    mesh = state.mesh
-    if stiffness is None:
-        stiffness = assemble_stiffness(mesh, problem.diffusion)
-    if load is None:
-        load = assemble_load(mesh, problem)
-    r = stiffness @ state.values + _moment_vector(
-        mesh, problem.nonlinearity.eval, state)
-    r -= load
-    r[mesh.boundary_vertices] = 0.0
-    return r
+    return _free_residual(state, problem, _free_load(state, problem))
 
 
 def apply_dirichlet(matrix, rhs, boundary):

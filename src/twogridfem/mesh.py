@@ -78,6 +78,9 @@ class Mesh:
     interior_restriction : the transpose of ``interior_prolongation`` as
         CSR, or None without a parent
     csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
+    free_pattern : the :class:`CsrPattern` of the block of those matrices
+        on ``interior_vertices``, the pattern of every system solved on
+        the mesh
 
     All arrays are read-only.  The attributes after ``midpoint_edges`` are
     derived, once and on first use; two threads racing on that first use
@@ -219,16 +222,29 @@ class Mesh:
     def csr_pattern(self):
         """Built from the unique edges; scipy's conversion to CSR places
         every entry."""
-        pattern = _csr_pattern(self.triangles, self.n_vertices, self.edges)
+        pattern = _csr_pattern(self.triangles, self.edges,
+                               np.ones(self.n_vertices, dtype=bool))
+        _freeze(*pattern)
+        return pattern
+
+    @cached_property
+    def free_pattern(self):
+        """``csr_pattern`` restricted to the interior vertices, built from
+        the unique edges as that is."""
+        keep = np.ones(self.n_vertices, dtype=bool)
+        keep[self.boundary_vertices] = False
+        pattern = _csr_pattern(self.triangles, self.edges, keep)
         _freeze(*pattern)
         return pattern
 
 
 class CsrPattern(NamedTuple):
     """CSR structure, with sorted column indices, of every P1 matrix on a
-    mesh: each vertex couples to itself and to its edge neighbours.
-    ``slots[t, 3 * i + j]`` is the position in ``indices`` of the entry
-    (triangles[t, i], triangles[t, j])."""
+    mesh, or of its block on a subset of the vertices, numbered in
+    increasing order: each vertex couples to itself and to its edge
+    neighbours.  ``slots[t, 3 * i + j]`` is the position in ``indices`` of
+    the entry (triangles[t, i], triangles[t, j]), or ``indices.size`` when
+    the block leaves that row or column out."""
 
     indptr: np.ndarray
     indices: np.ndarray
@@ -261,22 +277,35 @@ def _unique_edges(triangles, n):
             edge_of.reshape(-1, 3).astype(dtype))
 
 
-def _csr_pattern(triangles, n, edges):
+def _csr_pattern(triangles, edges, keep):
+    """The :class:`CsrPattern` of the rows and columns of the vertices
+    where ``keep`` (N,) is true."""
     lo, hi, edge_of = edges
-    n_edges = lo.size
-    size = n + 2 * n_edges
     index_dtype = lo.dtype
+    n = int(np.count_nonzero(keep))
+    row = np.cumsum(keep, dtype=index_dtype) - 1  # of each kept vertex
+    inner = keep[lo] & keep[hi]
+    lo_row, hi_row = row[lo[inner]], row[hi[inner]]
+    n_edges = lo_row.size
+    size = n + 2 * n_edges
     # number the diagonal, upper (lo, hi) and lower (hi, lo) entries
     # 1 ... size (no number is an explicit zero); the conversion to CSR
     # sorts the numbers into the entries' positions
-    rows = np.concatenate([np.arange(n), lo, hi])
-    cols = np.concatenate([np.arange(n), hi, lo])
+    rows = np.concatenate([np.arange(n), lo_row, hi_row])
+    cols = np.concatenate([np.arange(n), hi_row, lo_row])
     a = sp.csr_matrix((np.arange(1, size + 1, dtype=index_dtype),
                        (rows, cols)), shape=(n, n))
-    del rows, cols
+    del rows, cols, lo_row, hi_row
     position = np.empty(size, dtype=index_dtype)
     position[a.data - 1] = np.arange(size, dtype=index_dtype)
-    diagonal, upper, lower = np.split(position, [n, n + n_edges])
+    # each vertex's diagonal and each edge's upper and lower entry; the
+    # dump position ``size`` where a vertex is left out
+    diagonal = np.full(keep.size, size, dtype=index_dtype)
+    upper = np.full(lo.size, size, dtype=index_dtype)
+    lower = np.full(lo.size, size, dtype=index_dtype)
+    diagonal[keep], upper[inner], lower[inner] = np.split(
+        position, [n, n + n_edges])
+    del position
 
     slots = np.empty((len(triangles), 3, 3), dtype=index_dtype)
     for k, (i, j) in enumerate([(0, 1), (1, 2), (0, 2)]):

@@ -141,9 +141,8 @@ class ManufacturedSolution:
 
 
 def _sample_points(problem, count, seed):
-    """Deterministic x-samples covering both regions of the domain, and the
-    region tag a generated mesh gives each: 1 inside the interface box, 2
-    outside."""
+    """Deterministic x-samples covering the domain, with its centre, a
+    point near its corner and the centre of the interface box, if any."""
     xmin, xmax, ymin, ymax = problem.domain
     rng = np.random.default_rng(seed)
     pts = np.column_stack([
@@ -155,12 +154,7 @@ def _sample_points(problem, count, seed):
     if problem.interface_box is not None:
         bx0, bx1, by0, by1 = problem.interface_box
         extra.append(((bx0 + bx1) / 2, (by0 + by1) / 2))
-    pts = np.vstack([pts, np.asarray(extra)])
-    if problem.interface_box is None:
-        return pts, np.full(len(pts), 2)
-    x, y = pts[:, 0], pts[:, 1]
-    inside = (x >= bx0) & (x <= bx1) & (y >= by0) & (y <= by1)
-    return pts, np.where(inside, 1, 2)
+    return np.vstack([pts, np.asarray(extra)])
 
 
 _SEARCH_LIMIT = 1e9
@@ -215,9 +209,10 @@ def compute_barriers(problem):
     """Solution bounds (lower, upper) from the sign structure of b.
 
     The volume source is folded into the nonlinearity
-    (b~(x, xi) = b(r(x), xi) - f(x), r(x) the region of x by the problem's
-    interface box) before locating its sign-change constants, sampled at
-    ``BARRIER_SAMPLES`` points; without a source
+    (b~(r, x, xi) = b(r, xi) - f(x)) before locating its sign-change
+    constants, sampled at ``BARRIER_SAMPLES`` points x, each with the b of
+    both regions r: the barriers then hold wherever a mesh puts its
+    interface, not only on the problem's interface box.  Without a source
     they are the nonlinearity's own.  The Dirichlet bounds then enter
     through upper = max(beta~, sup g) and lower = min(alpha~, inf g): a
     problem with ``dirichlet`` data must declare ``dirichlet_bounds``,
@@ -240,14 +235,17 @@ def compute_barriers(problem):
     if problem.source is None:
         alpha_t, beta_t = nl.barrier_alpha, nl.barrier_beta
     else:
-        x, tags = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
+        x = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
         fvals = np.asarray(problem.source(x), dtype=float)
+        tags = np.array([[1], [2]])  # against the samples, shape (2, S)
 
         def folded_min(xi):
-            return float(np.min(nl.eval(tags, np.full(len(x), xi)) - fvals))
+            return float(np.min(nl.eval(tags, np.full((2, len(x)), xi))
+                                - fvals))
 
         def folded_max(xi):
-            return float(np.max(nl.eval(tags, np.full(len(x), xi)) - fvals))
+            return float(np.max(nl.eval(tags, np.full((2, len(x)), xi))
+                                - fvals))
 
         beta_t = _smallest_nonneg_point(folded_min, nl.barrier_beta)
         alpha_t = _largest_nonpos_point(folded_max, nl.barrier_alpha, beta_t)

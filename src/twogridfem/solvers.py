@@ -11,11 +11,9 @@ from scipy.sparse.linalg import splu
 
 from .assembly import (
     FemFunction,
-    apply_dirichlet,
-    assemble_load,
-    assemble_reaction_jacobian,
-    assemble_semilinear_residual,
-    assemble_stiffness,
+    _free_jacobian,
+    _free_load,
+    _free_residual,
 )
 
 __all__ = [
@@ -165,8 +163,8 @@ def _make_level(mesh, a):
 class VCycle:
     """Symmetric multigrid V(1,1)-cycle on a mesh's refinement chain.
 
-    ``matrix`` is an SPD system on ``mesh.interior_vertices``, as
-    :func:`~twogridfem.assembly.apply_dirichlet` returns it.  Each coarser
+    ``matrix`` is an SPD system on ``mesh.interior_vertices``, in
+    ``mesh.free_pattern`` as :func:`newton_step` assembles it.  Each coarser
     level's operator is the Galerkin product P0^T A P0 on its interior
     vertices, P0 being ``Mesh.interior_prolongation``.  Every level
     smooths once before and once after its coarse correction with
@@ -305,25 +303,26 @@ def make_initial_guess(mesh, problem, values=None):
     return FemFunction(mesh, values)
 
 
-def newton_step(problem, state, residual, stiffness, tol, coarse=None):
+def newton_step(problem, state, residual, tol, coarse=None):
     """One Newton correction: PCG on J delta = -residual.
 
-    J = K + R(state) is ``stiffness`` plus the reaction Jacobian at
-    ``state``, restricted to the free vertices by :func:`apply_dirichlet`.
-    PCG runs to relative tolerance ``tol``, preconditioned by the V-cycle
-    on the mesh's refinement chain, or by Jacobi on a mesh without a
-    ``parent``.  The V-cycle's coarse levels come from ``coarse``, a
-    :class:`CoarseHierarchy` of an earlier step on the mesh (built from
-    this step's J if it is empty); without one the step builds its own.
-    The fine matrix dies with the step.  Returns (delta, SolveReport of
-    the linear solve), delta zero on the boundary; NoConvergence
-    propagates, its ``best`` and ``last`` iterates scattered the same way.
+    J = K + R(state), the stiffness plus the reaction Jacobian at
+    ``state``, is assembled on the free vertices only: the reaction's
+    element matrices are scattered straight into ``Mesh.free_pattern``
+    and the stiffness's free block, built once per mesh and diffusion, is
+    added to them.  PCG runs to relative tolerance ``tol``,
+    preconditioned by the V-cycle on the mesh's refinement chain, or by
+    Jacobi on a mesh without a ``parent``.  The V-cycle's coarse levels
+    come from ``coarse``, a :class:`CoarseHierarchy` of an earlier step on
+    the mesh (built from this step's J if it is empty); without one the
+    step builds its own.  The fine matrix dies with the step.  Returns
+    (delta, SolveReport of the linear solve), delta zero on the boundary;
+    NoConvergence propagates, its ``best`` and ``last`` iterates scattered
+    the same way.
     """
     mesh = state.mesh
-    jac = assemble_reaction_jacobian(state, problem.nonlinearity.d1)
-    jac.data += stiffness.data
-    system, rhs = apply_dirichlet(jac, -residual, mesh.boundary_vertices)
-    del jac  # PCG needs only the restriction
+    system = _free_jacobian(state, problem)
+    rhs = -residual[mesh.interior_vertices]
     preconditioner = (None if mesh.parent is None
                       else VCycle(mesh, system, coarse))
 
@@ -344,14 +343,15 @@ def newton_step(problem, state, residual, stiffness, tol, coarse=None):
 def newton_solve(mesh, problem, initial=None, opts=None):
     """Damped Newton iteration for the discrete semilinear system.
 
-    The stiffness and load are assembled once; every iteration takes a
-    :func:`newton_step` at the current state with the inexact-Newton
-    forcing tolerance, falls back to PCG's best iterate when the step's
-    solve stops early, and accepts the first step-halving candidate that
-    does not increase the residual sup-norm.  The iteration starts from
-    ``initial`` (default zero) with the Dirichlet data imposed on the
-    boundary (:func:`make_initial_guess`), and every step holds those rows
-    exactly.
+    The load, with the Dirichlet lift on the free rows, is assembled
+    once, and the stiffness once per mesh and diffusion; every iteration
+    takes a :func:`newton_step` at the current state with the
+    inexact-Newton forcing tolerance, falls back to PCG's best iterate
+    when the step's solve stops early, and accepts the first step-halving
+    candidate that does not increase the residual sup-norm.  The
+    iteration starts from ``initial`` (default zero) with the Dirichlet
+    data imposed on the boundary (:func:`make_initial_guess`), and every
+    step holds those rows exactly.
 
     The forcing never asks PCG for a linear residual below a tenth of the
     Newton target (``TARGET_SHARE``).  A step that cuts the residual
@@ -372,12 +372,10 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     initial = make_initial_guess(
         mesh, problem, None if initial is None else initial.values)
 
-    load = assemble_load(mesh, problem)
-    stiffness = assemble_stiffness(mesh, problem.diffusion)
+    load = _free_load(initial, problem)
 
     def residual(values):
-        return assemble_semilinear_residual(
-            FemFunction(mesh, values), problem, stiffness=stiffness, load=load)
+        return _free_residual(FemFunction(mesh, values), problem, load)
 
     u = initial.values
     r = residual(u)
@@ -410,7 +408,7 @@ def newton_solve(mesh, problem, initial=None, opts=None):
         step_built.append(mesh.parent is not None and not coarse.built)
         try:
             delta, lin_report = newton_step(
-                problem, FemFunction(mesh, u), r, stiffness, eta, coarse)
+                problem, FemFunction(mesh, u), r, eta, coarse)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)

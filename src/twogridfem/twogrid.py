@@ -19,7 +19,6 @@ from .assembly import (
     FemFunction,
     _block_slices,
     assemble_semilinear_residual,
-    assemble_stiffness,
 )
 from .solvers import (
     NewtonOptions,
@@ -105,9 +104,10 @@ def linearized_solve(problem, u_base):
 
     ``u_base`` first takes the Dirichlet data on the boundary
     (:func:`~twogridfem.solvers.make_initial_guess`).  Returns
-    u_base + delta, where delta solves J delta = -r(u_base) with
-    homogeneous Dirichlet rows, r is the semilinear residual and
-    J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base
+    u_base + delta, where delta vanishes on the boundary and its values
+    on the free vertices solve J delta = -r(u_base): r is the semilinear
+    residual and J = a(., .) + (b'(u_base) ., .) its Jacobian at u_base,
+    both assembled on the free vertices only
     (:func:`~twogridfem.solvers.newton_step`).  Warns when b'(u_base),
     evaluated with each triangle's region at its corners, is negative.
 
@@ -131,11 +131,8 @@ def linearized_solve(problem, u_base):
             "system may be indefinite (local monotonicity violated)",
             stacklevel=2)
 
-    stiffness = assemble_stiffness(t_h, problem.diffusion)
-    residual = assemble_semilinear_residual(u_base, problem,
-                                            stiffness=stiffness)
-    delta, report = newton_step(problem, u_base, residual, stiffness,
-                                FINE_PCG_TOL)
+    residual = assemble_semilinear_residual(u_base, problem)
+    delta, report = newton_step(problem, u_base, residual, FINE_PCG_TOL)
     report.wall_s = time.perf_counter() - start
     return FemFunction(t_h, u_base.values + delta), report
 

@@ -244,6 +244,13 @@ def test_error_norms_and_lp_norm_run_block_by_block(monkeypatch, block):
         assert lp_norm(u, p) == pytest.approx(
             np.sum(w * np.abs(at_points) ** p) ** (1 / p), rel=1e-13)
 
+    # energy_norm sums element by element too, with no matrix or pattern
+    energy = energy_norm(mesh, problem.diffusion, u)
+    assert "csr_pattern" not in vars(mesh)
+    a = assembly.assemble_stiffness(mesh, problem.diffusion)
+    assert energy == pytest.approx(math.sqrt(u.values @ (a @ u.values)),
+                                   rel=1e-13)
+
 
 def test_error_norms_peak_memory():
     # measured at n = 256: 28 bytes per triangle block by block; the

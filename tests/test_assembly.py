@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -28,7 +30,8 @@ from twogridfem import (
 )
 from twogridfem import assembly
 from twogridfem.assembly import QUADRATURE_POINTS, QUADRATURE_WEIGHTS, \
-    _moment_vector, quadrature_blocks, state_blocks
+    _free_load, _free_residual, _moment_vector, quadrature_blocks, \
+    state_blocks
 
 from conftest import dense_stiffness_oracle, grad_l2_squared_oracle, \
     relabelled
@@ -413,15 +416,13 @@ def test_semilinear_residual_peak_memory():
     # (M, 7, 2) coordinates at the quadrature points peak at 224
     mesh = generate_interface_mesh(256)
     problem = builtin_problem("power11")
-    stiffness = assemble_stiffness(mesh, problem.diffusion)
-    load = assemble_load(mesh, problem)
     state = FemFunction(mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
+    load = _free_load(state, problem)
 
     def residual():
-        assemble_semilinear_residual(state, problem,
-                                     stiffness=stiffness, load=load)
+        _free_residual(state, problem, load)
 
-    residual()  # the mesh's areas and gradients
+    residual()  # the mesh's areas, gradients and free stiffness
     tracemalloc.start()
     try:
         residual()
@@ -463,10 +464,7 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
     oracle = (stiffness @ state.values
               + unblocked_moments(mesh, nl.eval(tags, uq)) - load)
     oracle[mesh.boundary_vertices] = 0.0
-    assert_close_to(
-        assemble_semilinear_residual(state, sinh_pbe,
-                                     stiffness=stiffness, load=load),
-        oracle)
+    assert_close_to(assemble_semilinear_residual(state, sinh_pbe), oracle)
 
     w = nl.d1(tags, uq) * QUADRATURE_WEIGHTS * mesh.areas[:, None]
     jacobian = coo_oracle(mesh, np.einsum("mq,qi,qj->mij", w, lam, lam))
@@ -606,3 +604,69 @@ def test_apply_dirichlet_leaves_a_writable_input_alone():
                             mesh.boundary_vertices)
     ac.eliminate_zeros()
     np.testing.assert_array_equal(a.toarray(), before)
+
+
+def test_free_newton_matrix_is_the_restricted_full_one():
+    # sinh_pbe's b' vanishes in region 1: the reaction differs by region
+    mesh = relabelled(refine_uniform(generate_interface_mesh(8)))
+    problem = builtin_problem("sinh_pbe", kappa2=2.5)
+    state = FemFunction(mesh, np.random.default_rng(8).uniform(
+        -2, 2, mesh.n_vertices))
+    full = assemble_reaction_jacobian(state, problem.nonlinearity.d1)
+    full.data += assemble_stiffness(mesh, problem.diffusion).data
+    expected, _ = apply_dirichlet(full, np.zeros(mesh.n_vertices),
+                                  mesh.boundary_vertices)
+    jac = assembly._free_jacobian(state, problem)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(jac, name),
+                                      getattr(expected, name))
+
+
+def test_free_stiffness_is_cached_per_diffusion_and_read_only():
+    mesh = generate_interface_mesh(8)
+    free = mesh.interior_vertices
+    unit = assembly._free_stiffness(mesh, D_UNIT)
+    assert assembly._free_stiffness(mesh, dict(D_UNIT)) is unit
+    for arr in (unit.data, unit.indices, unit.indptr):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    jump = assembly._free_stiffness(mesh, D_JUMP)
+    assert jump is not unit
+    for diffusion, matrix in ((D_UNIT, unit), (D_JUMP, jump)):
+        expected = assemble_stiffness(mesh, diffusion)[free][:, free]
+        np.testing.assert_array_equal(matrix.toarray(), expected.toarray())
+    assert assembly._free_stiffness(mesh, D_JUMP) is jump
+
+
+def test_free_stiffness_cache_is_right_under_racing_threads():
+    # one mesh shared by threads that alternate between two diffusions:
+    # the cache holds one of them at a time, so every lookup races a
+    # replacement, and each residual must still use its own diffusion
+    mesh = generate_interface_mesh(8)
+    rng = np.random.default_rng(10)
+    state = FemFunction(mesh, rng.uniform(-1, 1, mesh.n_vertices))
+    problems = [builtin_problem("linear_reaction", d_inside=d)
+                for d in (1.0, 1000.0)]
+    expected = [assemble_semilinear_residual(state, p) for p in problems]
+    wrong = []
+
+    def work(offset):
+        for k in range(60):
+            i = (k + offset) % 2
+            r = assemble_semilinear_residual(state, problems[i])
+            if not np.array_equal(r, expected[i]):
+                wrong.append(i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,))
+                   for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []

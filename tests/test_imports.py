@@ -1,6 +1,6 @@
 """Every module of the package imports at module level, uses each name it
 imports, defines each name it exports and reads each private name it
-defines."""
+defines; every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "twogridfem"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "twogridfem"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -113,3 +114,25 @@ def test_module_imports_at_module_level(path):
 def test_module_defines_every_export(path):
     module = importlib.import_module(f"twogridfem.{path.stem}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def traced_names():
+    """``TRACED`` of ``perfbench/tracing.py``, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TRACED"
+                for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no TRACED")
+
+
+def test_benchmark_traces_only_callables_of_the_package():
+    # the tracer looks each name up with getattr: a deleted or renamed
+    # function breaks every traced benchmark run
+    names = traced_names()
+    assert names
+    missing = [name for name in names if not callable(getattr(
+        importlib.import_module("twogridfem." + name.split(".")[0]),
+        name.split(".")[1], None))]
+    assert missing == []

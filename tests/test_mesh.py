@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from twogridfem import (
     InterfaceNotResolved,
@@ -469,3 +470,34 @@ def test_csr_pattern_is_built_on_first_use_and_cached():
     np.testing.assert_array_equal(pattern.indices[pattern.slots],
                                   np.tile(mesh.triangles, (1, 3)))
     assert np.bincount(pattern.slots.ravel()).min() > 0
+
+
+def test_free_pattern_is_the_csr_pattern_on_the_interior_vertices():
+    mesh = relabelled(refine_uniform(generate_interface_mesh(4)))
+    assert "free_pattern" not in vars(mesh)
+    pattern = mesh.free_pattern
+    assert pattern is mesh.free_pattern
+    assert "csr_pattern" not in vars(mesh)  # built from the edges alone
+    for arr in pattern:
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    # the structure of the full pattern's block on the interior vertices
+    full = mesh.csr_pattern
+    free = mesh.interior_vertices
+    a = sp.csr_matrix((np.arange(1.0, full.indices.size + 1), full.indices,
+                       full.indptr))[free][:, free]
+    np.testing.assert_array_equal(pattern.indptr, a.indptr)
+    np.testing.assert_array_equal(pattern.indices, a.indices)
+    # slot 3 i + j is the entry (vertex i, vertex j) when both are
+    # interior, and the dump position indices.size otherwise
+    row = np.full(mesh.n_vertices, -1)
+    row[free] = np.arange(free.size)
+    slot_rows = row[np.repeat(mesh.triangles, 3, axis=1)]
+    slot_cols = row[np.tile(mesh.triangles, (1, 3))]
+    inner = (slot_rows >= 0) & (slot_cols >= 0)
+    np.testing.assert_array_equal(pattern.slots[~inner], pattern.indices.size)
+    rows = np.repeat(np.arange(free.size), np.diff(pattern.indptr))
+    np.testing.assert_array_equal(rows[pattern.slots[inner]], slot_rows[inner])
+    np.testing.assert_array_equal(pattern.indices[pattern.slots[inner]],
+                                  slot_cols[inner])
+    assert np.bincount(pattern.slots[inner]).min() > 0

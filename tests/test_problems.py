@@ -5,6 +5,7 @@ import pytest
 
 from twogridfem import (
     BUILTIN_PROBLEMS,
+    Mesh,
     NoFiniteBarrier,
     Nonlinearity,
     PointSource,
@@ -17,6 +18,7 @@ from twogridfem import (
     manufactured_interface_problem,
     newton_solve,
 )
+from twogridfem.assembly import quadrature_blocks
 from twogridfem.problems import (
     ProblemError,
     _integer_power,
@@ -234,7 +236,9 @@ def test_barriers_bracket_folded_nonlinearity():
 
 def test_barriers_fold_each_region_with_its_own_reaction():
     # b = 2 xi in region 1 and xi in region 2 against f = 1: the folded
-    # sign changes at 1/2 and 1; the samples take their tags from the box
+    # sign changes at 1/2 and 1.  Every sample is folded with both, so
+    # the barriers do not depend on the box: a box covering the whole
+    # domain used to tag every sample 1 and give the upper barrier 1/2
     def problem(box):
         return Problem(
             diffusion={1: 1.0, 2: 1.0},
@@ -247,10 +251,41 @@ def test_barriers_fold_each_region_with_its_own_reaction():
             source=lambda x: np.ones(x.shape[:-1]),
             interface_box=box)
 
-    lower, upper = compute_barriers(problem((-0.5, 0.5, -0.5, 0.5)))
-    assert lower == 0.0 and upper == pytest.approx(1.0, abs=1e-12)
-    lower, upper = compute_barriers(problem((-1.0, 1.0, -1.0, 1.0)))
-    assert lower == 0.0 and upper == pytest.approx(0.5, abs=1e-12)
+    for box in ((-0.5, 0.5, -0.5, 0.5), (-1.0, 1.0, -1.0, 1.0)):
+        lower, upper = compute_barriers(problem(box))
+        assert lower == 0.0 and upper == pytest.approx(1.0, abs=1e-12)
+
+
+def test_barriers_hold_on_a_mesh_whose_interface_is_not_the_box():
+    # region 1, where b is weak, is the right half of the domain, not the
+    # problem's interface box; f = 2 outside the box.  Tagged from the box,
+    # the samples with f = 2 all took region 2's b, and the upper barrier
+    # was 1, below f / 1 = 2 on the right half outside the box
+    generated = generate_interface_mesh(8)
+    centroids = generated.triangle_coords().mean(axis=1)
+    mesh = Mesh(generated.vertices, generated.triangles,
+                np.where(centroids[:, 0] > 0.0, 1, 2))
+    assert not np.array_equal(mesh.regions, generated.regions)
+
+    def weight(tags):
+        return np.where(tags == 1, 1.0, 100.0)
+
+    problem = Problem(
+        diffusion={1: 1.0, 2: 1.0},
+        nonlinearity=Nonlinearity(
+            eval=lambda tags, xi: weight(tags) * xi,
+            d1=lambda tags, xi: weight(tags) * np.ones_like(xi),
+            d2=lambda tags, xi: np.zeros_like(xi),
+            barrier_alpha=0.0, barrier_beta=0.0),
+        source=lambda x: np.where(box_tags(x) == 1, 1.0, 2.0))
+    lower, upper = compute_barriers(problem)
+    for block, x in quadrature_blocks(mesh):
+        tags = mesh.regions[block, None]
+        f = problem.source(x)
+        assert np.all(problem.nonlinearity.eval(tags, np.full(f.shape, upper))
+                      >= f)
+        assert np.all(problem.nonlinearity.eval(tags, np.full(f.shape, lower))
+                      <= f)
 
 
 def test_barriers_no_finite_barrier_for_zero_reaction_with_source():

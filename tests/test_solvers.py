@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import twogridfem.assembly as assembly
 import twogridfem.solvers as solvers
 from twogridfem import (
     FemFunction,
@@ -312,11 +313,8 @@ def test_newton_options_refuse_a_nan_tolerance(field):
 
 def newton_step_at(mesh, problem, values):
     """Arguments of a Newton step at ``values`` on ``mesh``."""
-    stiffness = assemble_stiffness(mesh, problem.diffusion)
     state = FemFunction(mesh, values)
-    residual = assemble_semilinear_residual(state, problem,
-                                            stiffness=stiffness)
-    return problem, state, residual, stiffness
+    return problem, state, assemble_semilinear_residual(state, problem)
 
 
 def test_newton_step_scatters_the_correction_onto_the_free_vertices():
@@ -328,9 +326,9 @@ def test_newton_step_scatters_the_correction_onto_the_free_vertices():
     assert delta.shape == (mesh.n_vertices,)
     assert np.all(delta[mesh.boundary_vertices] == 0.0)
     # the interior values solve the Jacobian's interior block
-    _, state, residual, stiffness = args
-    jac = stiffness + assemble_reaction_jacobian(
-        state, problem.nonlinearity.d1)
+    _, state, residual = args
+    jac = (assemble_stiffness(mesh, problem.diffusion)
+           + assemble_reaction_jacobian(state, problem.nonlinearity.d1))
     free = np.setdiff1d(np.arange(mesh.n_vertices), mesh.boundary_vertices)
     gap = jac.toarray()[np.ix_(free, free)] @ delta[free] + residual[free]
     assert np.linalg.norm(gap) <= 1e-9 * np.linalg.norm(residual)
@@ -514,3 +512,30 @@ def test_newton_rejects_mismatched_initial():
     other = generate_interface_mesh(4)
     with pytest.raises(ValueError):
         newton_solve(mesh, problem, FemFunction.zeros(other))
+
+
+def test_solves_assemble_the_stiffness_once_per_mesh_on_its_free_vertices(
+        monkeypatch):
+    built = []
+    element_stiffness = assembly._element_stiffness
+
+    def counted(mesh, *args):
+        built.append(mesh.n_vertices)
+        return element_stiffness(mesh, *args)
+
+    monkeypatch.setattr(assembly, "_element_stiffness", counted)
+    mesh = refine_uniform(generate_interface_mesh(8))
+    problem = builtin_problem("power11")
+    u, report = newton_solve(mesh, problem)
+    assert report.converged
+    # the solve path never builds the full pattern
+    assert "csr_pattern" not in vars(mesh)
+    assert built == [mesh.n_vertices]
+    newton_solve(mesh, problem, u)
+    linearized_solve(problem, u)
+    assert built == [mesh.n_vertices]
+    # the cached stiffness does not keep its mesh alive
+    ref = weakref.ref(mesh)
+    del mesh, u
+    gc.collect()
+    assert ref() is None

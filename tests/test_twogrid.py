@@ -27,7 +27,9 @@ from twogridfem import (
     select_coarse_size,
     two_grid_solve,
 )
-from twogridfem.assembly import assemble_reaction_jacobian, assemble_stiffness
+from twogridfem.assembly import _moment_vector, assemble_load, \
+    assemble_reaction_jacobian, assemble_stiffness
+from twogridfem.solvers import make_initial_guess
 
 TIGHT = NewtonOptions(abs_tol=1e-12, rel_tol=1e-13, max_iters=80)
 
@@ -225,11 +227,9 @@ def test_two_grid_fine_step_converges_on_a_large_jump():
     assert np.abs(result.fine_solution.values - u_h.values).max() <= 1e-9
 
 
-@pytest.mark.parametrize("power", [3, 1])
-def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
-    # g is affine, so the prolongation reproduces it on the fine boundary,
-    # and the dyadic vertices keep every value exact
-    problem = Problem(
+def affine_dirichlet_problem(power):
+    """b = xi^power, f = 8 and the affine g = 1 + x/2 - y/4."""
+    return Problem(
         diffusion={1: 1.0, 2: 1.0},
         nonlinearity=Nonlinearity(
             eval=lambda tags, xi: xi ** power,
@@ -238,6 +238,13 @@ def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
         source=lambda x: np.full(x.shape[:-1], 8.0),
         dirichlet=lambda x: 1.0 + 0.5 * x[..., 0] - 0.25 * x[..., 1],
     )
+
+
+@pytest.mark.parametrize("power", [3, 1])
+def test_solvers_keep_nonhomogeneous_dirichlet_data(power):
+    # g is affine, so the prolongation reproduces it on the fine boundary,
+    # and the dyadic vertices keep every value exact
+    problem = affine_dirichlet_problem(power)
     meshes = hierarchy(8, 2)
     fine = meshes[-1]
     b = fine.boundary_vertices
@@ -257,6 +264,40 @@ def nonaffine_dirichlet_problem():
     return dataclasses.replace(
         builtin_problem("linear_reaction"),
         dirichlet=lambda x: np.sin(3.0 * x[..., 0]) + x[..., 1] ** 2)
+
+
+def full_residual(u, problem):
+    """K u + (b(u), phi) - loads on every vertex, from the public full
+    stiffness: the oracle of the solvers' free-vertex residual."""
+    mesh = u.mesh
+    return (assemble_stiffness(mesh, problem.diffusion) @ u.values
+            + _moment_vector(mesh, problem.nonlinearity.eval, u)
+            - assemble_load(mesh, problem))
+
+
+@pytest.mark.parametrize("problem", [
+    affine_dirichlet_problem(3), nonaffine_dirichlet_problem()],
+    ids=["affine_g", "sin_g"])
+def test_solutions_with_dirichlet_data_solve_the_full_system(problem):
+    # the solvers assemble the free rows only, with the stiffness's
+    # coupling K_fb g to the Dirichlet data as a lift; without that lift
+    # the free rows of the full residual would miss it by about |K_fb g|
+    mesh = hierarchy(8, 2)[-1]
+    free = mesh.interior_vertices
+    u_h, report = newton_solve(mesh, problem, None, TIGHT)
+    assert report.converged
+    r = full_residual(u_h, problem)
+    assert np.abs(r[free]).max() <= 1e-9
+    # one Newton step: r(u_base) + J(u_base) delta = 0 on the free rows
+    start = FemFunction.zeros(mesh)
+    u_lin, report = linearized_solve(problem, start)
+    assert report.converged
+    base = make_initial_guess(mesh, problem, start.values)
+    jac = (assemble_stiffness(mesh, problem.diffusion)
+           + assemble_reaction_jacobian(base, problem.nonlinearity.d1))
+    r_base = full_residual(base, problem)
+    gap = r_base + jac @ (u_lin.values - base.values)
+    assert np.abs(gap[free]).max() <= 1e-9 * np.abs(r_base[free]).max()
 
 
 def test_prolonged_bases_take_the_fine_dirichlet_data():
