@@ -66,7 +66,8 @@ class Mesh:
         by one triangle
     h : maximum element diameter
     areas : (M,) signed element areas (positive for counterclockwise)
-    gradients : (M, 3, 2) gradients of the barycentric basis functions
+    gradients : (M, 3, 2) gradients of the barycentric basis functions,
+        stored as three contiguous (M, 2) planes, one per vertex
     prolongation : (N, N_parent) sparse P1 embedding of the parent's
         space, or None without a parent
     interface_edges : (K, 2) int array, the edges (lo, hi) shared by a
@@ -85,6 +86,21 @@ class Mesh:
     All arrays are read-only.  The attributes after ``midpoint_edges`` are
     derived, once and on first use; two threads racing on that first use
     compute the same values, so meshes are safe to share.
+
+    A mesh with a parent is taken to be its red refinement: the parent's
+    vertices keep their numbers, and every new vertex is the midpoint of
+    one parent edge and a corner of 3 children if that edge is used by one
+    parent triangle, of 6 otherwise; ``boundary_vertices`` and ``h`` rely
+    on this.  When, in addition, the triangles are in ``refine_uniform``'s
+    child layout (checked in O(M)), the edges come from the parent's by
+    index arithmetic and one sort, and, when the vertices are placed as
+    ``refine_uniform`` places them, so does the geometry: the areas are a
+    quarter of the parent's and the gradients 2 or -2 times the parent's.
+    That geometry equals :func:`triangle_geometry` of the coordinates bit
+    for bit on dyadic coordinates, such as those of
+    :func:`generate_interface_mesh` and their refinements, and within
+    roundoff otherwise.  A root, or a mesh in any other layout, computes
+    both from its own triangles and coordinates.
     """
 
     vertices: np.ndarray
@@ -111,8 +127,13 @@ class Mesh:
 
     @cached_property
     def edges(self):
-        """The unique edges and each triangle's edge indices."""
-        edges = _unique_edges(self.triangles, self.n_vertices)
+        """The unique edges and each triangle's edge indices, derived from
+        the parent's in ``refine_uniform``'s child layout."""
+        midpoint = _parent_midpoints(self)
+        if midpoint is None:
+            edges = _unique_edges(self.triangles, self.n_vertices)
+        else:
+            edges = _child_edges(self.parent, midpoint, self.n_vertices)
         _freeze(*edges)
         return edges
 
@@ -170,7 +191,7 @@ class Mesh:
 
     @cached_property
     def _geometry(self):
-        areas, gradients = triangle_geometry(self.triangle_coords())
+        areas, gradients = _geometry_of(self)
         _freeze(areas, gradients)
         return areas, gradients
 
@@ -263,6 +284,12 @@ def _freeze(*arrays):
         arr.setflags(write=False)
 
 
+def _index_dtype(n, n_edges):
+    """The CSR pattern's index dtype: it numbers n diagonal and 2 entries
+    per edge."""
+    return np.int32 if n + 2 * n_edges < 2 ** 31 else np.int64
+
+
 def _unique_edges(triangles, n):
     """The unique edges (lo, hi), lo < hi, of a triangulation of n
     vertices, ordered by (lo, hi), and the index of the edges 01, 12 and
@@ -271,10 +298,126 @@ def _unique_edges(triangles, n):
     keys, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                               return_inverse=True)
     lo, hi = np.divmod(keys, n)
-    # the pattern numbers n diagonal and 2 entries per edge
-    dtype = np.int32 if n + 2 * keys.size < 2 ** 31 else np.int64
+    dtype = _index_dtype(n, keys.size)
     return (lo.astype(dtype), hi.astype(dtype),
             edge_of.reshape(-1, 3).astype(dtype))
+
+
+# refine_uniform splits parent triangle t = (v0, v1, v2), whose edge k
+# joins vertices k and k + 1 (mod 3) and is bisected by vertex m_k, into
+# the corners 4 t + k = (v_k, m_k, m_{k+2}), k = 0, 1, 2, and the middle
+# 4 t + 3 = (m_0, m_1, m_2).  The children's vertices, with v0, v1, v2,
+# m_0, m_1, m_2 numbered 0 ... 5:
+_CHILD_VERTICES = [0, 3, 5, 1, 4, 3, 2, 5, 4, 3, 4, 5]
+
+# each child is its parent scaled by 1/2 about v_k, the middle one by -1/2
+# about the centroid: the gradient planes of the parent's that the
+# children's planes 0, 1 and 2 are, and the factor on them
+_CHILD_GRADIENT_PLANES = [[0, 1, 2, 2], [1, 2, 0, 0], [2, 0, 1, 1]]
+_CHILD_GRADIENT_FACTORS = np.array([2.0, 2.0, 2.0, -2.0])
+
+
+def _parent_midpoints(mesh):
+    """The vertex that bisects each of the parent's edges, read back from
+    ``mesh.triangles``, when these are the parent's split in
+    ``refine_uniform``'s child layout with a new vertex per edge; else
+    None."""
+    parent = mesh.parent
+    if parent is None or mesh.n_triangles != 4 * parent.n_triangles:
+        return None
+    lo, _, edge_of = parent.edges
+    children = mesh.triangles.reshape(-1, 12)
+    middle = children[:, 9:]  # (m_0, m_1, m_2)
+    midpoint = np.empty(lo.size, dtype=np.int64)
+    # an edge's two sides may disagree: the first comparison finds it
+    midpoint[edge_of] = middle
+    new = midpoint - parent.n_vertices
+    if (not np.array_equal(np.take(midpoint, edge_of), middle)
+            or new.min() < 0
+            or np.any(np.bincount(new, minlength=lo.size) != 1)
+            or not np.array_equal(children[:, 0:9:3], parent.triangles)
+            or not np.array_equal(children[:, 1:9:3], middle)
+            or not np.array_equal(children[:, 2:9:3], middle[:, [2, 0, 1]])):
+        return None
+    return midpoint
+
+
+def _geometry_of(mesh):
+    """The areas and gradients of ``mesh``: its cached ones, else derived
+    from its parent's when it is ``refine_uniform``'s refinement of it,
+    vertices included, else computed from its coordinates.  An ancestor's
+    geometry is read if cached and not cached if derived here, so that a
+    mesh holds only the geometry asked of it."""
+    if "_geometry" in vars(mesh):
+        return mesh._geometry
+    midpoint = _parent_midpoints(mesh)
+    if midpoint is not None and _midpoints_placed(mesh, midpoint):
+        return _child_geometry(*_geometry_of(mesh.parent))
+    return triangle_geometry(mesh.triangle_coords())
+
+
+def _midpoints_placed(mesh, midpoint):
+    """Whether ``mesh`` keeps its parent's vertices and places each
+    midpoint vertex as ``refine_uniform`` does."""
+    coarse = mesh.parent.vertices
+    lo, hi, _ = mesh.parent.edges
+    return (np.array_equal(mesh.vertices[:len(coarse)], coarse)
+            and np.array_equal(np.take(mesh.vertices, midpoint, axis=0),
+                               _midpoint_coords(coarse, lo, hi)))
+
+
+def _midpoint_coords(vertices, lo, hi):
+    """The midpoints of the edges (lo, hi), 0.5 (v_lo + v_hi)."""
+    mid = np.take(vertices, lo, axis=0)
+    mid += np.take(vertices, hi, axis=0)
+    mid *= 0.5
+    return mid
+
+
+def _child_edges(parent, midpoint, n):
+    """``_unique_edges`` of the n-vertex refinement of ``parent`` in
+    ``refine_uniform``'s child layout, whose vertex ``midpoint[e]`` bisects
+    parent edge e, by index arithmetic and one sort.
+
+    Numbered before the sort, each of the E parent edges e gives the half
+    edges e, at its lower vertex, and E + e, at its upper one; each of the
+    M parent triangles t gives the edges 01, 12 and 02 of its middle child,
+    2 E + k M + t for k = 0, 1, 2."""
+    lo, hi, edge_of = parent.edges
+    n_edges, m = lo.size, parent.n_triangles
+    v, parent_edge = parent.triangles.T, edge_of.T.astype(np.int64)
+    mids = np.take(midpoint, parent_edge)
+    first, second = mids[[0, 1, 0]], mids[[1, 2, 2]]
+    a = np.concatenate([lo, hi, np.minimum(first, second).ravel()],
+                       dtype=np.int64)
+    b = np.concatenate([midpoint, midpoint, np.maximum(first, second).ravel()])
+    # unique keys: any sort gives the order of np.unique
+    order = np.argsort(a * n + b, kind="stable")
+    dtype = _index_dtype(n, a.size)
+    rank = np.empty(a.size, dtype=dtype)
+    rank[order] = np.arange(a.size, dtype=dtype)
+
+    # corner child k = (v_k, m_k, m_{k+2}): its edge 01 is the half of
+    # parent edge k at v_k, 12 is middle-child edge k + 2 and 02 the half
+    # of parent edge k + 2 at v_k; the middle child's are its own
+    edges = np.empty((4, 3, m), dtype=np.int64)
+    edges[3] = 2 * n_edges + np.arange(3 * m).reshape(3, m)
+    edges[:3, 0] = parent_edge + n_edges * (v > v[[1, 2, 0]])
+    edges[:3, 1] = edges[3, [2, 0, 1]]
+    edges[:3, 2] = parent_edge[[2, 0, 1]] + n_edges * (v > v[[2, 0, 1]])
+    return (np.take(a, order).astype(dtype), np.take(b, order).astype(dtype),
+            np.take(rank, edges).transpose(2, 0, 1).reshape(-1, 3))
+
+
+def _child_geometry(areas, gradients):
+    """``triangle_geometry`` of ``refine_uniform``'s children of triangles
+    with these areas and gradients: a quarter of the parent's area, and 2
+    or -2 times its gradients, stored in the same planes."""
+    parent_planes = gradients.transpose(1, 0, 2)
+    planes = (parent_planes[_CHILD_GRADIENT_PLANES]
+              * _CHILD_GRADIENT_FACTORS[:, None, None])
+    return (np.repeat(0.25 * areas, 4),
+            planes.transpose(0, 2, 1, 3).reshape(3, -1, 2).transpose(1, 0, 2))
 
 
 def _csr_pattern(triangles, edges, keep):
@@ -397,32 +540,40 @@ def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
 def refine_uniform(mesh):
     """Red refinement: split every triangle into 4 via edge midpoints.
 
-    Region tags are inherited, and the child records the parent mesh and
-    the parent edge bisected by every new vertex, from which it derives
-    its boundary and h without an edge pass of its own.
+    Parent triangle t = (v0, v1, v2), with midpoints m01, m12 and m02 of
+    its edges, becomes the children 4 t ... 4 t + 3: the corners
+    (v0, m01, m02), (v1, m12, m01) and (v2, m02, m12), then the middle
+    (m01, m12, m02).  The parent's vertices keep their numbers, and the
+    midpoints follow in the order a triangle-by-triangle walk meets their
+    edges.  Region tags are inherited, and the child records the parent
+    mesh and the parent edge bisected by every new vertex.  From this
+    layout the child derives its boundary, h, edges and geometry from the
+    parent's, on first use: refinement computes none of them.
     """
     n_old = mesh.n_vertices
     lo, hi, edge_of = mesh.edges
-    # number the midpoints in the order a triangle-by-triangle walk meets
-    # their edges
+    # the first position of each edge in the walk, and the positions that
+    # are some edge's first, in increasing order
     first = np.full(lo.size, edge_of.size)
     np.minimum.at(first, edge_of.ravel(), np.arange(edge_of.size))
-    order = np.argsort(first)
-    midpoint = np.empty_like(order)
-    midpoint[order] = n_old + np.arange(order.size)
-    midpoint_edges = np.column_stack([lo[order], hi[order]])
+    is_first = np.zeros(edge_of.size, dtype=bool)
+    is_first[first] = True
+    order = edge_of.ravel()[is_first]
+    midpoint = np.empty(lo.size, dtype=np.int64)
+    midpoint[order] = np.arange(n_old, n_old + order.size)
+    lo, hi = lo[order], hi[order]
 
-    v0, v1, v2 = mesh.triangles.T
-    m01, m12, m02 = midpoint[edge_of].T
-    triangles = np.stack([v0, m01, m02, v1, m12, m01, v2, m02, m12,
-                          m01, m12, m02], axis=1).reshape(-1, 3)
-    vertices = np.vstack([
-        mesh.vertices,
-        0.5 * (mesh.vertices[midpoint_edges[:, 0]]
-               + mesh.vertices[midpoint_edges[:, 1]]),
-    ])
-    return Mesh(vertices, triangles, np.repeat(mesh.regions, 4),
-                parent=mesh, midpoint_edges=midpoint_edges)
+    vertices = np.concatenate([mesh.vertices,
+                               _midpoint_coords(mesh.vertices, lo, hi)])
+    # the vertices v0, v1, v2, m_0, m_1, m_2 of every parent triangle as
+    # rows, taken in the child layout into the children's triangles
+    planes = np.empty((6, mesh.n_triangles), dtype=np.int64)
+    planes[:3] = mesh.triangles.T
+    np.take(midpoint, edge_of.T, out=planes[3:])
+    return Mesh(vertices,
+                np.take(planes.T, _CHILD_VERTICES, axis=1).reshape(-1, 3),
+                np.repeat(mesh.regions, 4), parent=mesh,
+                midpoint_edges=np.column_stack([lo, hi]))
 
 
 def validate_mesh(mesh):

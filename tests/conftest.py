@@ -92,3 +92,21 @@ def relabelled(mesh, seed=0):
         triangles=triangles,
         regions=mesh.regions[order],
     )
+
+
+def distorted(mesh, amplitude=0.3, seed=0):
+    """``mesh`` without its parent, each vertex off the boundary and off
+    the interface moved by up to ``amplitude * mesh.h``, uniformly in each
+    coordinate."""
+    rng = np.random.default_rng(seed)
+    fixed = np.zeros(mesh.n_vertices, dtype=bool)
+    fixed[mesh.boundary_vertices] = True
+    fixed[mesh.interface_edges.ravel()] = True
+    shift = rng.uniform(-1.0, 1.0, (mesh.n_vertices, 2))
+    shift *= amplitude * mesh.h / np.sqrt(2.0)
+    return Mesh(
+        vertices=np.where(fixed[:, None], mesh.vertices,
+                          mesh.vertices + shift),
+        triangles=mesh.triangles,
+        regions=mesh.regions,
+    )

@@ -13,7 +13,7 @@ from twogridfem import (
     validate_mesh,
 )
 
-from conftest import relabelled
+from conftest import distorted, relabelled
 
 D_UNIT = {1: 1.0, 2: 1.0}
 D_JUMP = {1: 1000.0, 2: 1.0}
@@ -363,8 +363,9 @@ def test_one_edge_pass_per_mesh(monkeypatch):
     fine = refine_uniform(coarse)
     for mesh in (coarse, fine):
         mesh.csr_pattern, mesh.boundary_vertices, mesh.interface_edges
-    # the refined boundary comes from the parent's, without an edge pass
-    assert passes == [coarse.n_vertices, fine.n_vertices]
+    # the refined boundary and edges come from the parent's, without an
+    # edge pass
+    assert passes == [coarse.n_vertices]
 
 
 def test_refined_loaded_mesh_has_the_outer_boundary_as_boundary():
@@ -402,6 +403,140 @@ def test_mesh_arrays_are_read_only():
     # the prolongation reads it on first use
     with pytest.raises(ValueError):
         fine.midpoint_edges[0, 0] = 0
+
+
+def test_refinement_computes_no_edges_or_geometry_of_the_child():
+    root = generate_interface_mesh(8)
+    fine = refine_uniform(root)
+    assert "edges" in vars(root)  # the refinement read them
+    finer = refine_uniform(fine)
+    assert "edges" in vars(fine)
+    for mesh in (fine, finer):
+        assert "_geometry" not in vars(mesh)
+    assert "edges" not in vars(finer)
+
+
+# roots with dyadic coordinates, on which the derived geometry is exact,
+# and one whose interior vertices are moved off the grid
+DERIVATION_ROOTS = [
+    pytest.param(lambda: generate_interface_mesh(8), True, id="generated"),
+    pytest.param(square, True, id="square"),
+    pytest.param(lambda: relabelled(generate_interface_mesh(8)), True,
+                 id="relabelled"),
+    pytest.param(lambda: validate_mesh(distorted(generate_interface_mesh(8))),
+                 False, id="distorted"),
+]
+
+
+@pytest.mark.parametrize("make_root, dyadic", DERIVATION_ROOTS)
+def test_refined_edges_and_geometry_match_a_root_computation(
+        make_root, dyadic):
+    from twogridfem.mesh import _unique_edges, triangle_geometry
+    mesh = make_root()
+    for _ in range(4):
+        mesh = refine_uniform(mesh)
+        for derived, enumerated in zip(
+                mesh.edges, _unique_edges(mesh.triangles, mesh.n_vertices)):
+            assert derived.dtype == enumerated.dtype
+            np.testing.assert_array_equal(derived, enumerated)
+        areas, gradients = triangle_geometry(mesh.triangle_coords())
+        if dyadic:
+            np.testing.assert_array_equal(mesh.areas, areas)
+            np.testing.assert_array_equal(mesh.gradients, gradients)
+        else:
+            # the derived geometry is the parent's scaled, the computed one
+            # differences of rounded midpoints: 2.4e-14 after 4 levels
+            for got, want in ((mesh.areas, areas),
+                              (mesh.gradients, gradients)):
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        # three contiguous gradient planes, as triangle_geometry lays out
+        assert mesh.gradients.strides == gradients.strides
+        assert all(mesh.gradients[:, i].flags.c_contiguous for i in range(3))
+
+
+def hand_built_children(fine):
+    """Copies of ``fine``, with its parent and midpoint edges, that
+    ``refine_uniform`` would not make: all but the last out of its child
+    layout."""
+    rng = np.random.default_rng(1)
+    shuffled = rng.permutation(fine.n_triangles)
+    children = fine.triangles.reshape(-1, 4, 3)
+    # the middle child's vertices rotated, still counterclockwise
+    rotated = children.copy()
+    rotated[:, 3] = children[:, 3, [1, 2, 0]]
+    # the corners' two midpoints swapped, clockwise
+    swapped = children.copy()
+    swapped[:, :3, 1:] = children[:, :3, :0:-1]
+    # the new vertices numbered backwards
+    n_old = fine.parent.n_vertices
+    label = np.concatenate([np.arange(n_old),
+                            np.arange(fine.n_vertices - 1, n_old - 1, -1)])
+    vertices = np.empty_like(fine.vertices)
+    vertices[label] = fine.vertices
+    return {
+        "shuffled": (fine.vertices, fine.triangles[shuffled],
+                     fine.regions[shuffled]),
+        "rotated-middle": (fine.vertices, rotated.reshape(-1, 3),
+                           fine.regions),
+        "swapped-corners": (fine.vertices, swapped.reshape(-1, 3),
+                            fine.regions),
+        "renumbered": (vertices, label[fine.triangles], fine.regions),
+    }
+
+
+@pytest.mark.parametrize("case", ["shuffled", "rotated-middle",
+                                  "swapped-corners", "renumbered"])
+def test_hand_built_children_get_the_edges_and_geometry_of_a_root(case):
+    from twogridfem.mesh import _unique_edges, triangle_geometry
+    coarse = refine_uniform(generate_interface_mesh(4))
+    fine = refine_uniform(coarse)
+    vertices, triangles, regions = hand_built_children(fine)[case]
+    mesh = Mesh(vertices, triangles, regions, parent=coarse,
+                midpoint_edges=fine.midpoint_edges)
+    for got, want in zip(mesh.edges,
+                         _unique_edges(mesh.triangles, mesh.n_vertices)):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    areas, gradients = triangle_geometry(mesh.triangle_coords())
+    np.testing.assert_array_equal(mesh.areas, areas)
+    np.testing.assert_array_equal(mesh.gradients, gradients)
+
+
+def test_a_child_with_moved_vertices_computes_its_geometry():
+    from twogridfem.mesh import triangle_geometry
+    coarse = generate_interface_mesh(4)
+    fine = refine_uniform(coarse)
+    moved = distorted(fine)
+    mesh = Mesh(moved.vertices, fine.triangles, fine.regions, parent=coarse,
+                midpoint_edges=fine.midpoint_edges)
+    for got, want in zip(mesh.edges, fine.edges):
+        np.testing.assert_array_equal(got, want)
+    areas, gradients = triangle_geometry(mesh.triangle_coords())
+    np.testing.assert_array_equal(mesh.areas, areas)
+    np.testing.assert_array_equal(mesh.gradients, gradients)
+
+
+def test_derived_geometry_caches_no_ancestor_geometry(monkeypatch):
+    import twogridfem.mesh as mesh_module
+    computed = []
+    triangle_geometry = mesh_module.triangle_geometry
+
+    def counted(p):
+        computed.append(len(p))
+        return triangle_geometry(p)
+
+    monkeypatch.setattr(mesh_module, "triangle_geometry", counted)
+    root = generate_interface_mesh(4)
+    fine = refine_uniform(root)
+    finer = refine_uniform(fine)
+    finer.areas
+    # the root's geometry is computed, the others derived, none cached
+    assert computed == [root.n_triangles]
+    assert "_geometry" not in vars(fine) and "_geometry" not in vars(root)
+    # a cached ancestor is read, not computed again
+    root.areas
+    refine_uniform(finer).areas
+    assert computed == [root.n_triangles] * 2
 
 
 def test_geometry_is_computed_once():
