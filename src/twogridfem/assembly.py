@@ -1,17 +1,16 @@
 """P1 finite element operators on triangular meshes.
 
 Global matrices are scipy CSR with sorted indices; stiffness and reaction
-Jacobians are symmetric by construction.  The public assemblers build them
-on every vertex, in ``Mesh.csr_pattern``.  The Newton systems of the
-solvers live on the free vertices, ``Mesh.interior_vertices``: their
-element matrices are scattered straight into ``Mesh.free_pattern``, and
-the stiffness's free block is built once per mesh and diffusion.  The
-semilinear residual is assembled on the free rows from that block, with
-the stiffness's coupling to the boundary values moved into the load.
-Volume integrals use one rule,
-``QUADRATURE_POINTS`` in barycentric coordinates with
-``QUADRATURE_WEIGHTS`` summing to one, so element integrals are
-``area * sum(w_q * f(x_q))``.
+Jacobians are symmetric by construction: their element entries are summed
+per vertex and per edge, then taken into a mesh's CSR pattern.  The public
+assemblers build them on every vertex, in ``Mesh.csr_pattern``; the
+solvers' Newton systems live on the free vertices, in
+``Mesh.free_pattern``, and the stiffness's free block is built once per
+mesh and diffusion.  The semilinear residual is assembled on the free rows
+from that block, with the stiffness's coupling to the boundary values
+moved into the load.  Volume integrals use one rule, ``QUADRATURE_POINTS``
+in barycentric coordinates with ``QUADRATURE_WEIGHTS`` summing to one, so
+element integrals are ``area * sum(w_q * f(x_q))``.
 
 Quadrature-point work runs over blocks of ``_BLOCK_TRIANGLES`` triangles,
 so that its temporaries stay in cache; problem callbacks therefore receive
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import Mesh, _freeze, free_vertices
+from .mesh import Mesh, _freeze, free_vertices, vertex_pairs
 
 __all__ = [
     "QUADRATURE_POINTS",
@@ -143,29 +142,44 @@ def _positive_areas(mesh):
     return areas
 
 
-def _scatter(pattern, local):
-    """Sum (M,3,3) or row-major (M,9) element matrices into a mesh's
-    :class:`~twogridfem.mesh.CsrPattern`; the entries its dump position
-    collects are dropped, and entries that sum to zero stay stored."""
-    nnz = pattern.indices.size
-    data = np.bincount(pattern.slots.ravel(), weights=local.ravel(),
-                       minlength=nnz + 1)[:nnz]
+def _vertex_sum(mesh, local):
+    """The sums at the vertices of element values ``local`` (M, k)."""
+    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
+                       minlength=mesh.n_vertices)
+
+
+def _matrix_sums(mesh, diagonal, off):
+    """A symmetric P1 matrix's entries on the N vertices and E edges of
+    ``mesh``, (N + E,), from its elements' entries on their vertices,
+    ``diagonal`` (M, k), and edges, ``off``, in ``vertex_pairs`` order."""
+    lo, _, edge_of = mesh.edges
+    return np.concatenate([_vertex_sum(mesh, diagonal), np.bincount(
+        edge_of.ravel(), weights=off.ravel(), minlength=lo.size)])
+
+
+def _scatter(pattern, sums):
+    """The matrix of the :func:`_matrix_sums` ``sums`` in a mesh's
+    :class:`~twogridfem.mesh.CsrPattern`; zero sums stay stored."""
     n = pattern.indptr.size - 1
-    return sp.csr_matrix((data, pattern.indices, pattern.indptr),
-                         shape=(n, n))
+    # indexing reads the int32 source as it is; np.take copies it to intp
+    return sp.csr_matrix((sums[pattern.source], pattern.indices,
+                          pattern.indptr), shape=(n, n))
 
 
-def _element_stiffness(mesh, diffusion):
-    """Element stiffness matrices (M, 3, 3)."""
+def _stiffness_sums(mesh, diffusion):
+    """The stiffness matrix's :func:`_matrix_sums`."""
     scale = _diffusion_per_triangle(mesh, diffusion) * _positive_areas(mesh)
     grads = mesh.gradients
-    local = np.empty((mesh.n_triangles, 3, 3))
+    first, second = vertex_pairs(grads.shape[1])
+    diagonal = np.empty(grads.shape[:2])
+    off = np.empty((mesh.n_triangles, first.size))
     for block in _block_slices(mesh):
         gx, gy = grads[block, :, 0], grads[block, :, 1]
-        local[block] = (gx[:, :, None] * gx[:, None, :]
-                        + gy[:, :, None] * gy[:, None, :])
-        local[block] *= scale[block, None, None]
-    return local
+        diagonal[block] = (gx * gx + gy * gy) * scale[block, None]
+        off[block] = (gx[:, first] * gx[:, second]
+                      + gy[:, first] * gy[:, second]) * scale[block, None]
+    del scale  # the sums set the peak memory
+    return _matrix_sums(mesh, diagonal, off)
 
 
 def assemble_stiffness(mesh, diffusion):
@@ -174,7 +188,7 @@ def assemble_stiffness(mesh, diffusion):
     ``diffusion`` maps region tags to positive scalars, e.g. {1: 1000, 2: 1}.
     Before boundary conditions every row sums to zero.
     """
-    return _scatter(mesh.csr_pattern, _element_stiffness(mesh, diffusion))
+    return _scatter(mesh.csr_pattern, _stiffness_sums(mesh, diffusion))
 
 
 # Each mesh's stiffness on its free vertices, for the diffusion it was
@@ -190,8 +204,7 @@ def _free_stiffness(mesh, diffusion):
     key = tuple(sorted(diffusion.items()))
     cached = _FREE_STIFFNESS.get(mesh)
     if cached is None or cached[0] != key:
-        matrix = _scatter(mesh.free_pattern,
-                          _element_stiffness(mesh, diffusion))
+        matrix = _scatter(mesh.free_pattern, _stiffness_sums(mesh, diffusion))
         _freeze(matrix.data, matrix.indices, matrix.indptr)
         cached = _FREE_STIFFNESS[mesh] = (key, matrix)
     return cached[1]
@@ -225,25 +238,28 @@ def state_blocks(state):
                state.values[mesh.triangles[block]] @ QUADRATURE_POINTS.T)
 
 
-def _reaction_elements(state, d1):
-    """Row-major element matrices (M, 9) of the weighted mass matrix
+def _reaction_sums(state, d1):
+    """The :func:`_matrix_sums` of the weighted mass matrix
     int d1(region, u) phi_j phi_i."""
     mesh = state.mesh
     areas = _positive_areas(mesh)
     lam = QUADRATURE_POINTS
-    weighted_products = (QUADRATURE_WEIGHTS[:, None, None] * lam[:, :, None]
-                         * lam[:, None, :]).reshape(-1, 9)
-    local = np.empty((mesh.n_triangles, 9))
+    weighted = QUADRATURE_WEIGHTS[:, None] * lam
+    first, second = vertex_pairs(lam.shape[1])
+    products = weighted * lam, weighted[:, first] * lam[:, second]
+    local = [np.empty((mesh.n_triangles, p.shape[1])) for p in products]
     for block, tags, values in state_blocks(state):
-        np.matmul(d1(tags, values), weighted_products, out=local[block])
-        local[block] *= areas[block, None]
-    return local
+        d1_values = d1(tags, values)
+        for part, weighted_products in zip(local, products):
+            np.matmul(d1_values, weighted_products, out=part[block])
+            part[block] *= areas[block, None]
+    return _matrix_sums(mesh, *local)
 
 
 def assemble_reaction_jacobian(state, d1):
     """Weighted mass matrix M_ij = int d1(region, u) phi_j phi_i by
     quadrature."""
-    return _scatter(state.mesh.csr_pattern, _reaction_elements(state, d1))
+    return _scatter(state.mesh.csr_pattern, _reaction_sums(state, d1))
 
 
 def _free_jacobian(state, problem):
@@ -252,7 +268,7 @@ def _free_jacobian(state, problem):
     ``Mesh.free_pattern``, plus the cached free block of the stiffness."""
     mesh = state.mesh
     jac = _scatter(mesh.free_pattern,
-                   _reaction_elements(state, problem.nonlinearity.d1))
+                   _reaction_sums(state, problem.nonlinearity.d1))
     jac.data += _free_stiffness(mesh, problem.diffusion).data
     return jac
 
@@ -268,9 +284,7 @@ def _moment_vector(mesh, f, state=None):
     for block, *args in blocks:
         np.matmul(f(*args), weighted_basis, out=local[block])
         local[block] *= areas[block, None]
-    return np.bincount(
-        mesh.triangles.ravel(), weights=local.ravel(),
-        minlength=mesh.n_vertices)
+    return _vertex_sum(mesh, local)
 
 
 def assemble_point_load(mesh, location, magnitude):
@@ -318,18 +332,18 @@ def assemble_load(mesh, problem):
 def _free_load(state, problem):
     """The part of the residual's free rows that the state's interior
     values leave alone: the loads, less the stiffness's coupling K_fb u_b
-    to the state's boundary values u_b (the Dirichlet lift), which is
-    skipped when those values are zero."""
+    to the state's boundary values u_b (the Dirichlet lift, summed over
+    the edges between free and boundary vertices), skipped when u_b = 0."""
     mesh = state.mesh
     free = mesh.interior_vertices
     load = assemble_load(mesh, problem)[free]
     g = np.zeros(mesh.n_vertices)
     g[mesh.boundary_vertices] = state.values[mesh.boundary_vertices]
     if g.any():
-        lift = np.matmul(_element_stiffness(mesh, problem.diffusion),
-                         g[mesh.triangles, None])
-        load -= np.bincount(mesh.triangles.ravel(), weights=lift.ravel(),
-                            minlength=mesh.n_vertices)[free]
+        lo, hi, _ = mesh.edges
+        k = _stiffness_sums(mesh, problem.diffusion)[g.size:]  # on the edges
+        load -= (np.bincount(lo, weights=k * g[hi], minlength=g.size)
+                 + np.bincount(hi, weights=k * g[lo], minlength=g.size))[free]
     return load
 
 

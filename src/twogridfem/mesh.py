@@ -78,10 +78,10 @@ class Mesh:
         parent.interior_vertices]``, or None without a parent
     interior_restriction : the transpose of ``interior_prolongation`` as
         CSR, or None without a parent
-    csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh
-    free_pattern : the :class:`CsrPattern` of the block of those matrices
-        on ``interior_vertices``, the pattern of every system solved on
-        the mesh
+    csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh,
+        whose entries are sums over its vertices and ``edges``
+    free_pattern : its block on ``interior_vertices``, the pattern of
+        every system solved on the mesh
 
     All arrays are read-only.  The attributes after ``midpoint_edges`` are
     derived, once and on first use; two threads racing on that first use
@@ -241,35 +241,28 @@ class Mesh:
 
     @cached_property
     def csr_pattern(self):
-        """Built from the unique edges; scipy's conversion to CSR places
-        every entry."""
-        pattern = _csr_pattern(self.triangles, self.edges,
-                               np.ones(self.n_vertices, dtype=bool))
-        _freeze(*pattern)
-        return pattern
+        """Sorted into place from the unique edges."""
+        return _csr_pattern(self.edges, np.ones(self.n_vertices, bool))
 
     @cached_property
     def free_pattern(self):
-        """``csr_pattern`` restricted to the interior vertices, built from
-        the unique edges as that is."""
+        """``csr_pattern``'s block on the interior vertices, built alike."""
         keep = np.ones(self.n_vertices, dtype=bool)
         keep[self.boundary_vertices] = False
-        pattern = _csr_pattern(self.triangles, self.edges, keep)
-        _freeze(*pattern)
-        return pattern
+        return _csr_pattern(self.edges, keep)
 
 
 class CsrPattern(NamedTuple):
     """CSR structure, with sorted column indices, of every P1 matrix on a
     mesh, or of its block on a subset of the vertices, numbered in
     increasing order: each vertex couples to itself and to its edge
-    neighbours.  ``slots[t, 3 * i + j]`` is the position in ``indices`` of
-    the entry (triangles[t, i], triangles[t, j]), or ``indices.size`` when
-    the block leaves that row or column out."""
+    neighbours.  ``source`` sends a diagonal entry to its vertex v and any
+    other entry to the edge e of ``Mesh.edges`` that joins its row and
+    column, as N + e on a mesh of N vertices."""
 
     indptr: np.ndarray
     indices: np.ndarray
-    slots: np.ndarray
+    source: np.ndarray
 
 
 def free_vertices(n_vertices, boundary):
@@ -282,6 +275,7 @@ def free_vertices(n_vertices, boundary):
 def _freeze(*arrays):
     for arr in arrays:
         arr.setflags(write=False)
+    return arrays
 
 
 def _index_dtype(n, n_edges):
@@ -290,17 +284,23 @@ def _index_dtype(n, n_edges):
     return np.int32 if n + 2 * n_edges < 2 ** 31 else np.int64
 
 
+def vertex_pairs(k):
+    """The i and the j of the vertex pairs i < j of a k-vertex simplex, in
+    the order of its edges in ``Mesh.edges``: by j - i, then by i."""
+    return np.array([(i, i + d) for d in range(1, k) for i in range(k - d)]).T
+
+
 def _unique_edges(triangles, n):
     """The unique edges (lo, hi), lo < hi, of a triangulation of n
-    vertices, ordered by (lo, hi), and the index of the edges 01, 12 and
-    02 of every triangle, shape (M, 3), in the CSR pattern's index dtype."""
-    a, b = triangles[:, [0, 1, 0]], triangles[:, [1, 2, 2]]
+    vertices, ordered by (lo, hi), and the indices (M, 3) of every
+    triangle's :func:`vertex_pairs`, in the CSR pattern's index dtype."""
+    a, b = (triangles[:, pair] for pair in vertex_pairs(triangles.shape[1]))
     keys, edge_of = np.unique(np.minimum(a, b) * n + np.maximum(a, b),
                               return_inverse=True)
     lo, hi = np.divmod(keys, n)
     dtype = _index_dtype(n, keys.size)
     return (lo.astype(dtype), hi.astype(dtype),
-            edge_of.reshape(-1, 3).astype(dtype))
+            edge_of.reshape(a.shape).astype(dtype))
 
 
 # refine_uniform splits parent triangle t = (v0, v1, v2), whose edge k
@@ -420,45 +420,31 @@ def _child_geometry(areas, gradients):
             planes.transpose(0, 2, 1, 3).reshape(3, -1, 2).transpose(1, 0, 2))
 
 
-def _csr_pattern(triangles, edges, keep):
-    """The :class:`CsrPattern` of the rows and columns of the vertices
-    where ``keep`` (N,) is true."""
-    lo, hi, edge_of = edges
-    index_dtype = lo.dtype
-    n = int(np.count_nonzero(keep))
-    row = np.cumsum(keep, dtype=index_dtype) - 1  # of each kept vertex
-    inner = keep[lo] & keep[hi]
-    lo_row, hi_row = row[lo[inner]], row[hi[inner]]
-    n_edges = lo_row.size
-    size = n + 2 * n_edges
-    # number the diagonal, upper (lo, hi) and lower (hi, lo) entries
-    # 1 ... size (no number is an explicit zero); the conversion to CSR
-    # sorts the numbers into the entries' positions
-    rows = np.concatenate([np.arange(n), lo_row, hi_row])
-    cols = np.concatenate([np.arange(n), hi_row, lo_row])
-    a = sp.csr_matrix((np.arange(1, size + 1, dtype=index_dtype),
-                       (rows, cols)), shape=(n, n))
-    del rows, cols, lo_row, hi_row
-    position = np.empty(size, dtype=index_dtype)
-    position[a.data - 1] = np.arange(size, dtype=index_dtype)
-    # each vertex's diagonal and each edge's upper and lower entry; the
-    # dump position ``size`` where a vertex is left out
-    diagonal = np.full(keep.size, size, dtype=index_dtype)
-    upper = np.full(lo.size, size, dtype=index_dtype)
-    lower = np.full(lo.size, size, dtype=index_dtype)
-    diagonal[keep], upper[inner], lower[inner] = np.split(
-        position, [n, n + n_edges])
-    del position
-
-    slots = np.empty((len(triangles), 3, 3), dtype=index_dtype)
-    for k, (i, j) in enumerate([(0, 1), (1, 2), (0, 2)]):
-        forward = triangles[:, i] < triangles[:, j]
-        up, down = upper[edge_of[:, k]], lower[edge_of[:, k]]
-        slots[:, i, j] = np.where(forward, up, down)
-        slots[:, j, i] = np.where(forward, down, up)
-        slots[:, k, k] = diagonal[triangles[:, k]]  # k = 0, 1, 2 as a vertex
-    return CsrPattern(a.indptr.astype(index_dtype),
-                      a.indices.astype(index_dtype), slots.reshape(-1, 9))
+def _csr_pattern(edges, keep):
+    """The read-only :class:`CsrPattern` of the rows and columns of the
+    vertices where ``keep`` (N,) is true.  Sorted stably by row, the lower
+    entries (hi, lo) in the order of ``edges``, the diagonal and the upper
+    entries (lo, hi) fall into column order, as ``edges`` is strictly
+    sorted by (lo, hi)."""
+    lo, hi, _ = edges
+    if not ((lo < hi).all() and ((lo[1:] > lo[:-1]) | (
+            (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()):
+        raise MeshError("edge table not strictly sorted by (lo, hi)")
+    dtype = lo.dtype
+    row = np.cumsum(keep, dtype=dtype) - 1  # of each kept vertex
+    edge = np.flatnonzero(keep[lo] & keep[hi]).astype(dtype)
+    lo_row, hi_row = row[lo[edge]], row[hi[edge]]
+    diagonal = np.arange(row[-1] + 1, dtype=dtype)
+    rows = np.concatenate([hi_row, diagonal, lo_row])
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(diagonal.size + 1, dtype=dtype)
+    np.cumsum(np.bincount(rows, minlength=diagonal.size), out=indptr[1:])
+    del rows
+    edge += keep.size
+    vertex = np.flatnonzero(keep).astype(dtype)
+    return CsrPattern(*_freeze(
+        indptr, np.take(np.concatenate([lo_row, diagonal, hi_row]), order),
+        np.take(np.concatenate([edge, vertex, edge]), order)))
 
 
 def triangle_geometry(p):

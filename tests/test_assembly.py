@@ -392,11 +392,12 @@ def test_assembly_matches_coo_oracle(root):
 
 
 def test_reaction_jacobian_peak_memory():
-    # measured with power11 at n = 128: 193 bytes per triangle, the (M, 9)
-    # element matrices and np.bincount's int64 copy of the slots; the
-    # whole-mesh values at the quadrature points peaked at 224, and a COO
-    # scatter, with int64 row and column indices of all 9 M element
-    # entries, at 552
+    # measured with power11 at n = 128: 102 bytes per triangle, the (M, 3)
+    # vertex and (M, 3) edge element entries, np.bincount's intp copy of
+    # the int32 edge indices and the vertex and edge sums; (M, 9) element
+    # matrices would add 24 and np.bincount's intp copy of an (M, 9) slot
+    # table 72 (172 with both); the whole-mesh values at the quadrature
+    # points peaked at 224
     mesh = generate_interface_mesh(128)
     d1 = builtin_problem("power11").nonlinearity.d1
     state = FemFunction(mesh, np.linspace(0.0, 1.0, mesh.n_vertices))
@@ -407,7 +408,23 @@ def test_reaction_jacobian_peak_memory():
         per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
     finally:
         tracemalloc.stop()
-    assert per_triangle < 300
+    assert per_triangle < 115
+
+
+def test_free_stiffness_first_use_peak_memory():
+    # measured at n = 128: 88 bytes per triangle, with the element entries
+    # summed per vertex and per edge and freed before the sums are taken
+    # into the free pattern; (M, 3, 3) element matrices scattered through
+    # an intp copy of an (M, 9) slot table peaked at 171
+    mesh = generate_interface_mesh(128)
+    mesh.free_pattern, mesh.gradients
+    tracemalloc.start()
+    try:
+        assembly._free_stiffness(mesh, D_JUMP)
+        per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
+    finally:
+        tracemalloc.stop()
+    assert per_triangle < 100
 
 
 def test_semilinear_residual_peak_memory():

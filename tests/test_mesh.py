@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -589,50 +591,101 @@ def test_interior_vertices_are_built_on_first_use_and_cached():
         interior[0] = 0
 
 
+def pattern_meshes():
+    """A root, a refinement, a relabelled refinement and a hand-built
+    child out of ``refine_uniform``'s layout, each without a pattern."""
+    coarse = refine_uniform(generate_interface_mesh(4))
+    fine = refine_uniform(coarse)
+    vertices, triangles, regions = hand_built_children(fine)["swapped-corners"]
+    return {
+        "root": generate_interface_mesh(8),
+        "refined": fine,
+        "relabelled": relabelled(coarse),
+        "hand-built child": Mesh(vertices, triangles, regions, parent=coarse,
+                                 midpoint_edges=fine.midpoint_edges),
+    }
+
+
+def assert_pattern_of(mesh, pattern, kept):
+    """``pattern`` is the CSR structure, with sorted columns, of the
+    couplings within the triangles between the vertices ``kept``, in this
+    order; each diagonal entry's source is its vertex and each other
+    entry's the edge e of ``mesh.edges`` joining its row and column, as
+    ``mesh.n_vertices + e``; every kept vertex is the source of one entry,
+    every edge between two kept vertices of two, and nothing else is."""
+    n = mesh.n_vertices
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    oracle = sp.csr_matrix((np.ones(rows.size), (rows, cols)),
+                           shape=(n, n))[kept][:, kept]
+    oracle.sort_indices()
+    np.testing.assert_array_equal(pattern.indptr, oracle.indptr)
+    np.testing.assert_array_equal(pattern.indices, oracle.indices)
+    row = kept[np.repeat(np.arange(kept.size), np.diff(pattern.indptr))]
+    col = kept[pattern.indices]
+    diagonal = row == col
+    np.testing.assert_array_equal(pattern.source[diagonal], row[diagonal])
+    lo, hi, _ = mesh.edges
+    edge = pattern.source[~diagonal] - n
+    assert edge.min() >= 0
+    np.testing.assert_array_equal(lo[edge], np.minimum(row, col)[~diagonal])
+    np.testing.assert_array_equal(hi[edge], np.maximum(row, col)[~diagonal])
+    inner = np.flatnonzero(np.isin(lo, kept) & np.isin(hi, kept))
+    np.testing.assert_array_equal(
+        np.sort(pattern.source),
+        np.concatenate([kept, n + np.repeat(inner, 2)]))
+
+
 def test_csr_pattern_is_built_on_first_use_and_cached():
-    mesh = refine_uniform(generate_interface_mesh(4))
-    assert "csr_pattern" not in vars(mesh)
-    pattern = mesh.csr_pattern
-    assert pattern is mesh.csr_pattern
-    for arr in pattern:
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    # slot 3 i + j of a triangle is the entry (vertex i, vertex j), and
-    # every stored entry belongs to some triangle
-    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(pattern.indptr))
-    np.testing.assert_array_equal(rows[pattern.slots],
-                                  np.repeat(mesh.triangles, 3, axis=1))
-    np.testing.assert_array_equal(pattern.indices[pattern.slots],
-                                  np.tile(mesh.triangles, (1, 3)))
-    assert np.bincount(pattern.slots.ravel()).min() > 0
+    for mesh in pattern_meshes().values():
+        assert "csr_pattern" not in vars(mesh)
+        pattern = mesh.csr_pattern
+        assert pattern is mesh.csr_pattern
+        for arr in pattern:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert_pattern_of(mesh, pattern, np.arange(mesh.n_vertices))
 
 
 def test_free_pattern_is_the_csr_pattern_on_the_interior_vertices():
-    mesh = relabelled(refine_uniform(generate_interface_mesh(4)))
-    assert "free_pattern" not in vars(mesh)
-    pattern = mesh.free_pattern
-    assert pattern is mesh.free_pattern
-    assert "csr_pattern" not in vars(mesh)  # built from the edges alone
-    for arr in pattern:
-        with pytest.raises(ValueError):
-            arr[0] = 0
-    # the structure of the full pattern's block on the interior vertices
-    full = mesh.csr_pattern
-    free = mesh.interior_vertices
-    a = sp.csr_matrix((np.arange(1.0, full.indices.size + 1), full.indices,
-                       full.indptr))[free][:, free]
-    np.testing.assert_array_equal(pattern.indptr, a.indptr)
-    np.testing.assert_array_equal(pattern.indices, a.indices)
-    # slot 3 i + j is the entry (vertex i, vertex j) when both are
-    # interior, and the dump position indices.size otherwise
-    row = np.full(mesh.n_vertices, -1)
-    row[free] = np.arange(free.size)
-    slot_rows = row[np.repeat(mesh.triangles, 3, axis=1)]
-    slot_cols = row[np.tile(mesh.triangles, (1, 3))]
-    inner = (slot_rows >= 0) & (slot_cols >= 0)
-    np.testing.assert_array_equal(pattern.slots[~inner], pattern.indices.size)
-    rows = np.repeat(np.arange(free.size), np.diff(pattern.indptr))
-    np.testing.assert_array_equal(rows[pattern.slots[inner]], slot_rows[inner])
-    np.testing.assert_array_equal(pattern.indices[pattern.slots[inner]],
-                                  slot_cols[inner])
-    assert np.bincount(pattern.slots[inner]).min() > 0
+    for mesh in pattern_meshes().values():
+        assert "free_pattern" not in vars(mesh)
+        pattern = mesh.free_pattern
+        assert pattern is mesh.free_pattern
+        assert "csr_pattern" not in vars(mesh)  # built from the edges alone
+        for arr in pattern:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        assert_pattern_of(mesh, pattern, mesh.interior_vertices)
+
+
+def test_free_pattern_first_use_peak_memory():
+    # measured at n = 128: 96 bytes per triangle, the pattern sorted into
+    # place from the edge table; scipy's COO to CSR conversion plus an
+    # (M, 9) slot table peaked at 141
+    mesh = generate_interface_mesh(128)
+    mesh.edges, mesh.interior_vertices
+    tracemalloc.start()
+    try:
+        mesh.free_pattern
+        per_triangle = tracemalloc.get_traced_memory()[1] / mesh.n_triangles
+    finally:
+        tracemalloc.stop()
+    assert per_triangle < 110
+
+
+def test_pattern_refuses_an_unsorted_edge_table(monkeypatch):
+    import twogridfem.mesh as mesh_module
+    unique_edges = mesh_module._unique_edges
+
+    def shuffled(triangles, n):
+        lo, hi, edge_of = unique_edges(triangles, n)
+        order = np.random.default_rng(0).permutation(lo.size)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(lo.size)
+        return lo[order], hi[order], rank[edge_of].astype(edge_of.dtype)
+
+    monkeypatch.setattr(mesh_module, "_unique_edges", shuffled)
+    for pattern in ("csr_pattern", "free_pattern"):
+        with pytest.raises(mesh_module.MeshError, match="not strictly sorted"):
+            getattr(generate_interface_mesh(4), pattern)

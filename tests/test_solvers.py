@@ -517,13 +517,13 @@ def test_newton_rejects_mismatched_initial():
 def test_solves_assemble_the_stiffness_once_per_mesh_on_its_free_vertices(
         monkeypatch):
     built = []
-    element_stiffness = assembly._element_stiffness
+    stiffness_sums = assembly._stiffness_sums
 
     def counted(mesh, *args):
         built.append(mesh.n_vertices)
-        return element_stiffness(mesh, *args)
+        return stiffness_sums(mesh, *args)
 
-    monkeypatch.setattr(assembly, "_element_stiffness", counted)
+    monkeypatch.setattr(assembly, "_stiffness_sums", counted)
     mesh = refine_uniform(generate_interface_mesh(8))
     problem = builtin_problem("power11")
     u, report = newton_solve(mesh, problem)
