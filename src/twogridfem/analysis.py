@@ -11,7 +11,7 @@ from .assembly import (
     _block_slices,
     _diffusion_per_triangle,
     _positive_areas,
-    assemble_stiffness,
+    _stiffness_sums,
     quadrature_blocks,
     state_blocks,
 )
@@ -243,22 +243,18 @@ def check_angle_condition(mesh, diffusion):
 
     The discrete maximum principle requires a(phi_i, phi_j) <= 0 for all
     i != j.  Entries above the tolerance (1e-12 times the largest diagonal
-    entry) are reported as violating pairs.  Pure diagnostic.
+    entry) are reported as violating pairs.  Pure diagnostic: it reads the
+    stiffness's vertex and edge sums and builds no matrix.
     """
-    A = assemble_stiffness(mesh, diffusion).tocoo()
-    off = A.row != A.col
-    tol = ANGLE_TOL_FACTOR * float(A.data[~off].max())
-    rows, cols, vals = A.row[off], A.col[off], A.data[off]
-    worst = float(vals.max()) if vals.size else 0.0
-    bad = vals > tol
-    pairs = sorted(
-        {(int(min(i, j)), int(max(i, j)))
-         for i, j in zip(rows[bad], cols[bad])}
-    )
+    sums = _stiffness_sums(mesh, diffusion)
+    diagonal, off = sums[:mesh.n_vertices], sums[mesh.n_vertices:]
+    tol = ANGLE_TOL_FACTOR * float(diagonal.max())
+    bad = off > tol
+    lo, hi, _ = mesh.edges  # ordered by (lo, hi)
     return AngleReport(
-        worst_offdiag=worst,
-        violating_pairs=pairs,
-        passes=not pairs,
+        worst_offdiag=float(off.max()),
+        violating_pairs=list(zip(lo[bad].tolist(), hi[bad].tolist())),
+        passes=not bad.any(),
         tolerance=tol,
     )
 

@@ -123,28 +123,26 @@ class _Level(NamedTuple):
 
 
 class CoarseHierarchy:
-    """The coarse part of a :class:`VCycle`: the Galerkin operators on
-    the parent levels of a mesh and the LU factors of the root's.
+    """The coarse part of a :class:`VCycle` at a Newton state: on every
+    ancestor of the state's mesh, the problem's Newton matrix K + R at
+    the state injected onto the ancestor's vertices (a child numbers its
+    parent's vertices first), and the LU factors of the root's.
 
-    It is empty until the first cycle it is handed builds it from that
-    cycle's fine matrix; every later cycle on the same mesh reuses it with
-    its own fine matrix.  It holds no fine-level data, so keeping it
-    between Newton steps costs only the coarse operators.
+    Each level is rediscretized on the ancestor's free vertices by
+    ``assembly._free_jacobian``, the assembler of the finest level.  The
+    hierarchy holds no fine-level data, so keeping it between Newton
+    steps costs only the coarse operators.
     """
 
-    def __init__(self):
+    def __init__(self, state, problem):
+        mesh = state.mesh
+        if mesh.parent is None:
+            raise ValueError("a root mesh has no coarse levels")
         self.levels = []
-        self.root_solve = None
-
-    @property
-    def built(self):
-        return self.root_solve is not None
-
-    def build(self, mesh, matrix):
-        a = matrix
         while mesh.parent is not None:
-            a = mesh.interior_restriction @ a @ mesh.interior_prolongation
             mesh = mesh.parent
+            a = _free_jacobian(
+                FemFunction(mesh, state.values[:mesh.n_vertices]), problem)
             if mesh.parent is not None:
                 self.levels.append(_make_level(mesh, a))
         self.root_solve = splu(a.tocsc()).solve
@@ -164,29 +162,21 @@ class VCycle:
     """Symmetric multigrid V(1,1)-cycle on a mesh's refinement chain.
 
     ``matrix`` is an SPD system on ``mesh.interior_vertices``, in
-    ``mesh.free_pattern`` as :func:`newton_step` assembles it.  Each coarser
-    level's operator is the Galerkin product P0^T A P0 on its interior
-    vertices, P0 being ``Mesh.interior_prolongation``.  Every level
-    smooths once before and once after its coarse correction with
-    l1-Jacobi, which converges for any SPD matrix without a damping
-    parameter, and the root of the chain is solved exactly.  Calling the
-    cycle on a residual applies an SPD approximation of the inverse.
-
-    The finest level, ``matrix`` and its weights, is built for every
-    cycle.  The coarser levels and the root come from ``coarse``, a
-    :class:`CoarseHierarchy` of an earlier cycle on ``mesh``, which is
-    built from ``matrix`` if it is empty; without one the cycle builds
-    its own.  A reused hierarchy was built from an earlier matrix, so the
-    cycle is then an SPD approximation of a nearby operator's inverse.
+    ``mesh.free_pattern`` as :func:`newton_step` assembles it; ``mesh``
+    has a ``parent``.  The coarser levels and the root come from
+    ``coarse``, a :class:`CoarseHierarchy` on ``mesh``, each level's
+    operator on its mesh's interior vertices, with transfers P0 =
+    ``Mesh.interior_prolongation``.  Every level smooths once before and
+    once after its coarse correction with l1-Jacobi, which converges for
+    any SPD matrix without a damping parameter, and the root of the chain
+    is solved exactly.  Calling the cycle on a residual applies an SPD
+    approximation of the inverse, the hierarchy's operators being SPD
+    where b' >= 0; a hierarchy built at an earlier Newton state makes it
+    one of a nearby operator's inverse.
     """
 
-    def __init__(self, mesh, matrix, coarse=None):
-        a = matrix.tocsr()
-        coarse = CoarseHierarchy() if coarse is None else coarse
-        if not coarse.built:
-            coarse.build(mesh, a)
-        fine = [] if mesh.parent is None else [_make_level(mesh, a)]
-        self.levels = fine + coarse.levels
+    def __init__(self, mesh, matrix, coarse):
+        self.levels = [_make_level(mesh, matrix.tocsr())] + coarse.levels
         self.root_solve = coarse.root_solve
 
     def __call__(self, r):
@@ -314,8 +304,8 @@ def newton_step(problem, state, residual, tol, coarse=None):
     preconditioned by the V-cycle on the mesh's refinement chain, or by
     Jacobi on a mesh without a ``parent``.  The V-cycle's coarse levels
     come from ``coarse``, a :class:`CoarseHierarchy` of an earlier step on
-    the mesh (built from this step's J if it is empty); without one the
-    step builds its own.  The fine matrix dies with the step.  Returns
+    the mesh; without one the step builds its own at ``state``.  The fine
+    matrix dies with the step.  Returns
     (delta, SolveReport of the linear solve), delta zero on the boundary;
     NoConvergence propagates, its ``best`` and ``last`` iterates scattered
     the same way.
@@ -323,8 +313,10 @@ def newton_step(problem, state, residual, tol, coarse=None):
     mesh = state.mesh
     system = _free_jacobian(state, problem)
     rhs = -residual[mesh.interior_vertices]
-    preconditioner = (None if mesh.parent is None
-                      else VCycle(mesh, system, coarse))
+    preconditioner = None
+    if mesh.parent is not None:
+        preconditioner = VCycle(mesh, system, coarse or CoarseHierarchy(
+            state, problem))
 
     def scatter(values):
         delta = np.zeros(mesh.n_vertices)
@@ -357,8 +349,8 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     Newton target (``TARGET_SHARE``).  A step that cuts the residual
     sup-norm at least ``HIERARCHY_REUSE_CUT`` times hands its V-cycle's
     :class:`CoarseHierarchy` to the next step; any slower step drops it,
-    and the next step builds a new one.  Only the coarse levels are kept
-    between steps, and they die with the call.
+    and the next step builds a new one at its own state.  Only the coarse
+    levels are kept between steps, and they die with the call.
 
     Returns (solution, SolveReport); raises NoConvergence (at once on a
     non-finite initial residual) or LineSearchStall with the best iterate
@@ -384,7 +376,7 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     target = max(opts.abs_tol, opts.rel_tol * rsup)
     step_iters = []
     step_built = []
-    coarse = CoarseHierarchy()
+    coarse = None
     iterations = 0
 
     def report(converged):
@@ -405,10 +397,12 @@ def newton_solve(mesh, problem, initial=None, opts=None):
         eta = max(FORCING_FLOOR, min(FORCING_FACTOR, max(
             FORCING_FACTOR * rsup,
             TARGET_SHARE * target / float(np.linalg.norm(r)))))
-        step_built.append(mesh.parent is not None and not coarse.built)
+        state = FemFunction(mesh, u)
+        step_built.append(mesh.parent is not None and coarse is None)
+        if step_built[-1]:
+            coarse = CoarseHierarchy(state, problem)
         try:
-            delta, lin_report = newton_step(
-                problem, FemFunction(mesh, u), r, eta, coarse)
+            delta, lin_report = newton_step(problem, state, r, eta, coarse)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)
@@ -430,7 +424,7 @@ def newton_solve(mesh, problem, initial=None, opts=None):
                 f"newton: line search stalled at residual {rsup:.3e}",
                 best=FemFunction(mesh, u), report=report(False))
         if rsup_try * HIERARCHY_REUSE_CUT > rsup:
-            coarse = CoarseHierarchy()
+            coarse = None
         u, r, rsup = u_try, r_try, rsup_try
         iterations += 1
         history.append(rsup)

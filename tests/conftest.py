@@ -1,7 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from twogridfem import Mesh, Nonlinearity, Problem
+from twogridfem import (
+    Mesh,
+    Nonlinearity,
+    Problem,
+    manufactured_interface_problem,
+)
 
 
 @pytest.fixture
@@ -29,6 +36,29 @@ def cube_problem(d_inside=1000.0, d_outside=1.0, f=8.0):
         ),
         source=lambda x: np.full(x.shape[:-1], f),
     )
+
+
+def strong_cube_problem(lam=1e4):
+    """The manufactured problem with D = 1/1 and b = lam u^3, its source
+    raised by (lam - 1) u^3 so that the manufactured u still solves it;
+    returns (problem, ManufacturedSolution)."""
+    problem, solution = manufactured_interface_problem(1.0, 1.0)
+    cube, source = problem.nonlinearity, problem.source
+
+    def raised_source(points):
+        return source(points) + (lam - 1.0) * solution.exact(points) ** 3
+
+    return dataclasses.replace(
+        problem,
+        nonlinearity=Nonlinearity(
+            eval=lambda tags, xi: lam * cube.eval(tags, xi),
+            d1=lambda tags, xi: lam * cube.d1(tags, xi),
+            d2=lambda tags, xi: lam * cube.d2(tags, xi),
+            barrier_alpha=cube.barrier_alpha,
+            barrier_beta=cube.barrier_beta,
+        ),
+        source=raised_source,
+    ), solution
 
 
 def grad_l2_squared_oracle(mesh, values):

@@ -255,6 +255,8 @@ def test_angle_condition_structured_mesh_all_levels():
         assert report.passes
         assert report.violating_pairs == []
         assert report.worst_offdiag <= report.tolerance
+        # the audit reads the stiffness's edge sums, not a matrix
+        assert "csr_pattern" not in vars(mesh)
         mesh = refine_uniform(mesh)
 
 

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import twogridfem.assembly as assembly
 import twogridfem.solvers as solvers
 from twogridfem import (
+    CoarseHierarchy,
     FemFunction,
     LineSearchStall,
     NewtonOptions,
@@ -31,7 +32,7 @@ from twogridfem import (
     refine_uniform,
 )
 
-from conftest import cube_problem
+from conftest import cube_problem, strong_cube_problem
 
 D_UNIT = {1: 1.0, 2: 1.0}
 D_JUMP = {1: 1000.0, 2: 1.0}
@@ -60,6 +61,13 @@ def jump_system(mesh):
     a = assemble_stiffness(mesh, D_JUMP)
     return apply_dirichlet(a, np.ones(mesh.n_vertices),
                            mesh.boundary_vertices)
+
+
+def jump_cycle(mesh, ac):
+    """A V-cycle for :func:`jump_system`'s matrix ``ac``: its coarse levels
+    are the stiffness with D = 1000/1, a problem without reaction at zero."""
+    problem = builtin_problem("zero_reaction", d_inside=1000.0)
+    return VCycle(mesh, ac, CoarseHierarchy(FemFunction.zeros(mesh), problem))
 
 
 def test_pcg_identity_single_iteration():
@@ -144,7 +152,7 @@ def test_pcg_stops_at_attainable_accuracy(multigrid, tol):
     # residual cannot; restarting forever would spend the whole budget
     mesh = nested_meshes(4)[-1]
     ac, rc = jump_system(mesh)
-    preconditioner = VCycle(mesh, ac) if multigrid else None
+    preconditioner = jump_cycle(mesh, ac) if multigrid else None
     with pytest.raises(NoConvergence, match="stagnated") as err:
         pcg_solve(ac, rc, tol=tol, max_iters=4000,
                   preconditioner=preconditioner)
@@ -156,10 +164,22 @@ def test_pcg_stops_at_attainable_accuracy(multigrid, tol):
     assert f"best true residual {best:.3e}" in str(exc)
 
 
-def test_vcycle_is_symmetric_and_positive():
+def power11_cycle(mesh):
+    """The V-cycle of a Newton step at power11's discrete solution, with
+    its own hierarchy."""
+    problem = builtin_problem("power11")
+    u, _ = newton_solve(mesh, problem)
+    return VCycle(mesh, assembly._free_jacobian(u, problem),
+                  CoarseHierarchy(u, problem))
+
+
+@pytest.mark.parametrize("cycle", [
+    lambda mesh: jump_cycle(mesh, jump_system(mesh)[0]),
+    power11_cycle,
+], ids=["jump", "power11"])
+def test_vcycle_is_symmetric_and_positive(cycle):
     mesh = nested_meshes(2)[-1]
-    ac, _ = jump_system(mesh)
-    b = VCycle(mesh, ac)
+    b = cycle(mesh)
     assert len(b.levels) == 2
     # every level solves on its mesh's free vertices
     for level, level_mesh in zip(b.levels, (mesh, mesh.parent)):
@@ -167,7 +187,7 @@ def test_vcycle_is_symmetric_and_positive():
         assert level.matrix.shape == (n_free, n_free)
     rng = np.random.default_rng(3)
     for _ in range(5):
-        r1, r2 = rng.standard_normal((2, ac.shape[0]))
+        r1, r2 = rng.standard_normal((2, len(mesh.interior_vertices)))
         b2 = b(r2)
         assert abs(r1 @ b2 - r2 @ b(r1)) <= (
             1e-12 * np.linalg.norm(r1) * np.linalg.norm(b2))
@@ -186,11 +206,14 @@ def test_vcycle_pcg_iterations_do_not_grow_with_refinement(monkeypatch):
     monkeypatch.setattr(solvers, "pcg_solve", spy)
     newton_solve(meshes[0], builtin_problem("power11"))
     assert seen and all(b is None for b in seen)
+    with pytest.raises(ValueError, match="root mesh has no coarse levels"):
+        CoarseHierarchy(FemFunction.zeros(meshes[0]),
+                        builtin_problem("power11"))
     counts = []
     for mesh in meshes[1:]:
         ac, rc = jump_system(mesh)
         _, report = pcg_solve(ac, rc, tol=1e-8,
-                              preconditioner=VCycle(mesh, ac))
+                              preconditioner=jump_cycle(mesh, ac))
         counts.append(report.iterations)
     # Jacobi needs 69 on n = 32 and doubles per level
     assert max(counts) <= 25, counts
@@ -234,13 +257,13 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
 
 def test_newton_levels_builds_one_hierarchy_per_refined_level(monkeypatch):
     builds = []
-    build = solvers.CoarseHierarchy.build
+    build = solvers.CoarseHierarchy.__init__
 
-    def spy(self, mesh, matrix):
-        builds.append(mesh.n_vertices)
-        build(self, mesh, matrix)
+    def spy(self, state, problem):
+        builds.append(state.mesh.n_vertices)
+        build(self, state, problem)
 
-    monkeypatch.setattr(solvers.CoarseHierarchy, "build", spy)
+    monkeypatch.setattr(solvers.CoarseHierarchy, "__init__", spy)
     meshes = nested_meshes(3)
     reports = [report for _, report in
                newton_levels(meshes, builtin_problem("power11"))]
@@ -254,7 +277,41 @@ def test_newton_levels_builds_one_hierarchy_per_refined_level(monkeypatch):
     assert reports[-1].linear_iters_total <= 24
 
 
-@pytest.mark.parametrize("refinements, most", [(1, 35), (2, 49), (3, 56)])
+def strong_cube_case():
+    """The lam = 1e4 cube problem, started at the nodal interpolant of its
+    manufactured solution."""
+    problem, solution = strong_cube_problem()
+    return problem, lambda mesh: solution.exact(mesh.vertices)
+
+
+@pytest.mark.parametrize("case, tol, most", [
+    # 9, 7, 5, 8, 10 iterations on n = 16 ... 256
+    (lambda: (builtin_problem("linear_reaction", c=1e4), None), 1e-8, 12),
+    # 9, 8, 9, 9, 10
+    (strong_cube_case, 1e-8, 12),
+    # 10, 11, 12, 13, 14
+    (lambda: (builtin_problem("linear_reaction", d_inside=1e6), None),
+     1e-6, 16),
+], ids=["reaction-1e4", "cube-1e4", "contrast-1e6"])
+def test_newton_step_pcg_iterations_under_strong_reaction_and_contrast(
+        case, tol, most):
+    # coarse levels of the stiffness alone, without the reaction, took
+    # 100 and 154 iterations on n = 128 and 256 with a reaction of 1e4
+    problem, start = case()
+    mesh = generate_interface_mesh(8, problem.domain, problem.interface_box)
+    counts = []
+    for _ in range(5):
+        mesh = refine_uniform(mesh)
+        state = make_initial_guess(
+            mesh, problem, None if start is None else start(mesh))
+        _, report = newton_step(
+            problem, state, assemble_semilinear_residual(state, problem),
+            tol)
+        counts.append(report.iterations)
+    assert max(counts) <= most, counts
+
+
+@pytest.mark.parametrize("refinements, most", [(1, 35), (2, 50), (3, 57)])
 def test_cold_newton_pcg_iterations(refinements, most):
     # a cold start begins at J(0) = K, far from the converged Jacobian:
     # only a step that cut the residual tenfold hands its hierarchy on
@@ -530,10 +587,13 @@ def test_solves_assemble_the_stiffness_once_per_mesh_on_its_free_vertices(
     assert report.converged
     # the solve path never builds the full pattern
     assert "csr_pattern" not in vars(mesh)
-    assert built == [mesh.n_vertices]
+    # once per mesh of the chain: the V-cycle's coarse level is assembled
+    # on the parent's free vertices
+    chain = [mesh.n_vertices, mesh.parent.n_vertices]
+    assert built == chain
     newton_solve(mesh, problem, u)
     linearized_solve(problem, u)
-    assert built == [mesh.n_vertices]
+    assert built == chain
     # the cached stiffness does not keep its mesh alive
     ref = weakref.ref(mesh)
     del mesh, u
