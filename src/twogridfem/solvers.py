@@ -47,6 +47,16 @@ TARGET_SHARE = 0.1
 HIERARCHY_REUSE_CUT = 10.0
 # the line search halves the Newton step down to this fraction of it
 MIN_STEP = 2.0 ** -10
+# Damping of the V-cycle's l1-Jacobi smoother.  With W = 1 / sum_j |a_ij|
+# every row of W A has absolute sum 1, so by Gershgorin lambda_max(W A)
+# <= 1 for any symmetric A, and SMOOTHER_WEIGHT * W keeps omega * lambda
+# below 2: the smoother converges in the energy norm and the V(1,1)-cycle
+# stays SPD for any SPD matrix (Baker, Falgout, Kolev and Yang, SISC
+# 2011).  8/5 = 2 / (1/4 + 1) is the degree-1 Chebyshev weight for
+# [1/4, 1], the part of the spectrum a 2D full-coarsening cycle leaves to
+# the smoother; it lowers the smoothing factor from 3/4 (W alone, which is
+# Jacobi damped by 1/2 on the interior stiffness rows) to 3/5.
+SMOOTHER_WEIGHT = 8.0 / 5.0
 
 
 class SolverError(Exception):
@@ -117,7 +127,7 @@ def _jacobi_inverse(a):
 
 class _Level(NamedTuple):
     matrix: sp.csr_matrix        # the level's operator A
-    weights: np.ndarray          # l1-Jacobi smoother, 1 / sum_j |a_ij|
+    weights: np.ndarray          # smoother, SMOOTHER_WEIGHT / sum_j |a_ij|
     prolongation: sp.csr_matrix  # P0 from the next coarser level
     restriction: sp.csr_matrix   # P0^T
 
@@ -149,11 +159,11 @@ class CoarseHierarchy:
 
 
 def _make_level(mesh, a):
-    """A V-cycle level: ``a`` on ``mesh``'s free vertices, its l1-Jacobi
-    weights and the transfers from the parent's free vertices."""
+    """A V-cycle level: ``a`` on ``mesh``'s free vertices, its damped
+    l1-Jacobi weights and the transfers from the parent's free vertices."""
     abs_a = sp.csr_matrix((np.abs(a.data), a.indices, a.indptr),
                           shape=a.shape)
-    weights = 1.0 / (abs_a @ np.ones(a.shape[0]))
+    weights = SMOOTHER_WEIGHT / (abs_a @ np.ones(a.shape[0]))
     return _Level(a, weights, mesh.interior_prolongation,
                   mesh.interior_restriction)
 
@@ -167,12 +177,12 @@ class VCycle:
     ``coarse``, a :class:`CoarseHierarchy` on ``mesh``, each level's
     operator on its mesh's interior vertices, with transfers P0 =
     ``Mesh.interior_prolongation``.  Every level smooths once before and
-    once after its coarse correction with l1-Jacobi, which converges for
-    any SPD matrix without a damping parameter, and the root of the chain
-    is solved exactly.  Calling the cycle on a residual applies an SPD
-    approximation of the inverse, the hierarchy's operators being SPD
-    where b' >= 0; a hierarchy built at an earlier Newton state makes it
-    one of a nearby operator's inverse.
+    once after its coarse correction with l1-Jacobi over-relaxed by
+    ``SMOOTHER_WEIGHT`` = 8/5, which still converges for any SPD matrix,
+    and the root of the chain is solved exactly.  Calling the cycle on a
+    residual applies an SPD approximation of the inverse, the hierarchy's
+    operators being SPD where b' >= 0; a hierarchy built at an earlier
+    Newton state makes it one of a nearby operator's inverse.
     """
 
     def __init__(self, mesh, matrix, coarse):

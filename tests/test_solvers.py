@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import eigsh
 
 import twogridfem.assembly as assembly
 import twogridfem.solvers as solvers
@@ -173,11 +174,28 @@ def power11_cycle(mesh):
                   CoarseHierarchy(u, problem))
 
 
-@pytest.mark.parametrize("cycle", [
+def start_cycle(problem):
+    """The V-cycle of ``problem``'s first Newton step from the zero start,
+    as :func:`newton_step` builds it, as a function of the mesh."""
+    def cycle(mesh):
+        state = make_initial_guess(mesh, problem)
+        return VCycle(mesh, assembly._free_jacobian(state, problem),
+                      CoarseHierarchy(state, problem))
+    return cycle
+
+
+CYCLES = pytest.mark.parametrize("cycle", [
     lambda mesh: jump_cycle(mesh, jump_system(mesh)[0]),
     power11_cycle,
-], ids=["jump", "power11"])
+    start_cycle(builtin_problem("linear_reaction", d_inside=1e6)),
+    start_cycle(builtin_problem("linear_reaction", c=1e4)),
+], ids=["jump", "power11", "contrast-1e6", "reaction-1e4"])
+
+
+@CYCLES
 def test_vcycle_is_symmetric_and_positive(cycle):
+    # contrast and reaction spread the smoother's weight times the diagonal
+    # over 0.8 ... 1.34 here, where over-relaxation could break positivity
     mesh = nested_meshes(2)[-1]
     b = cycle(mesh)
     assert len(b.levels) == 2
@@ -192,6 +210,30 @@ def test_vcycle_is_symmetric_and_positive(cycle):
         assert abs(r1 @ b2 - r2 @ b(r1)) <= (
             1e-12 * np.linalg.norm(r1) * np.linalg.norm(b2))
         assert r1 @ b(r1) > 0.0
+
+
+def top_eigenvalue(a, weights):
+    """lambda_max(W A) for W = diag(weights), from the similar SPD matrix
+    W^1/2 A W^1/2."""
+    root = sp.diags(np.sqrt(weights))
+    return eigsh(root @ a @ root, k=1, which="LA", tol=1e-10,
+                 return_eigenvectors=False)[0]
+
+
+@CYCLES
+def test_vcycle_smoother_weights_converge_on_every_level(cycle):
+    mesh = nested_meshes(3)[-1]
+    b = cycle(mesh)
+    assert len(b.levels) == 3
+    for level in b.levels:
+        a = level.matrix
+        l1 = 1.0 / (abs(a) @ np.ones(a.shape[0]))
+        # the undamped l1 weights bound lambda_max(W A) by 1 (Gershgorin)
+        assert top_eigenvalue(a, l1) <= 1.0 + 1e-10
+        # the cycle over-relaxes them; the top mode is damped by
+        # |1 - lambda|, not at all at 2: measured 1.6000 on every level
+        # (1.0000 without the damping)
+        assert 1.5 <= top_eigenvalue(a, level.weights) < 1.9
 
 
 def test_vcycle_pcg_iterations_do_not_grow_with_refinement(monkeypatch):
@@ -215,8 +257,9 @@ def test_vcycle_pcg_iterations_do_not_grow_with_refinement(monkeypatch):
         _, report = pcg_solve(ac, rc, tol=1e-8,
                               preconditioner=jump_cycle(mesh, ac))
         counts.append(report.iterations)
-    # Jacobi needs 69 on n = 32 and doubles per level
-    assert max(counts) <= 25, counts
+    # 11, 11, 12, 13 on n = 16 ... 128 (13 ... 16 with the undamped
+    # smoother); Jacobi needs 69 on n = 32 and doubles per level
+    assert max(counts) <= 14, counts
 
 
 def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
@@ -285,13 +328,14 @@ def strong_cube_case():
 
 
 @pytest.mark.parametrize("case, tol, most", [
-    # 9, 7, 5, 8, 10 iterations on n = 16 ... 256
-    (lambda: (builtin_problem("linear_reaction", c=1e4), None), 1e-8, 12),
-    # 9, 8, 9, 9, 10
-    (strong_cube_case, 1e-8, 12),
-    # 10, 11, 12, 13, 14
+    # 7, 6, 8, 7, 8 iterations on n = 16 ... 256 (9, 7, 5, 8, 10 with the
+    # undamped smoother)
+    (lambda: (builtin_problem("linear_reaction", c=1e4), None), 1e-8, 9),
+    # 7, 7, 7, 7, 8 (9, 8, 9, 9, 10)
+    (strong_cube_case, 1e-8, 9),
+    # 8, 9, 9, 10, 11 (10, 11, 12, 13, 14)
     (lambda: (builtin_problem("linear_reaction", d_inside=1e6), None),
-     1e-6, 16),
+     1e-6, 12),
 ], ids=["reaction-1e4", "cube-1e4", "contrast-1e6"])
 def test_newton_step_pcg_iterations_under_strong_reaction_and_contrast(
         case, tol, most):
@@ -311,11 +355,12 @@ def test_newton_step_pcg_iterations_under_strong_reaction_and_contrast(
     assert max(counts) <= most, counts
 
 
-@pytest.mark.parametrize("refinements, most", [(1, 35), (2, 50), (3, 57)])
+@pytest.mark.parametrize("refinements, most", [(1, 28), (2, 42), (3, 50)])
 def test_cold_newton_pcg_iterations(refinements, most):
     # a cold start begins at J(0) = K, far from the converged Jacobian:
     # only a step that cut the residual tenfold hands its hierarchy on
-    # (the bounds are the counts with a new hierarchy on every step)
+    # (the bounds are the measured counts; a new hierarchy on every step
+    # takes 28, 41 and 48, the undamped smoother 31, 50 and 57)
     mesh = nested_meshes(refinements)[-1]
     _, report = newton_solve(mesh, builtin_problem("power11"))
     hist, built = report.residual_history, report.step_new_hierarchy
