@@ -126,13 +126,13 @@ def lp_norm(v, p):
     """L^p norm of a FemFunction, p in {2, 4}, by quadrature."""
     if p not in (2, 4):
         raise ValueError(f"p must be 2 or 4, got {p}")
-    mesh = v.mesh
+    areas = _positive_areas(v.mesh)
     total = 0.0
     for block, _, values in state_blocks(v):
         power = values * values
         if p == 4:
             power *= power
-        total += float(np.sum(mesh.areas[block, None] * QUADRATURE_WEIGHTS
+        total += float(np.sum(areas[block, None] * QUADRATURE_WEIGHTS
                               * power))
     return total ** (1.0 / p)
 
@@ -140,10 +140,11 @@ def lp_norm(v, p):
 def _manufactured_errors(diffusion, u_h, exact):
     mesh = u_h.mesh
     d = _diffusion_per_triangle(mesh, diffusion)
+    areas = _positive_areas(mesh)
     e2 = e4 = een = 0.0
     for (block, points), (_, _, uh_q) in zip(quadrature_blocks(mesh),
                                              state_blocks(u_h)):
-        w = mesh.areas[block, None] * QUADRATURE_WEIGHTS
+        w = areas[block, None] * QUADRATURE_WEIGHTS
         diff = exact.exact(points) - uh_q
         diff2 = diff * diff
         e2 += float(np.sum(w * diff2))

@@ -50,6 +50,9 @@ __all__ = [
 # arrays then fit a 2 MiB L2 cache.
 _BLOCK_TRIANGLES = 4096
 
+# how far, in multiples of the mesh's h, a point load may lie from its vertex
+VERTEX_TOL = 1e-9
+
 
 class AssemblyError(Exception):
     pass
@@ -121,6 +124,8 @@ def _diffusion_per_triangle(mesh, diffusion):
     value of every region tag of the mesh is finite and positive."""
     d = np.empty(mesh.n_triangles)
     for tag in np.unique(mesh.regions):
+        if int(tag) not in diffusion:
+            raise ValueError(f"no diffusion given for region {tag}")
         val = float(diffusion[int(tag)])
         if not (np.isfinite(val) and val > 0):
             raise ValueError(f"diffusion in region {tag} must be finite and "
@@ -288,10 +293,11 @@ def _moment_vector(mesh, f, state=None):
 
 
 def assemble_point_load(mesh, location, magnitude):
-    """Nodal delta load: the magnitude lands on the vertex at ``location``."""
+    """Nodal delta load: the magnitude lands on the vertex at ``location``,
+    within ``VERTEX_TOL`` times the mesh's h in each coordinate."""
     loc = np.asarray(location, dtype=float)
     dist = np.abs(mesh.vertices - loc[None, :]).max(axis=1)
-    hits = np.nonzero(dist <= 1e-12)[0]
+    hits = np.nonzero(dist <= VERTEX_TOL * mesh.h)[0]
     if hits.size != 1:
         raise NotAVertex(f"no mesh vertex at {tuple(loc.tolist())}")
     load = np.zeros(mesh.n_vertices)

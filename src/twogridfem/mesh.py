@@ -28,6 +28,10 @@ __all__ = [
 ]
 
 
+# how far, in grid spacings, a box side may lie from its grid line
+GRID_TOL = 1e-9
+
+
 class MeshError(Exception):
     """Base class for mesh construction and validation failures."""
 
@@ -57,8 +61,11 @@ class Mesh:
     triangles : (M, 3) int array, counterclockwise vertex triples
     regions : (M,) int array with values in {1, 2}
     parent : coarser mesh this one refines, or None
-    midpoint_edges : (N - N_parent, 2) int array mapping each new vertex
-        of a refined mesh to the parent edge it bisects, or None
+    midpoint_vertices : (E_parent,) int array, the vertex that bisects each
+        edge of ``parent.edges``, or None without a parent
+    midpoint_edges : (N - N_parent, 2) array, the parent edge (lo, hi)
+        that each new vertex bisects, in the index dtype of the parent's
+        ``edges``, or None without a parent
     edges : ``(lo, hi, edge_of)``, the unique edges (lo, hi), lo < hi, in
         lexicographic order and the indices of every triangle's edges
         01, 12 and 02, in the index dtype of ``csr_pattern``
@@ -83,39 +90,38 @@ class Mesh:
     free_pattern : its block on ``interior_vertices``, the pattern of
         every system solved on the mesh
 
-    All arrays are read-only.  The attributes after ``midpoint_edges`` are
-    derived, once and on first use; two threads racing on that first use
-    compute the same values, so meshes are safe to share.
+    All arrays are read-only.  The attributes after ``midpoint_vertices``
+    are derived: ``midpoint_edges`` on each read, the others once, on
+    first use; two threads racing on that first use compute the same
+    values, so meshes are safe to share.
 
-    A mesh with a parent is taken to be its red refinement: the parent's
-    vertices keep their numbers, and every new vertex is the midpoint of
-    one parent edge and a corner of 3 children if that edge is used by one
-    parent triangle, of 6 otherwise; ``boundary_vertices`` and ``h`` rely
-    on this.  When, in addition, the triangles are in ``refine_uniform``'s
-    child layout (checked in O(M)), the edges come from the parent's by
-    index arithmetic and one sort, and, when the vertices are placed as
-    ``refine_uniform`` places them, so does the geometry: the areas are a
-    quarter of the parent's and the gradients 2 or -2 times the parent's.
-    That geometry equals :func:`triangle_geometry` of the coordinates bit
-    for bit on dyadic coordinates, such as those of
+    The constructor takes vertices, triangles and regions alone and makes
+    a root, which computes its edges, boundary, h and geometry from them.
+    Only :func:`refine_uniform` makes a mesh with a parent: it records the
+    parent and ``midpoint_vertices``, and nothing else sets them.  A mesh
+    with a parent is therefore always its parent's red refinement in
+    ``refine_uniform``'s child layout, and it derives from the parent's,
+    with no check of that layout, its boundary and h, its edges by index
+    arithmetic and one sort, and its geometry: the areas are a quarter of
+    the parent's and the gradients 2 or -2 times the parent's.  That
+    geometry equals :func:`triangle_geometry` of the coordinates bit for
+    bit on dyadic coordinates, such as those of
     :func:`generate_interface_mesh` and their refinements, and within
-    roundoff otherwise.  A root, or a mesh in any other layout, computes
-    both from its own triangles and coordinates.
+    roundoff otherwise.
     """
 
     vertices: np.ndarray
     triangles: np.ndarray
     regions: np.ndarray
-    parent: "Mesh | None" = None
-    midpoint_edges: np.ndarray | None = field(default=None, repr=False)
+    parent: "Mesh | None" = field(default=None, init=False)
+    midpoint_vertices: np.ndarray | None = field(default=None, init=False,
+                                                 repr=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.regions = np.ascontiguousarray(self.regions, dtype=np.int64)
         _freeze(self.vertices, self.triangles, self.regions)
-        if self.midpoint_edges is not None:
-            _freeze(self.midpoint_edges)
 
     @property
     def n_vertices(self):
@@ -125,15 +131,26 @@ class Mesh:
     def n_triangles(self):
         return self.triangles.shape[0]
 
+    @property
+    def midpoint_edges(self):
+        """The parent edge bisected by each new vertex, in vertex order."""
+        if self.parent is None:
+            return None
+        lo, hi, _ = self.parent.edges
+        order = np.empty(lo.size, dtype=np.int64)
+        order[self.midpoint_vertices - self.parent.n_vertices] = np.arange(
+            lo.size)
+        return _freeze(np.column_stack([lo[order], hi[order]]))[0]
+
     @cached_property
     def edges(self):
         """The unique edges and each triangle's edge indices, derived from
         the parent's in ``refine_uniform``'s child layout."""
-        midpoint = _parent_midpoints(self)
-        if midpoint is None:
+        if self.parent is None:
             edges = _unique_edges(self.triangles, self.n_vertices)
         else:
-            edges = _child_edges(self.parent, midpoint, self.n_vertices)
+            edges = _child_edges(self.parent, self.midpoint_vertices,
+                                 self.n_vertices)
         _freeze(*edges)
         return edges
 
@@ -209,11 +226,11 @@ class Mesh:
         if self.parent is None:
             return None
         n_old = self.parent.n_vertices
-        n_mid = len(self.midpoint_edges)
+        midpoint_edges = self.midpoint_edges
+        n_mid = len(midpoint_edges)
         indptr = np.concatenate([np.arange(n_old),
                                  n_old + 2 * np.arange(n_mid + 1)])
-        indices = np.concatenate([np.arange(n_old),
-                                  self.midpoint_edges.ravel()])
+        indices = np.concatenate([np.arange(n_old), midpoint_edges.ravel()])
         data = np.concatenate([np.ones(n_old), np.full(2 * n_mid, 0.5)])
         p = sp.csr_matrix((data, indices, indptr),
                           shape=(self.n_vertices, n_old))
@@ -317,61 +334,16 @@ _CHILD_GRADIENT_PLANES = [[0, 1, 2, 2], [1, 2, 0, 0], [2, 0, 1, 1]]
 _CHILD_GRADIENT_FACTORS = np.array([2.0, 2.0, 2.0, -2.0])
 
 
-def _parent_midpoints(mesh):
-    """The vertex that bisects each of the parent's edges, read back from
-    ``mesh.triangles``, when these are the parent's split in
-    ``refine_uniform``'s child layout with a new vertex per edge; else
-    None."""
-    parent = mesh.parent
-    if parent is None or mesh.n_triangles != 4 * parent.n_triangles:
-        return None
-    lo, _, edge_of = parent.edges
-    children = mesh.triangles.reshape(-1, 12)
-    middle = children[:, 9:]  # (m_0, m_1, m_2)
-    midpoint = np.empty(lo.size, dtype=np.int64)
-    # an edge's two sides may disagree: the first comparison finds it
-    midpoint[edge_of] = middle
-    new = midpoint - parent.n_vertices
-    if (not np.array_equal(np.take(midpoint, edge_of), middle)
-            or new.min() < 0
-            or np.any(np.bincount(new, minlength=lo.size) != 1)
-            or not np.array_equal(children[:, 0:9:3], parent.triangles)
-            or not np.array_equal(children[:, 1:9:3], middle)
-            or not np.array_equal(children[:, 2:9:3], middle[:, [2, 0, 1]])):
-        return None
-    return midpoint
-
-
 def _geometry_of(mesh):
     """The areas and gradients of ``mesh``: its cached ones, else derived
-    from its parent's when it is ``refine_uniform``'s refinement of it,
-    vertices included, else computed from its coordinates.  An ancestor's
-    geometry is read if cached and not cached if derived here, so that a
-    mesh holds only the geometry asked of it."""
+    from its parent's, else, on a root, computed from its coordinates.  An
+    ancestor's geometry is read if cached and not cached if derived here,
+    so that a mesh holds only the geometry asked of it."""
     if "_geometry" in vars(mesh):
         return mesh._geometry
-    midpoint = _parent_midpoints(mesh)
-    if midpoint is not None and _midpoints_placed(mesh, midpoint):
-        return _child_geometry(*_geometry_of(mesh.parent))
-    return triangle_geometry(mesh.triangle_coords())
-
-
-def _midpoints_placed(mesh, midpoint):
-    """Whether ``mesh`` keeps its parent's vertices and places each
-    midpoint vertex as ``refine_uniform`` does."""
-    coarse = mesh.parent.vertices
-    lo, hi, _ = mesh.parent.edges
-    return (np.array_equal(mesh.vertices[:len(coarse)], coarse)
-            and np.array_equal(np.take(mesh.vertices, midpoint, axis=0),
-                               _midpoint_coords(coarse, lo, hi)))
-
-
-def _midpoint_coords(vertices, lo, hi):
-    """The midpoints of the edges (lo, hi), 0.5 (v_lo + v_hi)."""
-    mid = np.take(vertices, lo, axis=0)
-    mid += np.take(vertices, hi, axis=0)
-    mid *= 0.5
-    return mid
+    if mesh.parent is None:
+        return triangle_geometry(mesh.triangle_coords())
+    return _child_geometry(*_geometry_of(mesh.parent))
 
 
 def _child_edges(parent, midpoint, n):
@@ -498,7 +470,8 @@ def generate_interface_mesh(n, domain=(-1.0, 1.0, -1.0, 1.0),
     ys = np.linspace(ymin, ymax, n + 1)
 
     def grid_index(coords, value, axis):
-        hits = np.nonzero(np.abs(coords - value) <= 1e-12)[0]
+        tol = GRID_TOL * (coords[1] - coords[0])
+        hits = np.nonzero(np.abs(coords - value) <= tol)[0]
         if hits.size != 1:
             raise InterfaceNotResolved(
                 f"box {axis}-edge at {value} does not align with the "
@@ -532,9 +505,10 @@ def refine_uniform(mesh):
     (m01, m12, m02).  The parent's vertices keep their numbers, and the
     midpoints follow in the order a triangle-by-triangle walk meets their
     edges.  Region tags are inherited, and the child records the parent
-    mesh and the parent edge bisected by every new vertex.  From this
-    layout the child derives its boundary, h, edges and geometry from the
-    parent's, on first use: refinement computes none of them.
+    mesh and the new vertex that bisects every parent edge; this is the
+    only way to give a mesh a parent.  From this layout the child derives
+    its boundary, h, edges and geometry from the parent's, on first use:
+    refinement computes none of them.
     """
     n_old = mesh.n_vertices
     lo, hi, edge_of = mesh.edges
@@ -547,19 +521,21 @@ def refine_uniform(mesh):
     order = edge_of.ravel()[is_first]
     midpoint = np.empty(lo.size, dtype=np.int64)
     midpoint[order] = np.arange(n_old, n_old + order.size)
-    lo, hi = lo[order], hi[order]
-
-    vertices = np.concatenate([mesh.vertices,
-                               _midpoint_coords(mesh.vertices, lo, hi)])
+    mid = np.take(mesh.vertices, lo[order], axis=0)
+    mid += np.take(mesh.vertices, hi[order], axis=0)
+    mid *= 0.5
+    vertices = np.concatenate([mesh.vertices, mid])
     # the vertices v0, v1, v2, m_0, m_1, m_2 of every parent triangle as
     # rows, taken in the child layout into the children's triangles
     planes = np.empty((6, mesh.n_triangles), dtype=np.int64)
     planes[:3] = mesh.triangles.T
     np.take(midpoint, edge_of.T, out=planes[3:])
-    return Mesh(vertices,
-                np.take(planes.T, _CHILD_VERTICES, axis=1).reshape(-1, 3),
-                np.repeat(mesh.regions, 4), parent=mesh,
-                midpoint_edges=np.column_stack([lo, hi]))
+    child = Mesh(vertices,
+                 np.take(planes.T, _CHILD_VERTICES, axis=1).reshape(-1, 3),
+                 np.repeat(mesh.regions, 4))
+    child.parent = mesh
+    child.midpoint_vertices = _freeze(midpoint)[0]
+    return child
 
 
 def validate_mesh(mesh):

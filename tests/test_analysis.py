@@ -9,8 +9,10 @@ from twogridfem import assembly
 from twogridfem import (
     BoundaryNotZero,
     DegenerateDenominator,
+    DegenerateTriangle,
     ErrorRecord,
     FemFunction,
+    Mesh,
     ZeroError,
     builtin_problem,
     convergence_report,
@@ -98,6 +100,20 @@ def test_lp_norm_linear_function_analytic():
     exact = math.sqrt(4.0 / 3.0)
     interp = FemFunction(mesh, mesh.vertices[:, 0])
     assert lp_norm(interp, 2) == pytest.approx(exact, abs=1e-13)
+
+
+def test_norms_refuse_clockwise_triangles():
+    # lp_norm returned a complex number, the manufactured errors failed in
+    # math.sqrt, and only energy_norm named the triangle
+    mesh = generate_interface_mesh(4)
+    flipped = Mesh(mesh.vertices, mesh.triangles[:, [0, 2, 1]], mesh.regions)
+    one = FemFunction(flipped, np.ones(flipped.n_vertices))
+    _, exact = manufactured_interface_problem(10.0, 1.0)
+    for norm in (lambda: lp_norm(one, 2), lambda: lp_norm(one, 4),
+                 lambda: energy_norm(flipped, D_UNIT, one),
+                 lambda: error_norms(D_UNIT, one, exact)):
+        with pytest.raises(DegenerateTriangle, match="triangle 0"):
+            norm()
 
 
 def test_lp_norm_rejects_other_exponents():

@@ -114,6 +114,11 @@ def test_assemble_stiffness_rejects_clockwise_triangle(unit_square_pair):
         assemble_stiffness(mesh, D_UNIT)
 
 
+def test_stiffness_refuses_a_missing_region():
+    with pytest.raises(ValueError, match="region 2"):
+        assemble_stiffness(generate_interface_mesh(4), {1: 1.0})
+
+
 def test_assemble_stiffness_matches_dense_oracle():
     mesh = generate_interface_mesh(2, (-1, 1, -1, 1), (-1, 0, -1, 1))
     a = assemble_stiffness(mesh, D_UNIT).toarray()
@@ -271,6 +276,20 @@ def test_point_load_not_a_vertex():
     mesh = generate_interface_mesh(4)
     with pytest.raises(NotAVertex):
         assemble_point_load(mesh, (0.3, 0.3), 1.0)
+
+
+def test_point_load_tolerance_scales_with_the_mesh():
+    # an absolute tolerance of 1e-12 found every vertex of this mesh
+    size = np.pi * 1e-12
+    lines = np.linspace(0, size, 10)
+    mesh = generate_interface_mesh(9, (0, size, 0, size),
+                                   (lines[3], lines[6], lines[3], lines[6]))
+    vertex = 37
+    load = assemble_point_load(mesh, mesh.vertices[vertex], 2.0)
+    assert np.flatnonzero(load).tolist() == [vertex]
+    assert load[vertex] == 2.0
+    with pytest.raises(NotAVertex):
+        assemble_point_load(mesh, mesh.vertices[vertex] + size / 27, 1.0)
 
 
 def test_interface_flux_constant(unit_square_pair):

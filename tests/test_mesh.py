@@ -37,6 +37,24 @@ def test_generate_rejects_unaligned_box():
         generate_interface_mesh(3)  # grid lines at +-1/3 miss +-1/2
 
 
+TINY = np.pi * 1e-12
+
+
+def tiny_grid_box(offset=0.0):
+    """A box on the lines of the 9-by-9 grid of (0, TINY)^2, its left side
+    moved right by ``offset`` cells."""
+    lines = np.linspace(0, TINY, 10)
+    return (lines[3] + offset * TINY / 9, lines[6], lines[3], lines[6])
+
+
+def test_generate_tolerance_scales_with_the_grid():
+    # an absolute tolerance of 1e-12 found every grid line within it
+    mesh = generate_interface_mesh(9, (0, TINY, 0, TINY), tiny_grid_box())
+    assert int((mesh.regions == 1).sum()) == 2 * 3 * 3
+    with pytest.raises(InterfaceNotResolved):
+        generate_interface_mesh(9, (0, TINY, 0, TINY), tiny_grid_box(1 / 3))
+
+
 def test_generate_rejects_small_n():
     with pytest.raises(InvalidSubdivision):
         generate_interface_mesh(1)
@@ -404,9 +422,10 @@ def test_mesh_arrays_are_read_only():
                     mesh.boundary_vertices, *mesh.edges):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 99
-    # the prolongation reads it on first use
-    with pytest.raises(ValueError):
-        fine.midpoint_edges[0, 0] = 0
+    # the child's edges read the one, the prolongation the other
+    for arr in (fine.midpoint_vertices, fine.midpoint_edges):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
 
 
 def test_refinement_computes_no_edges_or_geometry_of_the_child():
@@ -458,66 +477,16 @@ def test_refined_edges_and_geometry_match_a_root_computation(
         assert all(mesh.gradients[:, i].flags.c_contiguous for i in range(3))
 
 
-def hand_built_children(fine):
-    """Copies of ``fine``, with its parent and midpoint edges, that
-    ``refine_uniform`` would not make: all but the last out of its child
-    layout."""
-    rng = np.random.default_rng(1)
-    shuffled = rng.permutation(fine.n_triangles)
-    children = fine.triangles.reshape(-1, 4, 3)
-    # the middle child's vertices rotated, still counterclockwise
-    rotated = children.copy()
-    rotated[:, 3] = children[:, 3, [1, 2, 0]]
-    # the corners' two midpoints swapped, clockwise
-    swapped = children.copy()
-    swapped[:, :3, 1:] = children[:, :3, :0:-1]
-    # the new vertices numbered backwards
-    n_old = fine.parent.n_vertices
-    label = np.concatenate([np.arange(n_old),
-                            np.arange(fine.n_vertices - 1, n_old - 1, -1)])
-    vertices = np.empty_like(fine.vertices)
-    vertices[label] = fine.vertices
-    return {
-        "shuffled": (fine.vertices, fine.triangles[shuffled],
-                     fine.regions[shuffled]),
-        "rotated-middle": (fine.vertices, rotated.reshape(-1, 3),
-                           fine.regions),
-        "swapped-corners": (fine.vertices, swapped.reshape(-1, 3),
-                            fine.regions),
-        "renumbered": (vertices, label[fine.triangles], fine.regions),
-    }
-
-
-@pytest.mark.parametrize("case", ["shuffled", "rotated-middle",
-                                  "swapped-corners", "renumbered"])
-def test_hand_built_children_get_the_edges_and_geometry_of_a_root(case):
-    from twogridfem.mesh import _unique_edges, triangle_geometry
-    coarse = refine_uniform(generate_interface_mesh(4))
-    fine = refine_uniform(coarse)
-    vertices, triangles, regions = hand_built_children(fine)[case]
-    mesh = Mesh(vertices, triangles, regions, parent=coarse,
-                midpoint_edges=fine.midpoint_edges)
-    for got, want in zip(mesh.edges,
-                         _unique_edges(mesh.triangles, mesh.n_vertices)):
-        assert got.dtype == want.dtype
-        np.testing.assert_array_equal(got, want)
-    areas, gradients = triangle_geometry(mesh.triangle_coords())
-    np.testing.assert_array_equal(mesh.areas, areas)
-    np.testing.assert_array_equal(mesh.gradients, gradients)
-
-
-def test_a_child_with_moved_vertices_computes_its_geometry():
-    from twogridfem.mesh import triangle_geometry
-    coarse = generate_interface_mesh(4)
-    fine = refine_uniform(coarse)
-    moved = distorted(fine)
-    mesh = Mesh(moved.vertices, fine.triangles, fine.regions, parent=coarse,
-                midpoint_edges=fine.midpoint_edges)
-    for got, want in zip(mesh.edges, fine.edges):
-        np.testing.assert_array_equal(got, want)
-    areas, gradients = triangle_geometry(mesh.triangle_coords())
-    np.testing.assert_array_equal(mesh.areas, areas)
-    np.testing.assert_array_equal(mesh.gradients, gradients)
+def test_only_refinement_gives_a_mesh_a_parent():
+    root = generate_interface_mesh(4)
+    fine = refine_uniform(root)
+    for link in ({"parent": root},
+                 {"midpoint_edges": fine.midpoint_edges},
+                 {"midpoint_vertices": fine.midpoint_vertices}):
+        with pytest.raises(TypeError):
+            Mesh(fine.vertices, fine.triangles, fine.regions, **link)
+    assert fine.parent is root
+    assert Mesh(fine.vertices, fine.triangles, fine.regions).parent is None
 
 
 def test_derived_geometry_caches_no_ancestor_geometry(monkeypatch):
@@ -594,17 +563,13 @@ def test_interior_vertices_are_built_on_first_use_and_cached():
 
 
 def pattern_meshes():
-    """A root, a refinement, a relabelled refinement and a hand-built
-    child out of ``refine_uniform``'s layout, each without a pattern."""
+    """A root, a refinement and a relabelled refinement, each without a
+    pattern."""
     coarse = refine_uniform(generate_interface_mesh(4))
-    fine = refine_uniform(coarse)
-    vertices, triangles, regions = hand_built_children(fine)["swapped-corners"]
     return {
         "root": generate_interface_mesh(8),
-        "refined": fine,
+        "refined": refine_uniform(coarse),
         "relabelled": relabelled(coarse),
-        "hand-built child": Mesh(vertices, triangles, regions, parent=coarse,
-                                 midpoint_edges=fine.midpoint_edges),
     }
 
 
