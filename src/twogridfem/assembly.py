@@ -147,19 +147,21 @@ def _positive_areas(mesh):
     return areas
 
 
-def _vertex_sum(mesh, local):
-    """The sums at the vertices of element values ``local`` (M, k)."""
-    return np.bincount(mesh.triangles.ravel(), weights=local.ravel(),
-                       minlength=mesh.n_vertices)
+def _add_block(sums, mesh, block, diagonal, off):
+    """Add the entries of the triangles ``block`` of ``mesh`` on their
+    vertices, ``diagonal`` (B, k), and on their edges, ``off``, in
+    ``vertex_pairs`` order, to the :func:`_matrix_sums` ``sums``.
+    ``np.add.at`` adds in index order, as ``np.bincount`` over the whole
+    mesh does, and copies no index array."""
+    n = mesh.n_vertices
+    np.add.at(sums[:n], mesh.triangles[block].ravel(), diagonal.ravel())
+    np.add.at(sums[n:], mesh.edges[2][block].ravel(), off.ravel())
 
 
-def _matrix_sums(mesh, diagonal, off):
-    """A symmetric P1 matrix's entries on the N vertices and E edges of
-    ``mesh``, (N + E,), from its elements' entries on their vertices,
-    ``diagonal`` (M, k), and edges, ``off``, in ``vertex_pairs`` order."""
-    lo, _, edge_of = mesh.edges
-    return np.concatenate([_vertex_sum(mesh, diagonal), np.bincount(
-        edge_of.ravel(), weights=off.ravel(), minlength=lo.size)])
+def _matrix_sums(mesh):
+    """Zero sums of a symmetric P1 matrix's entries on the N vertices and
+    E edges of ``mesh``, (N + E,), for :func:`_add_block` to fill."""
+    return np.zeros(mesh.n_vertices + mesh.edges[0].size)
 
 
 def _scatter(pattern, sums):
@@ -173,18 +175,18 @@ def _scatter(pattern, sums):
 
 def _stiffness_sums(mesh, diffusion):
     """The stiffness matrix's :func:`_matrix_sums`."""
-    scale = _diffusion_per_triangle(mesh, diffusion) * _positive_areas(mesh)
+    per_triangle = _diffusion_per_triangle(mesh, diffusion)
+    areas = _positive_areas(mesh)
     grads = mesh.gradients
     first, second = vertex_pairs(grads.shape[1])
-    diagonal = np.empty(grads.shape[:2])
-    off = np.empty((mesh.n_triangles, first.size))
+    sums = _matrix_sums(mesh)
     for block in _block_slices(mesh):
+        scale = (per_triangle[block] * areas[block])[:, None]
         gx, gy = grads[block, :, 0], grads[block, :, 1]
-        diagonal[block] = (gx * gx + gy * gy) * scale[block, None]
-        off[block] = (gx[:, first] * gx[:, second]
-                      + gy[:, first] * gy[:, second]) * scale[block, None]
-    del scale  # the sums set the peak memory
-    return _matrix_sums(mesh, diagonal, off)
+        _add_block(sums, mesh, block, (gx * gx + gy * gy) * scale,
+                   (gx[:, first] * gx[:, second]
+                    + gy[:, first] * gy[:, second]) * scale)
+    return sums
 
 
 def assemble_stiffness(mesh, diffusion):
@@ -252,13 +254,14 @@ def _reaction_sums(state, d1):
     weighted = QUADRATURE_WEIGHTS[:, None] * lam
     first, second = vertex_pairs(lam.shape[1])
     products = weighted * lam, weighted[:, first] * lam[:, second]
-    local = [np.empty((mesh.n_triangles, p.shape[1])) for p in products]
+    sums = _matrix_sums(mesh)
     for block, tags, values in state_blocks(state):
         d1_values = d1(tags, values)
-        for part, weighted_products in zip(local, products):
-            np.matmul(d1_values, weighted_products, out=part[block])
-            part[block] *= areas[block, None]
-    return _matrix_sums(mesh, *local)
+        diagonal, off = (d1_values @ p for p in products)
+        diagonal *= areas[block, None]
+        off *= areas[block, None]
+        _add_block(sums, mesh, block, diagonal, off)
+    return sums
 
 
 def assemble_reaction_jacobian(state, d1):
@@ -284,12 +287,13 @@ def _moment_vector(mesh, f, state=None):
     for the state u, ``region`` being the triangle's tag."""
     areas = _positive_areas(mesh)
     weighted_basis = QUADRATURE_WEIGHTS[:, None] * QUADRATURE_POINTS
-    local = np.empty((mesh.n_triangles, 3))
+    vector = np.zeros(mesh.n_vertices)
     blocks = quadrature_blocks(mesh) if state is None else state_blocks(state)
     for block, *args in blocks:
-        np.matmul(f(*args), weighted_basis, out=local[block])
-        local[block] *= areas[block, None]
-    return _vertex_sum(mesh, local)
+        local = f(*args) @ weighted_basis
+        local *= areas[block, None]
+        np.add.at(vector, mesh.triangles[block].ravel(), local.ravel())
+    return vector
 
 
 def assemble_point_load(mesh, location, magnitude):
@@ -348,8 +352,10 @@ def _free_load(state, problem):
     if g.any():
         lo, hi, _ = mesh.edges
         k = _stiffness_sums(mesh, problem.diffusion)[g.size:]  # on the edges
-        load -= (np.bincount(lo, weights=k * g[hi], minlength=g.size)
-                 + np.bincount(hi, weights=k * g[lo], minlength=g.size))[free]
+        lift = np.zeros((2, g.size))
+        np.add.at(lift[0], lo, k * g[hi])
+        np.add.at(lift[1], hi, k * g[lo])
+        load -= (lift[0] + lift[1])[free]
     return load
 
 

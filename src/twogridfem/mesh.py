@@ -82,9 +82,8 @@ class Mesh:
     interior_vertices : sorted int array, the vertices not on the
         boundary: the unknowns of every system solved on the mesh
     interior_prolongation : ``prolongation[interior_vertices][:,
-        parent.interior_vertices]``, or None without a parent
-    interior_restriction : the transpose of ``interior_prolongation`` as
-        CSR, or None without a parent
+        parent.interior_vertices]``, or None without a parent; its
+        transpose, a CSC view, is the restriction
     csr_pattern : the :class:`CsrPattern` of every P1 matrix on the mesh,
         whose entries are sums over its vertices and ``edges``
     free_pattern : its block on ``interior_vertices``, the pattern of
@@ -159,18 +158,16 @@ class Mesh:
         """The vertices of the edges used by one triangle, in increasing
         order."""
         if self.parent is None:
-            lo, hi, edge_of = self.edges
-            once = np.bincount(edge_of.ravel()) == 1
+            lo, hi, _ = self.edges
+            once = _edge_uses(self.edges) == 1
             boundary = np.union1d(lo[once], hi[once]).astype(np.int64)
         else:
-            # red refinement makes the midpoint of an edge used by one
-            # triangle a corner of 3 children, that of any other edge of 6
-            n_old = self.parent.n_vertices
-            corners = np.bincount(self.triangles.ravel(),
-                                  minlength=self.n_vertices)
+            # red refinement puts the midpoint of a parent edge on the
+            # boundary iff one triangle uses that edge
+            once = _edge_uses(self.parent.edges) == 1
             boundary = np.concatenate([
                 self.parent.boundary_vertices,
-                n_old + np.flatnonzero(corners[n_old:] == 3)])
+                np.sort(self.midpoint_vertices[once])])
         _freeze(boundary)
         return boundary
 
@@ -187,7 +184,7 @@ class Mesh:
     def interface_edges(self):
         """The edges used by two triangles of different regions."""
         lo, hi, edge_of = self.edges
-        uses = np.bincount(edge_of.ravel())
+        uses = _edge_uses(self.edges)
         inside = np.bincount(edge_of[self.regions == 1].ravel(),
                              minlength=lo.size)
         on = (uses == 2) & (inside == 1)
@@ -248,15 +245,6 @@ class Mesh:
         return p0
 
     @cached_property
-    def interior_restriction(self):
-        """``interior_prolongation`` transposed, stored row-wise."""
-        if self.parent is None:
-            return None
-        r0 = self.interior_prolongation.T.tocsr()
-        _freeze(r0.data, r0.indices, r0.indptr)
-        return r0
-
-    @cached_property
     def csr_pattern(self):
         """Sorted into place from the unique edges."""
         return _csr_pattern(self.edges, np.ones(self.n_vertices, bool))
@@ -293,6 +281,15 @@ def _freeze(*arrays):
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
+
+
+def _edge_uses(edges):
+    """How many triangles use each edge of a mesh's ``edges``;
+    ``np.add.at`` copies no read-only index array."""
+    lo, _, edge_of = edges
+    uses = np.zeros(lo.size, dtype=np.intp)
+    np.add.at(uses, edge_of.ravel(), 1)
+    return uses
 
 
 def _index_dtype(n, n_edges):
@@ -357,28 +354,39 @@ def _child_edges(parent, midpoint, n):
     2 E + k M + t for k = 0, 1, 2."""
     lo, hi, edge_of = parent.edges
     n_edges, m = lo.size, parent.n_triangles
-    v, parent_edge = parent.triangles.T, edge_of.T.astype(np.int64)
-    mids = np.take(midpoint, parent_edge)
+    # every temporary holds vertex or edge numbers of the child, which fit
+    # its index dtype; only the sort keys need 64 bits
+    dtype = _index_dtype(n, 2 * n_edges + 3 * m)
+    midpoint = midpoint.astype(dtype, copy=False)
+    v, parent_edge = parent.triangles.T, edge_of.T
+    mids = midpoint[parent_edge]
     first, second = mids[[0, 1, 0]], mids[[1, 2, 2]]
+    del mids
     a = np.concatenate([lo, hi, np.minimum(first, second).ravel()],
-                       dtype=np.int64)
-    b = np.concatenate([midpoint, midpoint, np.maximum(first, second).ravel()])
+                       dtype=dtype)
+    b = np.concatenate([midpoint, midpoint, np.maximum(first, second).ravel()],
+                       dtype=dtype)
+    del first, second
     # unique keys: any sort gives the order of np.unique
-    order = np.argsort(a * n + b, kind="stable")
-    dtype = _index_dtype(n, a.size)
+    keys = a * np.int64(n)
+    keys += b
+    order = np.argsort(keys, kind="stable")
+    del keys
     rank = np.empty(a.size, dtype=dtype)
     rank[order] = np.arange(a.size, dtype=dtype)
 
     # corner child k = (v_k, m_k, m_{k+2}): its edge 01 is the half of
     # parent edge k at v_k, 12 is middle-child edge k + 2 and 02 the half
     # of parent edge k + 2 at v_k; the middle child's are its own
-    edges = np.empty((4, 3, m), dtype=np.int64)
-    edges[3] = 2 * n_edges + np.arange(3 * m).reshape(3, m)
-    edges[:3, 0] = parent_edge + n_edges * (v > v[[1, 2, 0]])
+    half = dtype(n_edges)
+    edges = np.empty((4, 3, m), dtype=dtype)
+    edges[3] = np.arange(2 * n_edges, a.size, dtype=dtype).reshape(3, m)
+    np.add(parent_edge, half * (v > v[[1, 2, 0]]), out=edges[:3, 0])
     edges[:3, 1] = edges[3, [2, 0, 1]]
-    edges[:3, 2] = parent_edge[[2, 0, 1]] + n_edges * (v > v[[2, 0, 1]])
-    return (np.take(a, order).astype(dtype), np.take(b, order).astype(dtype),
-            np.take(rank, edges).transpose(2, 0, 1).reshape(-1, 3))
+    np.add(parent_edge[[2, 0, 1]], half * (v > v[[2, 0, 1]]),
+           out=edges[:3, 2])
+    return (np.take(a, order), np.take(b, order),
+            rank[edges].transpose(2, 0, 1).reshape(-1, 3))
 
 
 def _child_geometry(areas, gradients):
@@ -386,10 +394,16 @@ def _child_geometry(areas, gradients):
     with these areas and gradients: a quarter of the parent's area, and 2
     or -2 times its gradients, stored in the same planes."""
     parent_planes = gradients.transpose(1, 0, 2)
-    planes = (parent_planes[_CHILD_GRADIENT_PLANES]
-              * _CHILD_GRADIENT_FACTORS[:, None, None])
-    return (np.repeat(0.25 * areas, 4),
-            planes.transpose(0, 2, 1, 3).reshape(3, -1, 2).transpose(1, 0, 2))
+    # plane k of child 4 t + c at [k, t, c]: each product goes straight
+    # into its place, with no gathered copy of the parent's planes
+    planes = np.empty((3, areas.size, 4, 2))
+    for k, sources in enumerate(_CHILD_GRADIENT_PLANES):
+        for c, (source, factor) in enumerate(
+                zip(sources, _CHILD_GRADIENT_FACTORS)):
+            np.multiply(parent_planes[source], factor, out=planes[k, :, c])
+    child_areas = np.repeat(areas, 4)
+    child_areas *= 0.25
+    return child_areas, planes.reshape(3, -1, 2).transpose(1, 0, 2)
 
 
 def _csr_pattern(edges, keep):
@@ -402,21 +416,25 @@ def _csr_pattern(edges, keep):
     if not ((lo < hi).all() and ((lo[1:] > lo[:-1]) | (
             (lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all()):
         raise MeshError("edge table not strictly sorted by (lo, hi)")
+    # every temporary but the sort order is in the index dtype
     dtype = lo.dtype
     row = np.cumsum(keep, dtype=dtype) - 1  # of each kept vertex
-    edge = np.flatnonzero(keep[lo] & keep[hi]).astype(dtype)
+    edge = np.arange(lo.size, dtype=dtype)[keep[lo] & keep[hi]]
     lo_row, hi_row = row[lo[edge]], row[hi[edge]]
     diagonal = np.arange(row[-1] + 1, dtype=dtype)
     rows = np.concatenate([hi_row, diagonal, lo_row])
     order = np.argsort(rows, kind="stable")
     indptr = np.zeros(diagonal.size + 1, dtype=dtype)
-    np.cumsum(np.bincount(rows, minlength=diagonal.size), out=indptr[1:])
+    # a count of the array's own dtype keeps np.add.at on its fast loop
+    np.add.at(indptr[1:], rows, dtype.type(1))
+    np.cumsum(indptr, out=indptr)
     del rows
+    indices = np.take(np.concatenate([lo_row, diagonal, hi_row]), order)
+    del lo_row, hi_row
     edge += keep.size
-    vertex = np.flatnonzero(keep).astype(dtype)
+    vertex = np.arange(keep.size, dtype=dtype)[keep]
     return CsrPattern(*_freeze(
-        indptr, np.take(np.concatenate([lo_row, diagonal, hi_row]), order),
-        np.take(np.concatenate([edge, vertex, edge]), order)))
+        indptr, indices, np.take(np.concatenate([edge, vertex, edge]), order)))
 
 
 def triangle_geometry(p):
@@ -578,8 +596,8 @@ def validate_mesh(mesh):
             f"triangle {bad} has {kind} signed area {areas[bad]:g}")
     if not np.all(np.isin(mesh.regions, (1, 2))):
         raise ValidationError("region tags must be 1 or 2")
-    lo, hi, edge_of = mesh.edges
-    counts = np.bincount(edge_of.ravel())
+    lo, hi, _ = mesh.edges
+    counts = _edge_uses(mesh.edges)
     if counts.max() > 2:
         bad = int(np.argmax(counts))
         raise ValidationError(

@@ -14,13 +14,17 @@ them, and the error norms call ``exact`` and ``exact_grad``, on one block
 of points at a time.  Callbacks should write integer powers as products:
 numpy's ``**`` with an integer exponent calls libm ``pow``, which is about
 20x slower on a negative base.
+
+:func:`compute_barriers` locates each sign change by bisection, with no
+root finder (importing ``scipy.optimize`` for one would cost every
+process 17 MB): it returns the end of the last bracket on the side where
+the sign condition holds, so that the condition holds there exactly.
 """
 
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Nonlinearity",
@@ -158,8 +162,25 @@ def _sample_points(problem, count, seed):
 
 
 _SEARCH_LIMIT = 1e9
+_BISECTION_TOL = 1e-13  # width of the bracket a sign change is located in
 BARRIER_SAMPLES = 128  # compute_barriers samples the source at this
 BARRIER_SEED = 0       # many random points, drawn with this seed
+
+
+def _bisect(holds, lo, hi):
+    """Shrink the bracket [lo, hi] of a sign change, where ``holds(hi)``
+    and not ``holds(lo)``, to ``_BISECTION_TOL`` or until its midpoint
+    is one of its ends; returns the last bracket, whose ends keep that
+    property exactly."""
+    while hi - lo > _BISECTION_TOL:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
 
 
 def _smallest_nonneg_point(fn, start):
@@ -174,7 +195,7 @@ def _smallest_nonneg_point(fn, start):
                 "no finite upper sign-change constant for the folded "
                 "nonlinearity")
         if fn(hi) >= 0:
-            return brentq(fn, lo, hi, xtol=1e-13)
+            return _bisect(lambda xi: fn(xi) >= 0, lo, hi)[1]
         lo, step = hi, step * 2.0
 
 
@@ -191,7 +212,7 @@ def _largest_nonpos_point(fn, start, cap):
                     "no finite lower sign-change constant for the folded "
                     "nonlinearity")
             if fn(lo) <= 0:
-                return brentq(fn, lo, hi, xtol=1e-13)
+                return _bisect(lambda xi: fn(xi) > 0, lo, hi)[0]
             hi, step = lo, step * 2.0
     # condition holds at start; push up toward the sign change, but never
     # past the upper constant
@@ -199,7 +220,7 @@ def _largest_nonpos_point(fn, start, cap):
     while True:
         hi = min(lo + step, cap)
         if fn(hi) > 0:
-            return brentq(fn, lo, hi, xtol=1e-13)
+            return _bisect(lambda xi: fn(xi) > 0, lo, hi)[0]
         if hi >= cap:
             return cap
         lo, step = hi, step * 2.0
@@ -213,7 +234,10 @@ def compute_barriers(problem):
     constants, sampled at ``BARRIER_SAMPLES`` points x, each with the b of
     both regions r: the barriers then hold wherever a mesh puts its
     interface, not only on the problem's interface box.  Without a source
-    they are the nonlinearity's own.  The Dirichlet bounds then enter
+    they are the nonlinearity's own.  Each sign change is bracketed by
+    steps that double from the declared constant and bisected to 1e-13,
+    or until the midpoint is an end of the bracket; the barrier is the
+    end on the safe side.  The Dirichlet bounds then enter
     through upper = max(beta~, sup g) and lower = min(alpha~, inf g): a
     problem with ``dirichlet`` data must declare ``dirichlet_bounds``,
     and one without has g = 0.  Interface-flux loads are not folded (the

@@ -25,6 +25,7 @@ from twogridfem import (
     energy_norm,
     generate_interface_mesh,
     manufactured_interface_problem,
+    nested_newton_solve,
     newton_solve,
     refine_uniform,
 )
@@ -32,6 +33,7 @@ from twogridfem import assembly
 from twogridfem.assembly import QUADRATURE_POINTS, QUADRATURE_WEIGHTS, \
     _free_load, _free_residual, _moment_vector, quadrature_blocks, \
     state_blocks
+from twogridfem.mesh import vertex_pairs
 
 from conftest import dense_stiffness_oracle, grad_l2_squared_oracle, \
     relabelled
@@ -468,6 +470,62 @@ def test_semilinear_residual_peak_memory():
     assert per_triangle < 120
 
 
+def transient_peak(fn):
+    """tracemalloc's peak during ``fn()`` above the memory live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def power11_state():
+    """The seed-0 power11 solution on n = 128, refined from n = 8, with
+    the mesh's caches and the free load of its Newton solve."""
+    problem = builtin_problem("power11")
+    meshes = [generate_interface_mesh(8)]
+    for _ in range(4):
+        meshes.append(refine_uniform(meshes[-1]))
+    state, _ = nested_newton_solve(meshes, problem)
+    return state, problem, _free_load(state, problem)
+
+
+def matrix_sums_bytes(mesh):
+    """The size of the (N + E,) vertex and edge sums of a P1 matrix."""
+    return 8 * (mesh.n_vertices + mesh.edges[0].size)
+
+
+# four blocks of values at the quadrature points: the per-block
+# temporaries of a pass over a state
+BLOCK_ALLOWANCE = 4 * 8 * assembly._BLOCK_TRIANGLES * len(QUADRATURE_WEIGHTS)
+
+
+def test_newton_matrix_transient_is_its_result_and_the_sums(power11_state):
+    # measured on n = 128: 1.87 MB above live memory, the result's 0.90 MB
+    # of values, the 0.53 MB of sums and 0.45 MB of block temporaries;
+    # (M, 3) element entries summed by np.bincount, which copied the
+    # read-only index arrays, peaked at 3.35 MB
+    state, problem, _ = power11_state
+    jac = assembly._free_jacobian(state, problem)
+    bound = jac.data.nbytes + matrix_sums_bytes(state.mesh) + BLOCK_ALLOWANCE
+    assert transient_peak(
+        lambda: assembly._free_jacobian(state, problem)) < bound
+
+
+def test_residual_transient_is_its_result_and_the_sums(power11_state):
+    # measured on n = 128: 1.28 MB above live memory against a bound of
+    # 1.58 MB (0.13 MB of result); the (M, 3) element moments summed by
+    # np.bincount peaked at 2.07 MB
+    state, problem, load = power11_state
+    result = _free_residual(state, problem, load)
+    bound = result.nbytes + matrix_sums_bytes(state.mesh) + BLOCK_ALLOWANCE
+    assert transient_peak(
+        lambda: _free_residual(state, problem, load)) < bound
+
+
 def unblocked_moments(mesh, values_at_quad):
     local = (values_at_quad * QUADRATURE_WEIGHTS
              * mesh.areas[:, None]) @ QUADRATURE_POINTS
@@ -520,6 +578,26 @@ def test_blocked_assembly_matches_an_unblocked_oracle(monkeypatch):
     assert_close_to(
         assemble_load(mesh, manufactured),
         unblocked_moments(mesh, manufactured.source(points)))
+
+
+def test_blocked_sums_equal_whole_mesh_bincounts_bit_for_bit(monkeypatch):
+    # np.add.at adds each block's entries in index order, so the sums are
+    # those of one np.bincount over the whole mesh, to the last bit
+    mesh = relabelled(refine_uniform(generate_interface_mesh(4)))
+    monkeypatch.setattr(assembly, "_BLOCK_TRIANGLES", 7)
+    scale = np.where(mesh.regions == 1, 1000.0, 1.0) * mesh.areas
+    gx, gy = mesh.gradients[..., 0], mesh.gradients[..., 1]
+    first, second = vertex_pairs(3)
+    diagonal = (gx * gx + gy * gy) * scale[:, None]
+    off = (gx[:, first] * gx[:, second]
+           + gy[:, first] * gy[:, second]) * scale[:, None]
+    lo, _, edge_of = mesh.edges
+    whole = np.concatenate([
+        np.bincount(mesh.triangles.ravel(), weights=diagonal.ravel(),
+                    minlength=mesh.n_vertices),
+        np.bincount(edge_of.ravel(), weights=off.ravel(), minlength=lo.size)])
+    np.testing.assert_array_equal(assembly._stiffness_sums(mesh, D_JUMP),
+                                  whole)
 
 
 def test_quadrature_points_match_the_broadcast_product(monkeypatch):

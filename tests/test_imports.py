@@ -1,9 +1,13 @@
 """Every module of the package imports at module level, uses each name it
 imports, defines each name it exports and reads each private name it
-defines; every function the benchmark's tracer wraps exists."""
+defines; every function the benchmark's tracer wraps exists; importing
+the package loads no scipy subpackage it does not use."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,3 +140,19 @@ def test_benchmark_traces_only_callables_of_the_package():
         importlib.import_module("twogridfem." + name.split(".")[0]),
         name.split(".")[1], None))]
     assert missing == []
+
+
+def test_import_leaves_scipy_optimize_out():
+    # scipy.optimize (linprog, shgo, fft, special) added 17 MB to the
+    # resident memory of every process and about 0.3 s to its import;
+    # the package uses numpy, scipy.sparse and splu only
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    loaded = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, twogridfem, twogridfem.cli\n"
+         "print(sorted(m for m in sys.modules if m.startswith('scipy.')))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert "scipy.sparse" in loaded
+    assert "scipy.optimize" not in loaded

@@ -512,6 +512,27 @@ def test_derived_geometry_caches_no_ancestor_geometry(monkeypatch):
     assert computed == [root.n_triangles] * 2
 
 
+def test_child_geometry_transient_is_what_it_keeps():
+    # measured on n = 128: 1.90 MB above live memory for the 1.84 MB of
+    # areas and gradients it keeps; a gathered copy of the parent's
+    # planes, scaled and then reordered, peaked at 3.41 MB
+    parent = generate_interface_mesh(8)
+    for _ in range(3):
+        parent = refine_uniform(parent)
+    parent.gradients
+    child = refine_uniform(parent)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        child.gradients
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    kept = child.areas.nbytes + child.gradients.nbytes
+    sums = 8 * (child.n_vertices + child.edges[0].size)
+    assert peak < kept + sums
+
+
 def test_geometry_is_computed_once():
     mesh = generate_interface_mesh(4)
     assert mesh.areas is mesh.areas
@@ -539,15 +560,6 @@ def test_prolongation_is_built_on_first_use_and_cached():
     assert p0.nnz == np.count_nonzero(expected)
     with pytest.raises(ValueError):
         p0.data[0] = 99.0
-
-    assert "interior_restriction" not in vars(fine)
-    r0 = fine.interior_restriction
-    assert r0 is fine.interior_restriction
-    assert root.interior_restriction is None
-    assert r0.format == "csr"
-    np.testing.assert_array_equal(r0.toarray(), expected.T)
-    with pytest.raises(ValueError):
-        r0.data[0] = 99.0
 
 
 def test_interior_vertices_are_built_on_first_use_and_cached():

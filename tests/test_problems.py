@@ -20,9 +20,13 @@ from twogridfem import (
 )
 from twogridfem.assembly import quadrature_blocks
 from twogridfem.problems import (
+    BARRIER_SAMPLES,
+    BARRIER_SEED,
     ProblemError,
     _integer_power,
     _power_nonlinearity,
+    _sample_points,
+    _smallest_nonneg_point,
 )
 
 from conftest import cube_problem
@@ -286,6 +290,42 @@ def test_barriers_hold_on_a_mesh_whose_interface_is_not_the_box():
                       >= f)
         assert np.all(problem.nonlinearity.eval(tags, np.full(f.shape, lower))
                       <= f)
+
+
+def folded_extremes(problem, xi):
+    """The min and the max over compute_barriers' samples, in both
+    regions, of b(r, xi) - f(x), evaluated as compute_barriers does."""
+    x = _sample_points(problem, BARRIER_SAMPLES, BARRIER_SEED)
+    folded = (problem.nonlinearity.eval(np.array([[1], [2]]),
+                                        np.full((2, len(x)), xi))
+              - np.asarray(problem.source(x), dtype=float))
+    return float(np.min(folded)), float(np.max(folded))
+
+
+@pytest.mark.parametrize("exponent, f, root", [
+    (3, 8.0, 2.0), (3, -8.0, -2.0), (11, 3.0, 3.0 ** (1 / 11)),
+    (11, -3.0, -(3.0 ** (1 / 11))), (11, 0.7, 0.7 ** (1 / 11))])
+def test_barriers_are_the_safe_ends_of_their_brackets(exponent, f, root):
+    # the bisection returns the end of its last bracket on the side where
+    # the sign condition holds, so it holds exactly there: a root finder
+    # such as brentq only gets within its tolerance, on either side
+    problem = Problem(diffusion={1: 1.0, 2: 1.0},
+                      nonlinearity=_power_nonlinearity(exponent),
+                      source=lambda x: np.full(x.shape[:-1], f))
+    lower, upper = compute_barriers(problem)
+    assert folded_extremes(problem, upper)[0] >= 0.0
+    assert folded_extremes(problem, lower)[1] <= 0.0
+    barrier, other = (upper, lower) if f > 0 else (lower, upper)
+    assert other == 0.0  # the Dirichlet data g = 0
+    assert abs(barrier - root) <= 1e-13
+
+
+def test_barrier_search_stops_where_the_bracket_is_one_ulp_wide():
+    # near 1e8 adjacent doubles are 1.5e-8 apart: the bracket never gets
+    # within 1e-13, and the bisection stops when its midpoint is an end
+    root = 1e8 + 0.3
+    found = _smallest_nonneg_point(lambda xi: xi - root, 0.0)
+    assert found == root
 
 
 def test_barriers_no_finite_barrier_for_zero_reaction_with_source():

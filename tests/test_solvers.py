@@ -274,7 +274,10 @@ def test_vcycle_is_freed_without_the_garbage_collector(monkeypatch):
         # the cycle uses the prolongations cached on the meshes
         assert levels[0].prolongation is fine.interior_prolongation
         assert levels[1].prolongation is fine.parent.interior_prolongation
-        assert levels[0].restriction is fine.interior_restriction
+        # and restrict with a transpose view of their arrays, not a copy
+        p0, r0 = fine.interior_prolongation, levels[0].restriction
+        assert np.shares_memory(r0.data, p0.data)
+        assert np.shares_memory(r0.indices, p0.indices)
         assert levels[0].matrix is a
         fine_refs.append(weakref.ref(a))
         coarse_refs.append(weakref.ref(levels[-1].matrix))
