@@ -150,7 +150,8 @@ def _positive_areas(mesh):
 def _add_block(sums, mesh, block, diagonal, off):
     """Add the entries of the triangles ``block`` of ``mesh`` on their
     vertices, ``diagonal`` (B, k), and on their edges, ``off``, in
-    ``vertex_pairs`` order, to the :func:`_matrix_sums` ``sums``.
+    ``vertex_pairs`` order, to a symmetric P1 matrix's ``sums``: its
+    entries on the N vertices and E edges of ``mesh``, (N + E,).
     ``np.add.at`` adds in index order, as ``np.bincount`` over the whole
     mesh does, and copies no index array."""
     n = mesh.n_vertices
@@ -158,15 +159,10 @@ def _add_block(sums, mesh, block, diagonal, off):
     np.add.at(sums[n:], mesh.edges[2][block].ravel(), off.ravel())
 
 
-def _matrix_sums(mesh):
-    """Zero sums of a symmetric P1 matrix's entries on the N vertices and
-    E edges of ``mesh``, (N + E,), for :func:`_add_block` to fill."""
-    return np.zeros(mesh.n_vertices + mesh.edges[0].size)
-
-
 def _scatter(pattern, sums):
-    """The matrix of the :func:`_matrix_sums` ``sums`` in a mesh's
-    :class:`~twogridfem.mesh.CsrPattern`; zero sums stay stored."""
+    """The matrix with the vertex and edge ``sums`` of :func:`_add_block`
+    in a mesh's :class:`~twogridfem.mesh.CsrPattern`; zero sums stay
+    stored."""
     n = pattern.indptr.size - 1
     # indexing reads the int32 source as it is; np.take copies it to intp
     return sp.csr_matrix((sums[pattern.source], pattern.indices,
@@ -174,12 +170,12 @@ def _scatter(pattern, sums):
 
 
 def _stiffness_sums(mesh, diffusion):
-    """The stiffness matrix's :func:`_matrix_sums`."""
+    """The stiffness matrix's vertex and edge sums (:func:`_add_block`)."""
     per_triangle = _diffusion_per_triangle(mesh, diffusion)
     areas = _positive_areas(mesh)
     grads = mesh.gradients
     first, second = vertex_pairs(grads.shape[1])
-    sums = _matrix_sums(mesh)
+    sums = np.zeros(mesh.n_vertices + mesh.edges[0].size)
     for block in _block_slices(mesh):
         scale = (per_triangle[block] * areas[block])[:, None]
         gx, gy = grads[block, :, 0], grads[block, :, 1]
@@ -246,15 +242,15 @@ def state_blocks(state):
 
 
 def _reaction_sums(state, d1):
-    """The :func:`_matrix_sums` of the weighted mass matrix
-    int d1(region, u) phi_j phi_i."""
+    """The vertex and edge sums (:func:`_add_block`) of the weighted mass
+    matrix int d1(region, u) phi_j phi_i."""
     mesh = state.mesh
     areas = _positive_areas(mesh)
     lam = QUADRATURE_POINTS
     weighted = QUADRATURE_WEIGHTS[:, None] * lam
     first, second = vertex_pairs(lam.shape[1])
     products = weighted * lam, weighted[:, first] * lam[:, second]
-    sums = _matrix_sums(mesh)
+    sums = np.zeros(mesh.n_vertices + mesh.edges[0].size)
     for block, tags, values in state_blocks(state):
         d1_values = d1(tags, values)
         diagonal, off = (d1_values @ p for p in products)
@@ -352,10 +348,8 @@ def _free_load(state, problem):
     if g.any():
         lo, hi, _ = mesh.edges
         k = _stiffness_sums(mesh, problem.diffusion)[g.size:]  # on the edges
-        lift = np.zeros((2, g.size))
-        np.add.at(lift[0], lo, k * g[hi])
-        np.add.at(lift[1], hi, k * g[lo])
-        load -= (lift[0] + lift[1])[free]
+        load -= (np.bincount(lo, weights=k * g[hi], minlength=g.size)
+                 + np.bincount(hi, weights=k * g[lo], minlength=g.size))[free]
     return load
 
 

@@ -367,8 +367,11 @@ def _child_edges(parent, midpoint, n):
     b = np.concatenate([midpoint, midpoint, np.maximum(first, second).ravel()],
                        dtype=dtype)
     del first, second
-    # unique keys: any sort gives the order of np.unique
-    keys = a * np.int64(n)
+    # unique keys: any sort gives the order of np.unique; they reach n^2,
+    # so they are widened before the product, which numpy < 2 would
+    # otherwise compute in the index dtype
+    keys = a.astype(np.int64)
+    keys *= n
     keys += b
     order = np.argsort(keys, kind="stable")
     del keys
