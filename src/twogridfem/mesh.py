@@ -184,10 +184,14 @@ class Mesh:
     def interface_edges(self):
         """The edges used by two triangles of different regions."""
         lo, hi, edge_of = self.edges
-        uses = _edge_uses(self.edges)
-        inside = np.bincount(edge_of[self.regions == 1].ravel(),
-                             minlength=lo.size)
-        on = (uses == 2) & (inside == 1)
+        on = _edge_uses(self.edges) == 2
+        # the tags (1 or 2) of an edge's two triangles add up to 3 when it
+        # has one of each; a column of edge_of is a view, so nothing is
+        # copied
+        tags = np.zeros(lo.size, dtype=np.intp)
+        for corner in range(3):
+            np.add.at(tags, edge_of[:, corner], self.regions)
+        on &= tags == 3
         edges = np.column_stack([lo[on], hi[on]]).astype(np.int64)
         _freeze(edges)
         return edges
@@ -581,7 +585,8 @@ def validate_mesh(mesh):
     if mesh.triangles.min() < 0 or mesh.triangles.max() >= n:
         raise ValidationError("triangle references a vertex index out of range")
     # an unused vertex would be an unknown with an empty stiffness row
-    corners = np.bincount(mesh.triangles.ravel(), minlength=n)
+    corners = np.zeros(n, dtype=np.intp)
+    np.add.at(corners, mesh.triangles.ravel(), 1)
     if np.any(corners == 0):
         raise ValidationError(
             f"vertex {int(np.argmin(corners))} is not a corner of any "
@@ -597,7 +602,8 @@ def validate_mesh(mesh):
         kind = "non-positive" if areas[bad] <= 0 else "non-finite"
         raise ValidationError(
             f"triangle {bad} has {kind} signed area {areas[bad]:g}")
-    if not np.all(np.isin(mesh.regions, (1, 2))):
+    # np.isin would sort a copy of the tags
+    if not np.all((mesh.regions == 1) | (mesh.regions == 2)):
         raise ValidationError("region tags must be 1 or 2")
     lo, hi, _ = mesh.edges
     counts = _edge_uses(mesh.edges)

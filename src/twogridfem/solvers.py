@@ -1,6 +1,7 @@
 """Preconditioned conjugate gradients and damped Newton iteration."""
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -14,6 +15,7 @@ from .assembly import (
     _free_jacobian,
     _free_load,
     _free_residual,
+    _free_stiffness,
 )
 
 __all__ = [
@@ -84,17 +86,22 @@ class LineSearchStall(SolverError):
 
 @dataclass
 class NewtonOptions:
-    """Damped Newton controls: sup-norm tolerances and the iteration cap."""
+    """Damped Newton controls: sup-norm tolerances, the iteration cap and
+    the relative tolerance of the energy stopping test (``None``: the
+    sup-norm test only; see :func:`newton_solve`)."""
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-12
     max_iters: int = 40
+    energy_rtol: float | None = None
 
     def __post_init__(self):
         for name in ("abs_tol", "rel_tol"):
             # an infinite tolerance stops Newton before its first step
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
+        if self.energy_rtol is not None and not 0 < self.energy_rtol < np.inf:
+            raise ValueError("energy_rtol must be finite and positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
 
@@ -105,9 +112,12 @@ class SolveReport:
     set by ``newton_solve`` and ``twogrid.linearized_solve`` only.
 
     ``newton_solve`` also lists, per Newton step, the PCG iterations of its
-    correction (``step_linear_iters``, summing to ``linear_iters_total``)
-    and whether the step built a new coarse hierarchy for its V-cycle
-    (``step_new_hierarchy``; never on a mesh without a ``parent``)."""
+    correction (``step_linear_iters``, summing to ``linear_iters_total``),
+    whether the step built a new coarse hierarchy for its V-cycle
+    (``step_new_hierarchy``; never on a mesh without a ``parent``) and the
+    Newton decrement (-delta . r)^(1/2) of its correction
+    (``step_decrements``), and names the test that stopped a converged
+    solve in ``stopped_by``: ``"residual"`` or ``"energy"``."""
 
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -116,6 +126,8 @@ class SolveReport:
     wall_s: float = 0.0
     step_linear_iters: list = field(default_factory=list)
     step_new_hierarchy: list = field(default_factory=list)
+    step_decrements: list = field(default_factory=list)
+    stopped_by: str | None = None
 
 
 def _jacobi_inverse(a):
@@ -365,10 +377,24 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     and the next step builds a new one at its own state.  Only the coarse
     levels are kept between steps, and they die with the call.
 
+    The iteration stops when the residual sup-norm is at most
+    max(``abs_tol``, ``rel_tol`` * initial sup-norm), or, with
+    ``opts.energy_rtol`` set, as soon as the energy test passes
+    (Deuflhard, "Newton Methods for Nonlinear Problems", 2004, ch. 2).
+    Each correction delta at residual r has the Newton decrement
+    eps = (-delta . r)^(1/2), its length in the Jacobian's energy norm.
+    After two consecutive full steps with contraction
+    theta = eps_k / eps_(k-1) < 1, the error left in the new iterate u is
+    estimated by theta / (1 - theta) * eps_k, and the test passes when
+    that is at most ``energy_rtol`` * (u_f . K_ff u_f)^(1/2), the
+    stiffness energy norm of u on the free vertices.  It needs two
+    decrements, so it never stops a solve after a single step.
+
     Returns (solution, SolveReport); raises NoConvergence (at once on a
     non-finite initial residual) or LineSearchStall with the best iterate
     attached.  Every report records the wall time of the whole call in
-    ``wall_s`` and the per-step PCG iterations and hierarchy builds.
+    ``wall_s``, the per-step PCG iterations, hierarchy builds and Newton
+    decrements, and, once converged, which test stopped the iteration.
     """
     start = time.perf_counter()
     opts = opts or NewtonOptions()
@@ -389,23 +415,35 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     target = max(opts.abs_tol, opts.rel_tol * rsup)
     step_iters = []
     step_built = []
+    decrements = []
+    full_steps = 0  # consecutive steps the line search took in full
     coarse = None
     iterations = 0
 
-    def report(converged):
-        return SolveReport(iterations, history, converged, sum(step_iters),
-                           time.perf_counter() - start, step_iters,
-                           step_built)
+    def report(stopped_by=None):
+        return SolveReport(iterations, history, stopped_by is not None,
+                           sum(step_iters), time.perf_counter() - start,
+                           step_iters, step_built, decrements, stopped_by)
+
+    def energy_converged():
+        if full_steps < 2 or not decrements[-1] < decrements[-2]:
+            return False
+        theta = decrements[-1] / decrements[-2]
+        u_f = u[mesh.interior_vertices]
+        norm = math.sqrt(float(
+            u_f @ (_free_stiffness(mesh, problem.diffusion) @ u_f)))
+        return theta / (1.0 - theta) * decrements[-1] <= (
+            opts.energy_rtol * norm)
 
     if not np.isfinite(rsup):
         raise NoConvergence(f"newton: initial residual {rsup} is not finite",
-                            best=initial, report=report(False))
+                            best=initial, report=report())
     while rsup > target:
         if iterations >= opts.max_iters:
             raise NoConvergence(
                 f"newton: residual {rsup:.3e} above {target:.3e} after "
                 f"{iterations} iterations",
-                best=FemFunction(mesh, u), report=report(False))
+                best=FemFunction(mesh, u), report=report())
         # the boundary rows of r are zero: its 2-norm is PCG's ||rhs||
         eta = max(FORCING_FLOOR, min(FORCING_FACTOR, max(
             FORCING_FACTOR * rsup,
@@ -421,6 +459,8 @@ def newton_solve(mesh, problem, initial=None, opts=None):
                            "iterate (%s)", exc)
             delta, lin_report = exc.best, exc.report
         step_iters.append(lin_report.iterations)
+        # the boundary entries of delta are zero
+        decrements.append(math.sqrt(max(-float(delta @ r), 0.0)))
 
         step = 1.0
         accepted = False
@@ -435,13 +475,17 @@ def newton_solve(mesh, problem, initial=None, opts=None):
         if not accepted:
             raise LineSearchStall(
                 f"newton: line search stalled at residual {rsup:.3e}",
-                best=FemFunction(mesh, u), report=report(False))
+                best=FemFunction(mesh, u), report=report())
         if rsup_try * HIERARCHY_REUSE_CUT > rsup:
             coarse = None
+        full_steps = full_steps + 1 if step == 1.0 else 0
         u, r, rsup = u_try, r_try, rsup_try
         iterations += 1
         history.append(rsup)
         logger.info("iter %d resid %.6e lin_iters %d",
                     iterations, rsup, lin_report.iterations)
+        if (rsup > target and opts.energy_rtol is not None
+                and energy_converged()):
+            return FemFunction(mesh, u), report("energy")
 
-    return FemFunction(mesh, u), report(True)
+    return FemFunction(mesh, u), report("residual")

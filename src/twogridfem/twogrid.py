@@ -11,7 +11,7 @@ Dirichlet data on the state it starts from.
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +45,12 @@ __all__ = [
 # nonlinear problem is solved exactly; this pins down what that means.
 COARSE_NEWTON_OPTS = NewtonOptions(abs_tol=1e-12, rel_tol=1e-12,
                                    max_iters=80)
+# Energy stopping tolerance of the warm-started levels of newton_levels:
+# a level stops once its estimated Newton error is at most this share of
+# |||u_h|||.  The seed-0 power11 chain's finest level then stops 3e-8
+# relative off the converged load-vertex value, far below its
+# discretization error.
+LEVEL_ENERGY_RTOL = 3e-5
 # The fine step's PCG tolerance, relative to ||r(u_base)||: the correction
 # system's roundoff floor scales with the correction, not with u.  It is a
 # fixed number, not tied to the discretization error.
@@ -162,13 +168,21 @@ def newton_levels(meshes, problem, opts=None):
     ``meshes`` is a coarse-to-fine refinement chain.  The first level's
     Newton solve starts from the default initial guess, every later one
     from the prolongated solution of the level before, which keeps
-    iteration counts flat across levels.  Yields (solution, SolveReport)
-    per level, as each level is solved.
+    iteration counts flat across levels.  The later levels also stop on
+    the energy test of :func:`~twogridfem.solvers.newton_solve`, at
+    ``opts.energy_rtol`` or, when that is unset, ``LEVEL_ENERGY_RTOL``,
+    whichever of it and the sup-norm target is met first.  Yields
+    (solution, SolveReport) per level, as each level is solved.
     """
+    opts = opts or NewtonOptions()
+    warm = replace(opts, energy_rtol=opts.energy_rtol or LEVEL_ENERGY_RTOL)
     solution = None
     for mesh in meshes:
-        initial = None if solution is None else prolongate(solution, mesh)
-        solution, report = newton_solve(mesh, problem, initial, opts)
+        if solution is None:
+            solution, report = newton_solve(mesh, problem, None, opts)
+        else:
+            solution, report = newton_solve(
+                mesh, problem, prolongate(solution, mesh), warm)
         yield solution, report
 
 

@@ -408,12 +408,37 @@ def test_newton_does_not_ask_pcg_below_roundoff(caplog):
                 if rec.levelno >= logging.WARNING]
 
 
-@pytest.mark.parametrize("field", ["abs_tol", "rel_tol"])
+@pytest.mark.parametrize("field", ["abs_tol", "rel_tol", "energy_rtol"])
 def test_newton_options_refuse_a_nan_tolerance(field):
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ValueError,
                            match=f"{field} must be finite and positive"):
             NewtonOptions(**{field: bad})
+
+
+@pytest.mark.parametrize("name", ["power11", "linear_reaction"])
+def test_cold_newton_stops_on_the_residual(name):
+    problem = builtin_problem(name)
+    mesh = nested_meshes(3)[-1]  # n = 64
+    opts = NewtonOptions()
+    _, report = newton_solve(mesh, problem, None, opts)
+    assert report.stopped_by == "residual"
+    history = report.residual_history
+    assert history[-1] <= max(opts.abs_tol, opts.rel_tol * history[0])
+    assert len(report.step_decrements) == report.iterations
+
+
+def test_energy_test_never_stops_after_one_step():
+    # on n = 32 from the prolonged n = 16 solution the first decrement,
+    # 10.6, lies far below 1e3 |||u||| = 2.2e4, but a contraction needs
+    # a second one
+    problem = builtin_problem("power11")
+    coarse, fine = nested_meshes(2)[1:]
+    u_coarse, _ = newton_solve(coarse, problem)
+    start = FemFunction(fine, fine.prolongation @ u_coarse.values)
+    _, report = newton_solve(fine, problem, start,
+                             NewtonOptions(energy_rtol=1e3))
+    assert (report.iterations, report.stopped_by) == (2, "energy")
 
 
 def newton_step_at(mesh, problem, values):

@@ -14,6 +14,7 @@ from twogridfem import (
     Nonlinearity,
     NotNested,
     Problem,
+    assemble_semilinear_residual,
     builtin_problem,
     energy_norm,
     generate_interface_mesh,
@@ -22,6 +23,7 @@ from twogridfem import (
     nested_newton_solve,
     newton_levels,
     newton_solve,
+    newton_step,
     prolongate,
     refine_uniform,
     select_coarse_size,
@@ -30,6 +32,7 @@ from twogridfem import (
 from twogridfem.assembly import _moment_vector, assemble_load, \
     assemble_reaction_jacobian, assemble_stiffness
 from twogridfem.solvers import make_initial_guess
+from twogridfem.twogrid import COARSE_NEWTON_OPTS
 
 TIGHT = NewtonOptions(abs_tol=1e-12, rel_tol=1e-13, max_iters=80)
 
@@ -359,6 +362,65 @@ def test_power11_chain_keeps_multigrid_iteration_counts():
     # the V-cycle needs 14 PCG iterations on n = 128 (21 with the
     # undamped smoother); Jacobi needs 518
     assert reports[-1].linear_iters_total <= 16
+
+
+@pytest.fixture(scope="module")
+def power11_levels():
+    """The seed-0 power11 chain n = 8 ... 256 as newton_levels solves it."""
+    problem = builtin_problem("power11")
+    meshes = hierarchy(8, 5, problem)
+    return problem, meshes, list(newton_levels(meshes, problem))
+
+
+def test_warm_levels_stop_on_the_energy_estimate_after_two_steps(
+        power11_levels):
+    # measured: Newton 9, 3, 3, 2, 2, 2 and PCG 64, 12, 12, 7, 7, 7; on
+    # the sup-norm target alone n >= 64 took a third step, which held 7
+    # of the level's 14-15 PCG iterations
+    problem, meshes, levels = power11_levels
+    for _, report in levels[3:]:
+        assert report.converged
+        assert report.iterations == 2
+        assert report.stopped_by == "energy"
+        assert len(report.step_decrements) == 2
+    assert levels[0][1].stopped_by == "residual"
+    # 2.6e-8 relative off the load-vertex value of a cold solve to the
+    # sup-norm target
+    fine = meshes[-1]
+    reference, reference_report = newton_solve(fine, problem)
+    assert reference_report.stopped_by == "residual"
+    origin = int(np.argmin(np.abs(fine.vertices).max(axis=1)))
+    assert levels[-1][0].values[origin] == pytest.approx(
+        reference.values[origin], rel=1e-7, abs=0)
+
+
+def test_energy_estimate_bounds_the_next_decrement(power11_levels):
+    # the decrement of one more accurate Newton step over the estimate
+    # theta / (1 - theta) * eps that stopped the level: measured 0.019
+    # and 0.013 on n = 16 and 32 (three steps, quadratic by then), 0.69,
+    # 0.34 and 0.40 on n = 64, 128 and 256
+    problem, _, levels = power11_levels
+    for solution, report in levels[1:]:
+        assert report.stopped_by == "energy"
+        previous, last = report.step_decrements[-2:]
+        theta = last / previous
+        residual = assemble_semilinear_residual(solution, problem)
+        delta, _ = newton_step(problem, solution, residual, 1e-10)
+        assert math.sqrt(-(delta @ residual)) <= theta / (1 - theta) * last
+
+
+def test_two_grid_coarse_solve_stops_on_the_residual(power11_levels):
+    # the "exact" coarse solve runs to its sup-norm target as before:
+    # n = 16 -> 256 takes coarse Newton 8, coarse PCG 28 and fine PCG 15
+    problem, meshes, _ = power11_levels
+    result = two_grid_solve(meshes[1], meshes[-1], problem)
+    report = result.coarse_report
+    assert report.stopped_by == "residual"
+    history = report.residual_history
+    assert history[-1] <= max(COARSE_NEWTON_OPTS.abs_tol,
+                              COARSE_NEWTON_OPTS.rel_tol * history[0])
+    assert (report.iterations, report.linear_iters_total,
+            result.fine_report.iterations) == (8, 28, 15)
 
 
 def test_select_coarse_size_reference_cases():
