@@ -296,8 +296,12 @@ def assemble_point_load(mesh, location, magnitude):
     """Nodal delta load: the magnitude lands on the vertex at ``location``,
     within ``VERTEX_TOL`` times the mesh's h in each coordinate."""
     loc = np.asarray(location, dtype=float)
-    dist = np.abs(mesh.vertices - loc[None, :]).max(axis=1)
-    hits = np.nonzero(dist <= VERTEX_TOL * mesh.h)[0]
+    x0, y0 = loc
+    tol = VERTEX_TOL * mesh.h
+    # one coordinate at a time: a max over the rows of an (N, 2) distance
+    # array is a slow reduction and allocates twice as much
+    x, y = mesh.vertices.T
+    hits = np.nonzero((np.abs(x - x0) <= tol) & (np.abs(y - y0) <= tol))[0]
     if hits.size != 1:
         raise NotAVertex(f"no mesh vertex at {tuple(loc.tolist())}")
     load = np.zeros(mesh.n_vertices)

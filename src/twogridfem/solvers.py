@@ -114,10 +114,15 @@ class SolveReport:
     ``newton_solve`` also lists, per Newton step, the PCG iterations of its
     correction (``step_linear_iters``, summing to ``linear_iters_total``),
     whether the step built a new coarse hierarchy for its V-cycle
-    (``step_new_hierarchy``; never on a mesh without a ``parent``) and the
-    Newton decrement (-delta . r)^(1/2) of its correction
-    (``step_decrements``), and names the test that stopped a converged
-    solve in ``stopped_by``: ``"residual"`` or ``"energy"``."""
+    (``step_new_hierarchy``; never on a mesh without a ``parent``, and
+    not on a step that ran on its parent level's V-cycle in
+    ``newton_levels``) and the Newton decrement (-delta . r)^(1/2) of its
+    correction (``step_decrements``), and names the test that stopped a
+    converged solve in ``stopped_by``: ``"residual"`` or ``"energy"``.
+    ``residual_history`` holds the residual sup-norm at the start and
+    after every step, except after the final correction of an energy
+    stop, which is taken without one: that history has one entry per
+    step."""
 
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -335,6 +340,13 @@ def newton_step(problem, state, residual, tol, coarse=None):
     NoConvergence propagates, its ``best`` and ``last`` iterates scattered
     the same way.
     """
+    delta, report, _ = _newton_step(problem, state, residual, tol, coarse)
+    return delta, report
+
+
+def _newton_step(problem, state, residual, tol, coarse):
+    """:func:`newton_step`, also returning the step's V-cycle, which holds
+    the fine matrix (``None`` on a mesh without a ``parent``)."""
     mesh = state.mesh
     system = _free_jacobian(state, problem)
     rhs = -residual[mesh.interior_vertices]
@@ -354,10 +366,10 @@ def newton_step(problem, state, residual, tol, coarse=None):
     except NoConvergence as exc:
         exc.best, exc.last = scatter(exc.best), scatter(exc.last)
         raise
-    return scatter(x), report
+    return scatter(x), report, preconditioner
 
 
-def newton_solve(mesh, problem, initial=None, opts=None):
+def newton_solve(mesh, problem, initial=None, opts=None, _cycles=None):
     """Damped Newton iteration for the discrete semilinear system.
 
     The load, with the Dirichlet lift on the free rows, is assembled
@@ -373,9 +385,11 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     The forcing never asks PCG for a linear residual below a tenth of the
     Newton target (``TARGET_SHARE``).  A step that cuts the residual
     sup-norm at least ``HIERARCHY_REUSE_CUT`` times hands its V-cycle's
-    :class:`CoarseHierarchy` to the next step; any slower step drops it,
-    and the next step builds a new one at its own state.  Only the coarse
-    levels are kept between steps, and they die with the call.
+    coarse levels, a :class:`CoarseHierarchy` or a cycle handed in through
+    ``_cycles``, to the next step; any slower step drops them, and the
+    next step builds a new hierarchy at its own state.  Only the coarse
+    levels are kept between steps: a step's fine matrix dies before the
+    next step assembles its own.
 
     The iteration stops when the residual sup-norm is at most
     max(``abs_tol``, ``rel_tol`` * initial sup-norm), or, with
@@ -383,12 +397,20 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     (Deuflhard, "Newton Methods for Nonlinear Problems", 2004, ch. 2).
     Each correction delta at residual r has the Newton decrement
     eps = (-delta . r)^(1/2), its length in the Jacobian's energy norm.
-    After two consecutive full steps with contraction
-    theta = eps_k / eps_(k-1) < 1, the error left in the new iterate u is
+    When the previous step was taken in full and the contraction
+    theta = eps_k / eps_(k-1) is below 1, the error left in u + delta is
     estimated by theta / (1 - theta) * eps_k, and the test passes when
-    that is at most ``energy_rtol`` * (u_f . K_ff u_f)^(1/2), the
-    stiffness energy norm of u on the free vertices.  It needs two
+    that is at most ``energy_rtol`` * |||u + delta|||, where
+    |||v||| = (v_f . K_ff v_f)^(1/2) is the stiffness energy norm on the
+    free vertices.  The correction is then taken in full and ends the
+    solve without a residual at the new iterate.  The test needs two
     decrements, so it never stops a solve after a single step.
+
+    ``_cycles``, private to :func:`~twogridfem.twogrid.newton_levels`, is
+    a list holding at most one V-cycle of a solve on ``mesh.parent``: the
+    solve takes it out as its first step's coarse hierarchy (a
+    :class:`VCycle` has the ``levels`` and ``root_solve`` of one) and
+    leaves its own last step's V-cycle in its place.
 
     Returns (solution, SolveReport); raises NoConvergence (at once on a
     non-finite initial residual) or LineSearchStall with the best iterate
@@ -416,8 +438,9 @@ def newton_solve(mesh, problem, initial=None, opts=None):
     step_iters = []
     step_built = []
     decrements = []
-    full_steps = 0  # consecutive steps the line search took in full
-    coarse = None
+    previous_full = False  # the line search took the last step in full
+    coarse = _cycles.pop() if _cycles else None
+    cycle = None
     iterations = 0
 
     def report(stopped_by=None):
@@ -425,11 +448,17 @@ def newton_solve(mesh, problem, initial=None, opts=None):
                            sum(step_iters), time.perf_counter() - start,
                            step_iters, step_built, decrements, stopped_by)
 
-    def energy_converged():
-        if full_steps < 2 or not decrements[-1] < decrements[-2]:
+    def converged(stopped_by):
+        if _cycles is not None and cycle is not None:
+            _cycles.append(cycle)
+        return FemFunction(mesh, u), report(stopped_by)
+
+    def energy_converged(delta):
+        if not (previous_full and decrements[-1] < decrements[-2]):
             return False
         theta = decrements[-1] / decrements[-2]
-        u_f = u[mesh.interior_vertices]
+        free = mesh.interior_vertices
+        u_f = u[free] + delta[free]
         norm = math.sqrt(float(
             u_f @ (_free_stiffness(mesh, problem.diffusion) @ u_f)))
         return theta / (1.0 - theta) * decrements[-1] <= (
@@ -449,11 +478,14 @@ def newton_solve(mesh, problem, initial=None, opts=None):
             FORCING_FACTOR * rsup,
             TARGET_SHARE * target / float(np.linalg.norm(r)))))
         state = FemFunction(mesh, u)
+        # one fine matrix at a time: the last step's dies here
+        cycle = None
         step_built.append(mesh.parent is not None and coarse is None)
         if step_built[-1]:
             coarse = CoarseHierarchy(state, problem)
         try:
-            delta, lin_report = newton_step(problem, state, r, eta, coarse)
+            delta, lin_report, cycle = _newton_step(problem, state, r, eta,
+                                                    coarse)
         except NoConvergence as exc:  # fall back to the best iterate
             logger.warning("newton: inner pcg stopped early, using best "
                            "iterate (%s)", exc)
@@ -461,6 +493,12 @@ def newton_solve(mesh, problem, initial=None, opts=None):
         step_iters.append(lin_report.iterations)
         # the boundary entries of delta are zero
         decrements.append(math.sqrt(max(-float(delta @ r), 0.0)))
+        if opts.energy_rtol is not None and energy_converged(delta):
+            u = u + delta
+            iterations += 1
+            logger.info("iter %d energy stop lin_iters %d",
+                        iterations, lin_report.iterations)
+            return converged("energy")
 
         step = 1.0
         accepted = False
@@ -478,14 +516,11 @@ def newton_solve(mesh, problem, initial=None, opts=None):
                 best=FemFunction(mesh, u), report=report())
         if rsup_try * HIERARCHY_REUSE_CUT > rsup:
             coarse = None
-        full_steps = full_steps + 1 if step == 1.0 else 0
+        previous_full = step == 1.0
         u, r, rsup = u_try, r_try, rsup_try
         iterations += 1
         history.append(rsup)
         logger.info("iter %d resid %.6e lin_iters %d",
                     iterations, rsup, lin_report.iterations)
-        if (rsup > target and opts.energy_rtol is not None
-                and energy_converged()):
-            return FemFunction(mesh, u), report("energy")
 
-    return FemFunction(mesh, u), report("residual")
+    return converged("residual")

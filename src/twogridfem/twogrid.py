@@ -171,18 +171,27 @@ def newton_levels(meshes, problem, opts=None):
     iteration counts flat across levels.  The later levels also stop on
     the energy test of :func:`~twogridfem.solvers.newton_solve`, at
     ``opts.energy_rtol`` or, when that is unset, ``LEVEL_ENERGY_RTOL``,
-    whichever of it and the sup-norm target is met first.  Yields
-    (solution, SolveReport) per level, as each level is solved.
+    whichever of it and the sup-norm target is met first.  Each level's
+    last V-cycle is the coarse hierarchy of the next level's first step,
+    so a chain builds one hierarchy, on its first level with a parent,
+    as long as every step cuts the residual ``HIERARCHY_REUSE_CUT``
+    times.  Yields (solution, SolveReport) per level, as each level is
+    solved.
     """
     opts = opts or NewtonOptions()
     warm = replace(opts, energy_rtol=opts.energy_rtol or LEVEL_ENERGY_RTOL)
+    cycles = []  # the last level's V-cycle; newton_solve takes it out
     solution = None
     for mesh in meshes:
         if solution is None:
-            solution, report = newton_solve(mesh, problem, None, opts)
+            solution, report = newton_solve(mesh, problem, None, opts,
+                                            _cycles=cycles)
         else:
+            if mesh.parent is not solution.mesh:
+                cycles.clear()
             solution, report = newton_solve(
-                mesh, problem, prolongate(solution, mesh), warm)
+                mesh, problem, prolongate(solution, mesh), warm,
+                _cycles=cycles)
         yield solution, report
 
 

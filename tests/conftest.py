@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,17 @@ def strong_cube_problem(lam=1e4):
         ),
         source=raised_source,
     ), solution
+
+
+def transient_peak(fn):
+    """tracemalloc's peak during ``fn()`` above the memory live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def grad_l2_squared_oracle(mesh, values):

@@ -15,7 +15,7 @@ from twogridfem import (
     validate_mesh,
 )
 
-from conftest import distorted, relabelled
+from conftest import distorted, relabelled, transient_peak
 
 D_UNIT = {1: 1.0, 2: 1.0}
 D_JUMP = {1: 1000.0, 2: 1.0}
@@ -533,17 +533,6 @@ def test_child_geometry_transient_is_what_it_keeps():
     assert peak < kept + sums
 
 
-def transient(fn):
-    """Peak traced memory of fn() above the memory live before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def refined_with_caches(refinements):
     mesh = generate_interface_mesh(8)
     for _ in range(refinements):
@@ -559,7 +548,7 @@ def test_validate_mesh_transient_is_its_counters():
     # 0.92 MB (14.7 MB on n = 512, now 9.3)
     mesh = refined_with_caches(4)
     counters = 8 * (mesh.n_vertices + mesh.edges[0].size)
-    assert transient(lambda: validate_mesh(mesh)) < (
+    assert transient_peak(lambda: validate_mesh(mesh)) < (
         counters + mesh.triangles.nbytes // 4)
 
 
@@ -571,7 +560,7 @@ def test_interface_edges_transient_is_one_counter():
     mesh = refined_with_caches(4)
     assert "interface_edges" not in vars(mesh)
     counter = 8 * mesh.edges[0].size
-    assert transient(lambda: mesh.interface_edges) < 1.5 * counter
+    assert transient_peak(lambda: mesh.interface_edges) < 1.5 * counter
 
 
 def test_geometry_is_computed_once():
