@@ -288,6 +288,8 @@ def cmd_converge(cfg, args):
 
 
 def cmd_twogrid(cfg, args):
+    if cfg.level_count < 2:
+        raise ConfigError("twogrid needs at least two levels")
     problem, exact, meshes = _build_hierarchy(cfg)
     out = Path(args.out or cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

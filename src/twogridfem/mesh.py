@@ -61,11 +61,10 @@ class Mesh:
     triangles : (M, 3) int array, counterclockwise vertex triples
     regions : (M,) int array with values in {1, 2}
     parent : coarser mesh this one refines, or None
-    midpoint_vertices : (E_parent,) int array, the vertex that bisects each
-        edge of ``parent.edges``, or None without a parent
-    midpoint_edges : (N - N_parent, 2) array, the parent edge (lo, hi)
-        that each new vertex bisects, in the index dtype of the parent's
-        ``edges``, or None without a parent
+    midpoint_edges : (N - N_parent, 2) array, the parent's edges (lo, hi)
+        stacked: row e is the edge that vertex ``N_parent + e`` bisects,
+        in the index dtype of the parent's ``edges``, or None without a
+        parent
     edges : ``(lo, hi, edge_of)``, the unique edges (lo, hi), lo < hi, in
         lexicographic order and the indices of every triangle's edges
         01, 12 and 02, in the index dtype of ``csr_pattern``
@@ -89,17 +88,17 @@ class Mesh:
     free_pattern : its block on ``interior_vertices``, the pattern of
         every system solved on the mesh
 
-    All arrays are read-only.  The attributes after ``midpoint_vertices``
-    are derived: ``midpoint_edges`` on each read, the others once, on
-    first use; two threads racing on that first use compute the same
-    values, so meshes are safe to share.
+    All arrays are read-only.  The attributes after ``parent`` are
+    derived: ``midpoint_edges`` on each read, the others once, on first
+    use; two threads racing on that first use compute the same values, so
+    meshes are safe to share.
 
     The constructor takes vertices, triangles and regions alone and makes
     a root, which computes its edges, boundary, h and geometry from them.
     Only :func:`refine_uniform` makes a mesh with a parent: it records the
-    parent and ``midpoint_vertices``, and nothing else sets them.  A mesh
-    with a parent is therefore always its parent's red refinement in
-    ``refine_uniform``'s child layout, and it derives from the parent's,
+    parent, and nothing else sets it.  A mesh with a parent is therefore
+    always its parent's red refinement in ``refine_uniform``'s child
+    layout and numbering, and it derives from the parent's,
     with no check of that layout, its boundary and h, its edges by index
     arithmetic and one sort, and its geometry: the areas are a quarter of
     the parent's and the gradients 2 or -2 times the parent's.  That
@@ -113,8 +112,6 @@ class Mesh:
     triangles: np.ndarray
     regions: np.ndarray
     parent: "Mesh | None" = field(default=None, init=False)
-    midpoint_vertices: np.ndarray | None = field(default=None, init=False,
-                                                 repr=False)
 
     def __post_init__(self):
         self.vertices = np.ascontiguousarray(self.vertices, dtype=float)
@@ -136,10 +133,7 @@ class Mesh:
         if self.parent is None:
             return None
         lo, hi, _ = self.parent.edges
-        order = np.empty(lo.size, dtype=np.int64)
-        order[self.midpoint_vertices - self.parent.n_vertices] = np.arange(
-            lo.size)
-        return _freeze(np.column_stack([lo[order], hi[order]]))[0]
+        return _freeze(np.column_stack([lo, hi]))[0]
 
     @cached_property
     def edges(self):
@@ -148,8 +142,7 @@ class Mesh:
         if self.parent is None:
             edges = _unique_edges(self.triangles, self.n_vertices)
         else:
-            edges = _child_edges(self.parent, self.midpoint_vertices,
-                                 self.n_vertices)
+            edges = _child_edges(self.parent, self.n_vertices)
         _freeze(*edges)
         return edges
 
@@ -167,7 +160,7 @@ class Mesh:
             once = _edge_uses(self.parent.edges) == 1
             boundary = np.concatenate([
                 self.parent.boundary_vertices,
-                np.sort(self.midpoint_vertices[once])])
+                self.parent.n_vertices + np.flatnonzero(once)])
         _freeze(boundary)
         return boundary
 
@@ -347,10 +340,10 @@ def _geometry_of(mesh):
     return _child_geometry(*_geometry_of(mesh.parent))
 
 
-def _child_edges(parent, midpoint, n):
+def _child_edges(parent, n):
     """``_unique_edges`` of the n-vertex refinement of ``parent`` in
-    ``refine_uniform``'s child layout, whose vertex ``midpoint[e]`` bisects
-    parent edge e, by index arithmetic and one sort.
+    ``refine_uniform``'s child layout, whose vertex ``parent.n_vertices +
+    e`` bisects parent edge e, by index arithmetic and one sort.
 
     Numbered before the sort, each of the E parent edges e gives the half
     edges e, at its lower vertex, and E + e, at its upper one; each of the
@@ -361,9 +354,10 @@ def _child_edges(parent, midpoint, n):
     # every temporary holds vertex or edge numbers of the child, which fit
     # its index dtype; only the sort keys need 64 bits
     dtype = _index_dtype(n, 2 * n_edges + 3 * m)
-    midpoint = midpoint.astype(dtype, copy=False)
+    n_old = dtype(parent.n_vertices)
+    midpoint = np.arange(n_old, n, dtype=dtype)
     v, parent_edge = parent.triangles.T, edge_of.T
-    mids = midpoint[parent_edge]
+    mids = parent_edge + n_old
     first, second = mids[[0, 1, 0]], mids[[1, 2, 2]]
     del mids
     a = np.concatenate([lo, hi, np.minimum(first, second).ravel()],
@@ -528,38 +522,27 @@ def refine_uniform(mesh):
     its edges, becomes the children 4 t ... 4 t + 3: the corners
     (v0, m01, m02), (v1, m12, m01) and (v2, m02, m12), then the middle
     (m01, m12, m02).  The parent's vertices keep their numbers, and the
-    midpoints follow in the order a triangle-by-triangle walk meets their
-    edges.  Region tags are inherited, and the child records the parent
-    mesh and the new vertex that bisects every parent edge; this is the
-    only way to give a mesh a parent.  From this layout the child derives
-    its boundary, h, edges and geometry from the parent's, on first use:
-    refinement computes none of them.
+    midpoint of parent edge e of ``mesh.edges`` is vertex
+    ``mesh.n_vertices + e``.  Region tags are inherited, and the child
+    records the parent mesh; this is the only way to give a mesh a parent.
+    From this layout the child derives its boundary, h, edges and geometry
+    from the parent's, on first use: refinement computes none of them.
     """
     n_old = mesh.n_vertices
     lo, hi, edge_of = mesh.edges
-    # the first position of each edge in the walk, and the positions that
-    # are some edge's first, in increasing order
-    first = np.full(lo.size, edge_of.size)
-    np.minimum.at(first, edge_of.ravel(), np.arange(edge_of.size))
-    is_first = np.zeros(edge_of.size, dtype=bool)
-    is_first[first] = True
-    order = edge_of.ravel()[is_first]
-    midpoint = np.empty(lo.size, dtype=np.int64)
-    midpoint[order] = np.arange(n_old, n_old + order.size)
-    mid = np.take(mesh.vertices, lo[order], axis=0)
-    mid += np.take(mesh.vertices, hi[order], axis=0)
+    mid = np.take(mesh.vertices, lo, axis=0)
+    mid += np.take(mesh.vertices, hi, axis=0)
     mid *= 0.5
     vertices = np.concatenate([mesh.vertices, mid])
     # the vertices v0, v1, v2, m_0, m_1, m_2 of every parent triangle as
     # rows, taken in the child layout into the children's triangles
     planes = np.empty((6, mesh.n_triangles), dtype=np.int64)
     planes[:3] = mesh.triangles.T
-    np.take(midpoint, edge_of.T, out=planes[3:])
+    np.add(edge_of.T, n_old, out=planes[3:], dtype=np.int64)
     child = Mesh(vertices,
                  np.take(planes.T, _CHILD_VERTICES, axis=1).reshape(-1, 3),
                  np.repeat(mesh.regions, 4))
     child.parent = mesh
-    child.midpoint_vertices = _freeze(midpoint)[0]
     return child
 
 

@@ -149,7 +149,9 @@ def two_grid_solve(t_coarse, t_fine, problem):
     Step 1 solves the nonlinear problem on the coarse mesh (Newton to the
     documented "exact" tolerance); step 2 prolongates and takes one Newton
     step on the fine mesh.  Total fine-grid work is a single linear solve.
+    NotNested is raised before any solve when the pair is not nested.
     """
+    refinement_chain(t_fine, t_coarse)
     u_coarse, coarse_report = newton_solve(
         t_coarse, problem, None, COARSE_NEWTON_OPTS)
     u_fine, fine_report = linearized_solve(problem,
@@ -166,25 +168,26 @@ def newton_levels(meshes, problem, opts=None):
     """Warm-started Newton solves, level by level, on a refinement chain.
 
     ``meshes`` is a coarse-to-fine refinement chain.  The first level's
-    Newton solve starts from the default initial guess, every later one
-    from the prolongated solution of the level before, which keeps
-    iteration counts flat across levels.  The later levels also stop on
-    the energy test of :func:`~twogridfem.solvers.newton_solve`, at
-    ``opts.energy_rtol`` or, when that is unset, ``LEVEL_ENERGY_RTOL``,
-    whichever of it and the sup-norm target is met first.  Each level's
-    last V-cycle is the coarse hierarchy of the next level's first step,
-    so a chain builds one hierarchy, on its first level with a parent,
-    as long as every step cuts the residual ``HIERARCHY_REUSE_CUT``
-    times.  Yields (solution, SolveReport) per level, as each level is
-    solved.
+    Newton solve starts from the default initial guess and runs to the
+    sup-norm target alone; every later one starts from the prolongated
+    solution of the level before, which keeps iteration counts flat
+    across levels.  The later levels also stop on the energy test of
+    :func:`~twogridfem.solvers.newton_solve`, at ``opts.energy_rtol`` or,
+    when that is unset, ``LEVEL_ENERGY_RTOL``, whichever of it and the
+    sup-norm target is met first.  Each level's last V-cycle is the
+    coarse hierarchy of the next level's first step, so a chain builds
+    one hierarchy, on its first level with a parent, as long as every
+    step cuts the residual ``HIERARCHY_REUSE_CUT`` times.  Yields
+    (solution, SolveReport) per level, as each level is solved.
     """
     opts = opts or NewtonOptions()
+    cold = replace(opts, energy_rtol=None)
     warm = replace(opts, energy_rtol=opts.energy_rtol or LEVEL_ENERGY_RTOL)
     cycles = []  # the last level's V-cycle; newton_solve takes it out
     solution = None
     for mesh in meshes:
         if solution is None:
-            solution, report = newton_solve(mesh, problem, None, opts,
+            solution, report = newton_solve(mesh, problem, None, cold,
                                             _cycles=cycles)
         else:
             if mesh.parent is not solution.mesh:

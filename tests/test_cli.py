@@ -282,6 +282,25 @@ def test_zero_error_study_fails_with_one_line(tmp_path, capsys, command,
     assert reason in err
 
 
+@pytest.mark.parametrize("old, new, flags", [
+    ("count = 3", "count = 1", []),
+    ("count = 3", "count = 3", ["--levels", "1"]),
+], ids=["count", "levels-flag"])
+def test_one_level_twogrid_is_config_error(tmp_path, capsys, monkeypatch,
+                                           old, new, flags):
+    # it once exited 0 with a header-only twogrid.csv, after a reference
+    # solve two levels finer
+    built = []
+    monkeypatch.setattr(cli, "generate_interface_mesh",
+                        lambda *args: built.append(args))
+    cfg = write_cfg(tmp_path, POWER11_CFG.replace(old, new))
+    assert main(["twogrid", "--config", cfg, *flags]) == 2
+    assert capsys.readouterr().err == (
+        "config error: twogrid needs at least two levels\n")
+    assert built == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_twogrid_selects_coarse_level(tmp_path):
     cfg = write_cfg(tmp_path, POWER11_CFG)
     assert main(["twogrid", "--config", cfg, "--seed", "1"]) == 0

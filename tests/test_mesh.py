@@ -121,28 +121,31 @@ def test_refine_unit_square_pair_exact_arrays(unit_square_pair):
     fine = refine_uniform(unit_square_pair)
     assert fine.vertices.tolist() == [
         [0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [0.5, 0.0],
-        [1.0, 0.5], [0.5, 0.5], [0.5, 1.0], [0.0, 0.5]]
+        [0.0, 0.5], [0.5, 0.5], [1.0, 0.5], [0.5, 1.0]]
     assert fine.triangles.tolist() == [
-        [0, 4, 6], [1, 5, 4], [3, 6, 5], [4, 5, 6],
-        [0, 6, 8], [3, 7, 6], [2, 8, 7], [6, 7, 8]]
+        [0, 4, 6], [1, 7, 4], [3, 6, 7], [4, 7, 6],
+        [0, 6, 5], [3, 8, 6], [2, 5, 8], [6, 8, 5]]
     assert fine.boundary_vertices.tolist() == [0, 1, 2, 3, 4, 5, 7, 8]
     assert fine.midpoint_edges.tolist() == [
-        [0, 1], [1, 3], [0, 3], [2, 3], [0, 2]]
+        [0, 1], [0, 2], [0, 3], [1, 3], [2, 3]]
     assert fine.interface_edges.shape == (0, 2)
 
 
 def refine_oracle(mesh):
-    """Triangle-by-triangle red refinement with a dict of edge midpoints."""
-    vertices = [tuple(v) for v in mesh.vertices]
-    midpoint_of, uses = {}, {}
+    """Triangle-by-triangle red refinement with a dict of edge midpoints,
+    numbered after the parent's vertices in sorted edge order."""
+    keys = sorted({(min(a, b), max(a, b)) for tri in mesh.triangles.tolist()
+                   for a, b in ((tri[0], tri[1]), (tri[1], tri[2]),
+                                (tri[0], tri[2]))})
+    midpoint_of = {key: mesh.n_vertices + k for k, key in enumerate(keys)}
+    vertices = [tuple(v) for v in mesh.vertices] + [
+        tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])) for a, b in keys]
+    uses = {}
     triangles = []
 
     def midpoint(a, b):
         key = (min(a, b), max(a, b))
         uses[key] = uses.get(key, 0) + 1
-        if key not in midpoint_of:
-            midpoint_of[key] = len(vertices)
-            vertices.append(tuple(0.5 * (mesh.vertices[a] + mesh.vertices[b])))
         return midpoint_of[key]
 
     for v0, v1, v2 in mesh.triangles.tolist():
@@ -175,6 +178,24 @@ def test_refine_matches_triangle_walk_oracle():
                                                      for e in interface]
             assert fine.midpoint_edges.tolist() == [list(e) for e in mids]
             mesh = fine
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_vertex_n_parent_plus_e_bisects_parent_edge_e(relabel):
+    mesh = generate_interface_mesh(4, (0, 2, 0, 1), (0.5, 1.5, 0.25, 0.75))
+    if relabel:
+        mesh = relabelled(mesh)
+    for _ in range(3):
+        fine = refine_uniform(mesh)
+        lo, hi, _ = mesh.edges
+        n = mesh.n_vertices
+        assert fine.n_vertices == n + lo.size
+        np.testing.assert_array_equal(
+            fine.vertices[n:], 0.5 * (mesh.vertices[lo] + mesh.vertices[hi]))
+        rows = np.zeros((lo.size, n))
+        rows[np.arange(lo.size), lo] = rows[np.arange(lo.size), hi] = 0.5
+        np.testing.assert_array_equal(fine.prolongation[n:].toarray(), rows)
+        mesh = fine
 
 
 @pytest.mark.parametrize("domain, box", [
@@ -422,10 +443,9 @@ def test_mesh_arrays_are_read_only():
                     mesh.boundary_vertices, *mesh.edges):
             with pytest.raises(ValueError):
                 arr[(0,) * arr.ndim] = 99
-    # the child's edges read the one, the prolongation the other
-    for arr in (fine.midpoint_vertices, fine.midpoint_edges):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 0
+    # the prolongation reads the midpoint edges
+    with pytest.raises(ValueError):
+        fine.midpoint_edges[0, 0] = 0
 
 
 def test_refinement_computes_no_edges_or_geometry_of_the_child():
@@ -481,8 +501,7 @@ def test_only_refinement_gives_a_mesh_a_parent():
     root = generate_interface_mesh(4)
     fine = refine_uniform(root)
     for link in ({"parent": root},
-                 {"midpoint_edges": fine.midpoint_edges},
-                 {"midpoint_vertices": fine.midpoint_vertices}):
+                 {"midpoint_edges": fine.midpoint_edges}):
         with pytest.raises(TypeError):
             Mesh(fine.vertices, fine.triangles, fine.regions, **link)
     assert fine.parent is root

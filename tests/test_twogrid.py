@@ -209,12 +209,22 @@ def test_two_grid_remainder_bound_with_second_derivative():
     assert abs(defect) <= bound
 
 
-def test_two_grid_requires_nested_pair():
+def test_two_grid_requires_nested_pair(monkeypatch):
+    import twogridfem.twogrid as twogrid_module
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(args[0])
+        return newton_solve(*args, **kwargs)
+
+    monkeypatch.setattr(twogrid_module, "newton_solve", spy)
     problem = builtin_problem("sinh_pbe")
     a = generate_interface_mesh(4)
     b = generate_interface_mesh(8)
     with pytest.raises(NotNested):
         two_grid_solve(a, b, problem)
+    # refused before the coarse solve
+    assert solves == []
 
 
 def test_two_grid_fine_step_converges_on_a_large_jump():
@@ -353,6 +363,19 @@ def test_nested_newton_matches_direct():
     assert [u.mesh for u, _ in levels] == meshes
     assert np.array_equal(levels[-1][0].values, nested.values)
     assert np.abs(nested.values - direct.values).max() <= 1e-9
+
+
+def test_first_level_runs_to_the_sup_norm_target_alone():
+    # with energy_rtol = 1e-3 the cold n = 8 level once stopped by the
+    # energy test after 8 steps; to the sup-norm target it takes 9
+    problem = builtin_problem("power11")
+    meshes = hierarchy(8, 1, problem)
+    loose = NewtonOptions(energy_rtol=1e-3)
+    (first, report), (_, warm) = newton_levels(meshes, problem, loose)
+    assert (report.stopped_by, report.iterations) == ("residual", 9)
+    assert warm.stopped_by == "energy"
+    default, _ = next(newton_levels(meshes, problem))
+    assert np.array_equal(first.values, default.values)
 
 
 def test_power11_chain_keeps_multigrid_iteration_counts():
